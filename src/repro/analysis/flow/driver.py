@@ -34,7 +34,7 @@ from repro.analysis.linter import display_path
 from repro.analysis.rules.base import LintViolation, SourceFile
 
 #: Bumped whenever the summary format changes, invalidating caches.
-CACHE_VERSION = "flow-cache/2"  # /2: SubmitSite.handle_args (shared-memory handles)
+CACHE_VERSION = "flow-cache/3"  # /3: WorkerPool.run submit sites
 
 #: Default scan root: the package sources (tests exercise the analyzer,
 #: they are not its subject — fixture code would drown the signal).

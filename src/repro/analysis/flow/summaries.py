@@ -92,6 +92,10 @@ SHARED_MEMORY_CTORS = frozenset(
     }
 )
 
+#: The fan-out primitive: ``pool.run(worker, units)`` on one of these
+#: is a worker-boundary crossing exactly like ``executor.submit``.
+WORKER_POOL_CLASSES = frozenset({"repro.utils.pool.WorkerPool"})
+
 #: Telemetry emitters of :mod:`repro.obs` (``repro.obs.<name>``).
 TELEMETRY_EMITTERS = frozenset({"span", "counter", "observe", "gauge"})
 
@@ -141,7 +145,7 @@ class FlaggedSite:
 
 @dataclasses.dataclass(frozen=True)
 class SubmitSite:
-    """One ``executor.submit(f, ...)`` worker-boundary crossing.
+    """One ``executor.submit(f, ...)`` / ``pool.run(f, units)`` crossing.
 
     ``callable_kind`` is ``"name"`` (resolvable bare name),
     ``"lambda"``, ``"nested"`` (function defined inside the submitting
@@ -409,8 +413,20 @@ class _FunctionVisitor(ast.NodeVisitor):
                     FlaggedSite(line, col, resolved)
                 )
 
-        if isinstance(func, ast.Attribute) and func.attr == "submit":
+        if isinstance(func, ast.Attribute) and (
+            func.attr == "submit"
+            or (func.attr == "run" and self._is_worker_pool(func.value))
+        ):
             self._record_submit(node)
+
+    def _is_worker_pool(self, receiver: ast.AST) -> bool:
+        """Whether ``receiver`` is a local or parameter typed WorkerPool."""
+        if not isinstance(receiver, ast.Name):
+            return False
+        type_name = self.local_types.get(receiver.id, "") or dict(
+            self.params
+        ).get(receiver.id, "")
+        return self._resolve_dotted(type_name) in WORKER_POOL_CLASSES
 
     def _record_submit(self, node: ast.Call) -> None:
         if not node.args:
@@ -462,6 +478,22 @@ class _FunctionVisitor(ast.NodeVisitor):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         return  # bodies of lambdas are opaque to the summary
+
+    def visit_With(self, node: ast.With) -> None:
+        # ``with ClassName(...) as var`` types ``var`` like an assignment
+        # (how a WorkerPool is bound before its ``run`` calls).
+        for item in node.items:
+            target = item.optional_vars
+            if isinstance(target, ast.Name) and isinstance(
+                item.context_expr, ast.Call
+            ):
+                callee = dotted_name(item.context_expr.func)
+                if (
+                    callee is not None
+                    and callee.rsplit(".", 1)[-1][:1].isupper()
+                ):
+                    self.local_types.setdefault(target.id, callee)
+        self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:

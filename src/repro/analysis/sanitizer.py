@@ -480,41 +480,49 @@ def check_parallel_determinism(
     backends: Sequence[str] = ("numpy", "sparse", "python"),
     shard_worker_counts: Sequence[int] = (1, 2),
 ) -> int:
-    """Schedule-fuzz one sweep point; assert byte-identical outcomes.
+    """Schedule-fuzz every user of the worker pool; assert byte identity.
 
     The runtime counterpart of the static REP010–REP015 flow rules: it
-    *executes* the process-pool fan-out under every combination of
+    *executes* the :class:`~repro.utils.pool.WorkerPool` fan-out under
+    every combination of
 
     * worker count (including the serial reference),
-    * chunk order — repetitions submitted in permuted order and
-      reassembled by seed, so completion/submission order is exercised,
+    * unit order — the units handed to the pool are permuted and the
+      results reassembled by unit identity, so completion/submission
+      order is exercised,
     * matching backend — the mechanism is rebuilt per backend inside
       each worker via its spec kwargs, the way a sweep config would,
 
     and raises :class:`~repro.errors.SanitizationError` unless every
-    run's result rows ``pickle`` to the *same bytes* as the serial
+    run's results ``pickle`` to the *same bytes* as the serial
     single-backend reference.  Byte equality is deliberately stricter
     than ``==``: it also pins dict insertion order (payments!) and
     float bit patterns, the two things hash-order bugs corrupt first.
 
-    The same matrix then runs against the shard-level fan-out of
-    :func:`repro.experiments.sharding.run_sharded_campaign`: a two-city
-    campaign split two shards per city, executed under every
-    ``shard_worker_counts`` entry × permuted shard submission order,
-    must pickle byte-identically — as a whole result — to its
-    ``workers=1`` reference (pass an empty ``shard_worker_counts`` to
-    skip that half).
+    Three halves run in turn:
+
+    * sweep repetitions (:func:`~repro.experiments.runner.run_repetition`)
+      over ``seeds`` × ``worker_counts`` × permuted orders × ``backends``;
+    * campaign rounds: a ``retry_policy="none"`` campaign, with and
+      without a :class:`~repro.faults.FaultConfig`, whose rounds run on
+      ``worker_counts`` × permuted orders and must match the serial
+      campaign round by round — and ``run_campaign`` itself must pickle
+      to the same bytes at every worker count;
+    * shards: a two-city campaign split two shards per city, executed
+      by :func:`~repro.experiments.sharding.run_sharded_campaign` under
+      every ``shard_worker_counts`` entry × permuted shard submission
+      order, must pickle byte-identically — as a whole result — to its
+      ``workers=1`` reference (pass an empty ``shard_worker_counts`` to
+      skip that half).
 
     Returns the number of schedule combinations checked.
     """
     import pickle
 
     from repro.experiments.config import MechanismSpec
-    from repro.experiments.parallel import (
-        run_repetition,
-        run_repetitions_parallel,
-    )
+    from repro.experiments.runner import run_repetition
     from repro.simulation.workload import WorkloadConfig
+    from repro.utils.pool import WorkerPool
 
     if workload is None:
         workload = WorkloadConfig(
@@ -544,11 +552,6 @@ def check_parallel_determinism(
             pickle.dumps(result.row, protocol=4) for result in ordered
         )
 
-    def permutations(items: Sequence[int]) -> List[Tuple[int, ...]]:
-        forward = tuple(items)
-        rotated = forward[1:] + forward[:1]
-        return [forward, tuple(reversed(forward)), rotated]
-
     reference: Optional[Tuple[bytes, ...]] = None
     checked = 0
     for backend in backends:
@@ -569,16 +572,18 @@ def check_parallel_determinism(
                 "bit-identity is broken"
             )
         for workers in worker_counts:
-            for order in permutations(seeds):
-                results = run_repetitions_parallel(
-                    workload,
-                    specs,
-                    order,
-                    retries=0,
-                    backoff=0.0,
-                    on_failure="raise",
-                    workers=workers,
-                )
+            for order in _orders(seeds):
+                with WorkerPool(workers) as pool:
+                    results = [
+                        envelope.result
+                        for envelope in pool.run(
+                            run_repetition,
+                            [
+                                (workload, specs, seed, 0, 0.0, "raise")
+                                for seed in order
+                            ],
+                        )
+                    ]
                 if rows_bytes(results) != reference:
                     raise SanitizationError(
                         f"nondeterministic sweep point: backend="
@@ -587,7 +592,84 @@ def check_parallel_determinism(
                         "outcome bytes than the serial reference"
                     )
                 checked += 1
+    checked += _check_campaign_determinism(workload, worker_counts)
     checked += _check_shard_determinism(workload, shard_worker_counts)
+    return checked
+
+
+def _orders(items: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Forward, reversed, and rotated unit orders."""
+    forward = tuple(items)
+    return [forward, tuple(reversed(forward)), forward[1:] + forward[:1]]
+
+
+def _check_campaign_determinism(
+    workload: object, worker_counts: Sequence[int]
+) -> int:
+    """Campaign-round half of :func:`check_parallel_determinism`."""
+    import pickle
+
+    from repro.auction.multi_round import (
+        _round_units,
+        _run_round,
+        run_campaign,
+    )
+    from repro.faults.plan import FaultConfig
+    from repro.mechanisms.registry import create_mechanism
+    from repro.utils.pool import WorkerPool
+
+    mechanism = create_mechanism("online-greedy")
+    num_rounds = 3
+    seed = 2014
+    checked = 0
+    for fault_config in (
+        None,
+        FaultConfig(dropout_prob=0.2, task_failure_prob=0.1),
+    ):
+        faults = "with" if fault_config is not None else "without"
+        serial = run_campaign(
+            mechanism, workload, num_rounds, seed=seed,
+            fault_config=fault_config,
+        )
+        whole = pickle.dumps(serial, protocol=4)
+        reference = [pickle.dumps(r, protocol=4) for r in serial.rounds]
+        checked += 1
+        units = _round_units(
+            mechanism, workload, num_rounds, seed, fault_config, seed, None
+        )
+        for workers in worker_counts:
+            if workers > 1:
+                parallel = run_campaign(
+                    mechanism, workload, num_rounds, seed=seed,
+                    fault_config=fault_config, workers=workers,
+                )
+                if pickle.dumps(parallel, protocol=4) != whole:
+                    raise SanitizationError(
+                        f"nondeterministic campaign {faults} faults: "
+                        f"workers={workers} pickles to different bytes "
+                        "than the workers=1 campaign"
+                    )
+                checked += 1
+            for order in _orders(range(num_rounds)):
+                with WorkerPool(workers) as pool:
+                    blobs = [
+                        envelope.result
+                        for envelope in pool.run(
+                            _run_round, [units[index] for index in order]
+                        )
+                    ]
+                rounds = dict(zip(order, blobs))
+                if [
+                    pickle.dumps(pickle.loads(rounds[index]).result, protocol=4)
+                    for index in range(num_rounds)
+                ] != reference:
+                    raise SanitizationError(
+                        f"nondeterministic campaign rounds {faults} "
+                        f"faults: workers={workers} order={list(order)} "
+                        "produced different round bytes than the serial "
+                        "campaign"
+                    )
+                checked += 1
     return checked
 
 

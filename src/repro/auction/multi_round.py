@@ -14,24 +14,19 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import pickle
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.mechanisms.base import Mechanism
 from repro.metrics.summary import Summary, summarize
 from repro.model.smartphone import SmartphoneProfile
-from repro.obs.clock import perf_seconds
-from repro.obs.live import (
-    Heartbeat,
-    HeartbeatConfig,
-    append_worker_beat,
-    merge_heartbeats,
-)
+from repro.obs.live import Heartbeat, HeartbeatConfig, append_worker_beats
 from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import WorkloadConfig
+from repro.utils.pool import WorkerPool
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_in_range, check_positive, check_type
 
@@ -102,117 +97,118 @@ def _reentry_profile(
 
 
 @dataclasses.dataclass(frozen=True)
-class _RoundResult:
-    """One independent round's outcome, as returned by a round worker."""
+class _PlayedRound:
+    """One round's result plus the winners and fault accounting.
+
+    ``winners`` are the phones that delivered (every winner when the
+    round ran without faults); the rest re-enter under ``"losers"``.
+    """
 
     result: SimulationResult
-    dropped: int
-    failures: int
-    recovered: int
-    elapsed_seconds: float
-    worker_pid: int
+    winners: FrozenSet[int]
+    dropped: int = 0
+    failures: int = 0
+    recovered: int = 0
+
+
+def _play_round(
+    mechanism: Mechanism,
+    scenario: Scenario,
+    fault_config: Optional["FaultConfig"],
+    fault_seed: int,
+    round_dir: Optional[pathlib.Path],
+) -> _PlayedRound:
+    """Run one round's scenario: fault-aware, journaled, or plain."""
+    if fault_config is not None:
+        from repro.faults.recovery import run_with_faults
+
+        faulty = run_with_faults(
+            scenario, fault_config, seed=fault_seed, journal_dir=round_dir
+        )
+        return _PlayedRound(
+            faulty.result,
+            frozenset(faulty.report.delivered),
+            dropped=len(faulty.report.dropped),
+            failures=len(faulty.report.failed_deliverers),
+            recovered=len(faulty.report.recovered_tasks),
+        )
+    if round_dir is not None:
+        result = _run_journaled_round(scenario, round_dir)
+    else:
+        result = SimulationEngine().run(mechanism, scenario)
+    return _PlayedRound(result, frozenset(result.outcome.winners))
+
+
+def _round_scenario(
+    base: Scenario,
+    round_index: int,
+    profiles: Optional[List[SmartphoneProfile]] = None,
+) -> Scenario:
+    """Tag a round's workload draw with its index (and re-entrants)."""
+    return Scenario(
+        profiles if profiles is not None else list(base.profiles),
+        base.schedule,
+        metadata={**base.metadata, "round": round_index},
+    )
 
 
 def _run_round(
     mechanism: Mechanism,
     workload: WorkloadConfig,
+    round_index: int,
     round_seed: int,
     fault_config: Optional["FaultConfig"],
-    fault_round_seed: int,
-    round_index: int,
-    heartbeat_path: Optional[pathlib.Path] = None,
-) -> _RoundResult:
-    """Execute one carried-over-free round (the process-pool entry point).
+    fault_seed: int,
+    round_dir: Optional[pathlib.Path],
+) -> bytes:
+    """One independent round (the ``retry_policy="none"`` pool unit).
 
-    Mirrors the serial loop's body for ``retry_policy="none"``, where no
-    phones are carried between rounds; the per-round seeds are computed
-    by the parent, so results do not depend on which worker runs what.
+    Returns the :class:`_PlayedRound` as its own pickle blob; the seeds
+    come from the parent, so the result does not depend on which worker
+    runs the round.
     """
-    start = perf_seconds()
-    base = workload.generate(seed=round_seed)
-    scenario = Scenario(
-        list(base.profiles),
-        base.schedule,
-        metadata={**base.metadata, "round": round_index},
-    )
-    dropped = failures = recovered = 0
-    if fault_config is not None:
-        from repro.faults.recovery import run_with_faults
-
-        faulty = run_with_faults(
-            scenario, fault_config, seed=fault_round_seed
+    with obs.span("campaign.round", round=round_index):
+        scenario = _round_scenario(
+            workload.generate(seed=round_seed), round_index
         )
-        result = faulty.result
-        dropped = len(faulty.report.dropped)
-        failures = len(faulty.report.failed_deliverers)
-        recovered = len(faulty.report.recovered_tasks)
-    else:
-        result = SimulationEngine().run(mechanism, scenario)
-    elapsed = perf_seconds() - start
-    if heartbeat_path is not None:
-        append_worker_beat(
-            heartbeat_path, "round", round_index, elapsed
+        played = _play_round(
+            mechanism, scenario, fault_config, fault_seed, round_dir
         )
-    return _RoundResult(
-        result=result,
-        dropped=dropped,
-        failures=failures,
-        recovered=recovered,
-        elapsed_seconds=elapsed,
-        worker_pid=os.getpid(),
-    )
+    return pickle.dumps(played, protocol=4)
 
 
-def _run_rounds_parallel(
+def _round_units(
     mechanism: Mechanism,
     workload: WorkloadConfig,
     num_rounds: int,
-    streams: RngStreams,
-    fault_streams: RngStreams,
+    seed: int,
     fault_config: Optional["FaultConfig"],
-    workers: int,
-    heartbeat: Optional[HeartbeatConfig] = None,
-) -> List[_RoundResult]:
-    """Fan independent rounds out over a process pool, round order kept.
-
-    Per-round seeds are derived in the parent from the same stream
-    hierarchy the serial loop uses, so round ``k`` sees the same draw
-    regardless of worker count; per-worker wall time is recorded on the
-    ``campaign.worker.seconds`` histogram.  With a ``heartbeat``,
-    workers pulse per-round sidecar files (merged deterministically
-    after collection) and the parent pulses progress as rounds are
-    collected in round order.
-    """
-    heartbeat_path = heartbeat.path if heartbeat is not None else None
-    pulse = (
-        Heartbeat(heartbeat, total=num_rounds)
-        if heartbeat is not None
-        else None
-    )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _run_round,
-                mechanism,
-                workload,
-                streams.child(round_index).seed,
-                fault_config,
-                fault_streams.child(round_index).seed,
-                round_index,
-                heartbeat_path,
-            )
-            for round_index in range(num_rounds)
-        ]
-        round_results = [future.result() for future in futures]
-    for round_index, round_result in enumerate(round_results):
-        obs.observe(
-            "campaign.worker.seconds", round_result.elapsed_seconds
+    fault_seed: int,
+    journal_dir: Optional[os.PathLike],
+) -> List[Tuple[Any, ...]]:
+    """The :func:`_run_round` argument tuples of a ``"none"`` campaign."""
+    streams = RngStreams(seed)
+    fault_streams = RngStreams(fault_seed)
+    return [
+        (
+            mechanism,
+            workload,
+            round_index,
+            streams.child(round_index).seed,
+            fault_config,
+            fault_streams.child(round_index).seed,
+            _round_dir(journal_dir, round_index),
         )
-        if pulse is not None:
-            pulse.beat(round_index)
-    if heartbeat_path is not None:
-        merge_heartbeats(heartbeat_path)
-    return round_results
+        for round_index in range(num_rounds)
+    ]
+
+
+def _round_dir(
+    journal_dir: Optional[os.PathLike], round_index: int
+) -> Optional[pathlib.Path]:
+    if journal_dir is None:
+        return None
+    return pathlib.Path(os.fspath(journal_dir)) / f"round-{round_index:04d}"
 
 
 def _run_journaled_round(
@@ -287,12 +283,14 @@ def run_campaign(
     fault_seed:
         Master seed of the per-round fault draws (default: ``seed``).
     workers:
-        Number of worker processes for the rounds.  Only valid with
+        Size of the :class:`~repro.utils.pool.WorkerPool` the rounds
+        run on.  ``workers > 1`` is only valid with
         ``retry_policy="none"``, where rounds are mutually independent
         (each draws its own seeded population and fault plan); results
-        are collected in round order and identical to a serial run.
-        Under ``"losers"``, round ``k+1``'s population depends on round
-        ``k``'s outcome, so the campaign is inherently sequential.
+        are collected in round order and pickle to the same bytes as a
+        ``workers=1`` run.  Under ``"losers"``, round ``k+1``'s
+        population depends on round ``k``'s outcome, so the campaign is
+        inherently sequential.
     journal_dir:
         When given, every round is driven slot by slot through a
         :class:`~repro.durability.JournaledPlatform` writing a
@@ -309,9 +307,10 @@ def run_campaign(
         Optional :class:`~repro.obs.live.HeartbeatConfig`; when given,
         the campaign emits periodic progress pulses (rounds/second,
         ETA, journal fsync latency, reassignment counts) to the
-        configured JSONL file and/or console.  Heartbeats observe the
-        run without participating in it — outcomes are bit-identical
-        to an unmonitored campaign.
+        configured JSONL file and/or console; a ``"none"`` campaign
+        then appends one worker-beat record per round.  Heartbeats
+        observe the run without participating in it — outcomes are
+        bit-identical to an unmonitored campaign.
     """
     check_type("num_rounds", num_rounds, int)
     check_positive("num_rounds", num_rounds)
@@ -347,15 +346,15 @@ def run_campaign(
                 "exactly one writer"
             )
 
-    streams = RngStreams(seed)
-    fault_streams = RngStreams(fault_seed if fault_seed is not None else seed)
-    engine = SimulationEngine()
-    results: List[SimulationResult] = []
-    carried: List[SmartphoneProfile] = []
+    if fault_seed is None:
+        fault_seed = seed
+    pulse = (
+        Heartbeat(heartbeat, total=num_rounds)
+        if heartbeat is not None
+        else None
+    )
+    played: List[_PlayedRound] = []
     returning = 0
-    dropped = 0
-    failures = 0
-    recovered = 0
 
     with obs.span(
         "campaign.run",
@@ -363,35 +362,11 @@ def run_campaign(
         rounds=num_rounds,
         workers=workers,
     ) as tel:
-        if workers > 1:
-            round_results = _run_rounds_parallel(
-                mechanism,
-                workload,
-                num_rounds,
-                streams,
-                fault_streams,
-                fault_config,
-                workers,
-                heartbeat=heartbeat,
-            )
-            for round_result in round_results:
-                results.append(round_result.result)
-                dropped += round_result.dropped
-                failures += round_result.failures
-                recovered += round_result.recovered
-        else:
-            pulse = (
-                Heartbeat(heartbeat, total=num_rounds)
-                if heartbeat is not None
-                else None
-            )
+        if retry_policy == RETRY_LOSERS:
+            streams = RngStreams(seed)
+            fault_streams = RngStreams(fault_seed)
+            carried: List[SmartphoneProfile] = []
             for round_index in range(num_rounds):
-                round_dir: Optional[pathlib.Path] = None
-                if journal_dir is not None:
-                    round_dir = (
-                        pathlib.Path(os.fspath(journal_dir))
-                        / f"round-{round_index:04d}"
-                    )
                 with obs.span("campaign.round", round=round_index):
                     base = workload.generate(
                         seed=streams.child(round_index).seed
@@ -413,51 +388,70 @@ def run_campaign(
                             )
                             next_id += 1
                         returning += min(len(carried), max_retries_per_round)
-                    scenario = Scenario(
-                        profiles,
-                        base.schedule,
-                        metadata={**base.metadata, "round": round_index},
+                    scenario = _round_scenario(base, round_index, profiles)
+                    round_played = _play_round(
+                        mechanism,
+                        scenario,
+                        fault_config,
+                        fault_streams.child(round_index).seed,
+                        _round_dir(journal_dir, round_index),
                     )
-                    if fault_config is not None:
-                        from repro.faults.recovery import run_with_faults
-
-                        faulty = run_with_faults(
-                            scenario,
-                            fault_config,
-                            seed=fault_streams.child(round_index).seed,
-                            journal_dir=round_dir,
-                        )
-                        result = faulty.result
-                        winner_ids = set(faulty.report.delivered)
-                        dropped += len(faulty.report.dropped)
-                        failures += len(faulty.report.failed_deliverers)
-                        recovered += len(faulty.report.recovered_tasks)
-                    elif round_dir is not None:
-                        result = _run_journaled_round(scenario, round_dir)
-                        winner_ids = set(result.outcome.winners)
-                    else:
-                        result = engine.run(mechanism, scenario)
-                        winner_ids = set(result.outcome.winners)
-                    results.append(result)
-
-                    if retry_policy == RETRY_LOSERS:
-                        carried = [
-                            profile
-                            for profile in scenario.profiles
-                            if profile.phone_id not in winner_ids
-                        ]
-                    else:
-                        carried = []
+                    carried = [
+                        profile
+                        for profile in scenario.profiles
+                        if profile.phone_id not in round_played.winners
+                    ]
+                played.append(round_played)
                 if pulse is not None:
-                    pulse.beat(round_index, welfare=result.true_welfare)
+                    pulse.beat(
+                        round_index, welfare=round_played.result.true_welfare
+                    )
+        else:
+            # Every round crosses as its own pickle blob, at every worker
+            # count, so no object is shared across rounds and the result
+            # pickles to the same bytes whoever ran each round.
+            units = _round_units(
+                mechanism,
+                workload,
+                num_rounds,
+                seed,
+                fault_config,
+                fault_seed,
+                journal_dir,
+            )
+            beats: List[Dict[str, Any]] = []
+            with WorkerPool(workers) as pool:
+                for round_index, envelope in enumerate(
+                    pool.run(_run_round, units)
+                ):
+                    round_played = pickle.loads(envelope.result)
+                    played.append(round_played)
+                    obs.observe(
+                        "campaign.worker.seconds", envelope.elapsed_seconds
+                    )
+                    beats.append(
+                        {
+                            "unit_index": round_index,
+                            "elapsed_seconds": envelope.elapsed_seconds,
+                            "worker_pid": envelope.worker_pid,
+                        }
+                    )
+                    if pulse is not None:
+                        pulse.beat(
+                            round_index,
+                            welfare=round_played.result.true_welfare,
+                        )
+            if heartbeat is not None and heartbeat.path is not None:
+                append_worker_beats(heartbeat.path, "round", beats)
+        recovered = sum(round_played.recovered for round_played in played)
         tel.set_attribute("returning_phones", returning)
         tel.set_attribute("recovered_tasks", recovered)
 
     return aggregate_rounds(
-        results,
+        [round_played.result for round_played in played],
         returning=returning,
-        dropped=dropped,
-        failures=failures,
+        dropped=sum(round_played.dropped for round_played in played),
+        failures=sum(round_played.failures for round_played in played),
         recovered=recovered,
     )
 

@@ -16,13 +16,20 @@ exponential backoff); a repetition that keeps failing is dropped from
 :func:`run_sweep` persists each completed point atomically and resumes
 past completed points after a kill — a resumed sweep aggregates
 byte-identically to an uninterrupted one.
+
+Parallel execution
+------------------
+Each repetition (:func:`run_repetition`) is one unit of a
+:class:`~repro.utils.pool.WorkerPool`: in-process with ``workers=1``,
+on a process pool otherwise.  Every mechanism runs on the same scenario
+inside one unit, and units come back in seed order, so a parallel point
+stays paired and aggregates byte-identically to a serial one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,14 +45,15 @@ from repro import obs
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     ExperimentConfig,
+    MechanismSpec,
     apply_workload_override,
 )
-from repro.experiments.parallel import run_repetitions_parallel
 from repro.experiments.sweeps import SweepSpec
 from repro.metrics.summary import Summary, summarize
-from repro.obs.live import Heartbeat, HeartbeatConfig, merge_heartbeats
+from repro.obs.live import Heartbeat, HeartbeatConfig, append_worker_beats
 from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.workload import WorkloadConfig
+from repro.utils.pool import WorkerPool
 from repro.utils.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -135,6 +143,70 @@ class SweepResult:
         return pairs
 
 
+@dataclasses.dataclass(frozen=True)
+class RepetitionResult:
+    """One seeded repetition's outcome, as returned by a worker.
+
+    ``row`` holds one :class:`~repro.simulation.engine.SimulationResult`
+    per mechanism (in the configured mechanism order), or ``None`` when
+    the repetition exhausted its retries under ``on_failure="partial"``.
+    """
+
+    seed: int
+    row: Optional[Tuple[SimulationResult, ...]]
+    retried: int
+
+    @property
+    def failed(self) -> bool:
+        """Whether the repetition was dropped."""
+        return self.row is None
+
+
+def run_repetition(
+    workload: WorkloadConfig,
+    mechanisms: Tuple[MechanismSpec, ...],
+    seed: int,
+    retries: int,
+    backoff: float,
+    on_failure: str,
+    sleep: Optional[Callable[[float], None]] = None,
+) -> RepetitionResult:
+    """Execute one seeded repetition across every mechanism.
+
+    The :class:`~repro.utils.pool.WorkerPool` unit of a sweep point, so
+    it is a top-level function of picklable arguments (frozen
+    dataclasses all the way down).  A repetition that raises is retried
+    here with ``backoff`` waits through ``sleep`` (default
+    :func:`time.sleep`; a stub only works in-process).  One that
+    exhausts its retries re-raises under ``on_failure="raise"`` and
+    comes back with ``row=None`` under ``"partial"``.
+    """
+    engine = SimulationEngine()
+    built = [spec.build() for spec in mechanisms]
+    wait = sleep if sleep is not None else time.sleep
+    policy = RetryPolicy(retries=retries, backoff=backoff)
+    retried = 0
+    row: Optional[Tuple[SimulationResult, ...]] = None
+    for attempt in range(retries + 1):
+        try:
+            scenario = workload.generate(seed)
+            row = tuple(
+                engine.run(mechanism, scenario) for mechanism in built
+            )
+            break
+        except Exception:
+            if attempt >= retries:
+                if on_failure == ON_FAILURE_RAISE:
+                    raise
+                row = None
+            else:
+                retried += 1
+                delay = policy.delay_for(attempt)
+                if delay > 0:
+                    wait(delay)
+    return RepetitionResult(seed=seed, row=row, retried=retried)
+
+
 def run_point(
     config: ExperimentConfig,
     workload: Optional[WorkloadConfig] = None,
@@ -145,7 +217,6 @@ def run_point(
     sleep: Optional[Callable[[float], None]] = None,
     on_failure: str = ON_FAILURE_RAISE,
     workers: int = 1,
-    executor: Optional[Executor] = None,
     heartbeat: Optional[HeartbeatConfig] = None,
 ) -> SweepPoint:
     """Measure every configured mechanism on one workload setting.
@@ -162,27 +233,24 @@ def run_point(
         ``backoff * 2**(k-1)``.  Zero disables waiting.
     sleep:
         Injection point for the backoff wait (tests pass a stub;
-        default: :func:`time.sleep`).  Serial mode only — a stub cannot
-        cross a process boundary.
+        default: :func:`time.sleep`).  Requires ``workers=1`` — a stub
+        cannot cross a process boundary.
     on_failure:
         ``"raise"`` propagates a repetition's final failure;
         ``"partial"`` drops the repetition from every mechanism (the
         comparison stays paired) and records it in
         ``failed_repetitions``.
     workers:
-        Number of worker processes for the repetitions.  ``1`` (the
-        default) runs the historical in-process loop; ``> 1`` fans the
-        repetitions out over a process pool while preserving seed order,
-        paired comparisons, and byte-identical aggregation (see
-        :mod:`repro.experiments.parallel`).
-    executor:
-        An existing pool to submit to (``run_sweep`` shares one across
-        its points).  Implies parallel mode regardless of ``workers``.
+        Size of the :class:`~repro.utils.pool.WorkerPool` the
+        repetitions (:func:`run_repetition`) run on.  ``1`` (the
+        default) runs them in-process; ``> 1`` fans them out over a
+        process pool.  Either way results are collected in seed order,
+        so pairing and aggregation are byte-identical across worker
+        counts.
     heartbeat:
         Optional :class:`~repro.obs.live.HeartbeatConfig`; pulses once
-        per ``every`` completed repetitions (file and/or console).  In
-        parallel mode, workers additionally pulse per-repetition
-        sidecar files, merged deterministically after collection.
+        per ``every`` completed repetitions (file and/or console), then
+        appends one worker-beat record per repetition to the file.
         Heartbeats never influence seeds, pairing, or aggregation.
     """
     if on_failure not in _ON_FAILURE:
@@ -193,104 +261,72 @@ def run_point(
         raise ExperimentError(f"retries must be >= 0, got {retries}")
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
-    parallel = workers > 1 or executor is not None
-    if parallel and sleep is not None:
+    if workers > 1 and sleep is not None:
         raise ExperimentError(
             "a sleep stub cannot cross process boundaries; "
             "use workers=1 with injected sleep"
         )
     effective = workload if workload is not None else config.workload
-    built = [(spec, spec.build()) for spec in config.mechanisms]
+    seeds = config.seeds()
     pulse = (
         Heartbeat(
             dataclasses.replace(heartbeat, label="repetition"),
-            total=len(config.seeds()),
+            total=len(seeds),
         )
         if heartbeat is not None
         else None
+    )
+    units = (
+        (effective, config.mechanisms, seed, retries, backoff, on_failure, sleep)
+        for seed in seeds
     )
 
     rows: List[Sequence[SimulationResult]] = []
     completed = 0
     failed = 0
     retried = 0
+    worker_seconds: Dict[int, float] = {}
+    beats: List[Dict[str, Any]] = []
     with obs.span(
         "sweep.point", param=param, value=value, workers=workers
-    ) as tel:
-        if parallel:
-            repetitions = run_repetitions_parallel(
-                effective,
-                config.mechanisms,
-                config.seeds(),
-                retries,
-                backoff,
-                on_failure,
-                workers,
-                executor=executor,
-                heartbeat_path=(
-                    heartbeat.path if heartbeat is not None else None
-                ),
+    ) as tel, WorkerPool(workers) as pool:
+        for unit_index, envelope in enumerate(
+            pool.run(run_repetition, units)
+        ):
+            repetition = envelope.result
+            retried += repetition.retried
+            if repetition.retried:
+                obs.counter("sweep.retries", repetition.retried)
+            obs.observe("sweep.worker.seconds", envelope.elapsed_seconds)
+            worker_seconds[envelope.worker_pid] = (
+                worker_seconds.get(envelope.worker_pid, 0.0)
+                + envelope.elapsed_seconds
             )
-            worker_seconds: Dict[int, float] = {}
-            for unit_index, repetition in enumerate(repetitions):
-                retried += repetition.retried
-                if repetition.retried:
-                    obs.counter("sweep.retries", repetition.retried)
-                obs.observe(
-                    "sweep.worker.seconds", repetition.elapsed_seconds
-                )
-                worker_seconds[repetition.worker_pid] = (
-                    worker_seconds.get(repetition.worker_pid, 0.0)
-                    + repetition.elapsed_seconds
-                )
-                if pulse is not None:
-                    pulse.beat(unit_index, seed=repetition.seed)
-                if repetition.row is None:
-                    failed += 1
-                    continue
-                completed += 1
-                rows.append(repetition.row)
-            if heartbeat is not None and heartbeat.path is not None:
-                merge_heartbeats(heartbeat.path)
-            tel.set_attribute(
-                "worker_seconds",
+            beats.append(
                 {
-                    pid: round(seconds, 6)
-                    for pid, seconds in sorted(worker_seconds.items())
-                },
+                    "unit_index": unit_index,
+                    "elapsed_seconds": envelope.elapsed_seconds,
+                    "worker_pid": envelope.worker_pid,
+                    "seed": repetition.seed,
+                    "retried": repetition.retried,
+                }
             )
-        else:
-            engine = SimulationEngine()
-            wait = sleep if sleep is not None else time.sleep
-            policy = RetryPolicy(retries=retries, backoff=backoff)
-            for unit_index, seed in enumerate(config.seeds()):
-                row: Optional[List[SimulationResult]] = None
-                for attempt in range(retries + 1):
-                    try:
-                        scenario = effective.generate(seed)
-                        row = [
-                            engine.run(mechanism, scenario)
-                            for _, mechanism in built
-                        ]
-                        break
-                    except Exception:
-                        if attempt >= retries:
-                            if on_failure == ON_FAILURE_RAISE:
-                                raise
-                            row = None
-                        else:
-                            retried += 1
-                            obs.counter("sweep.retries")
-                            delay = policy.delay_for(attempt)
-                            if delay > 0:
-                                wait(delay)
-                if pulse is not None:
-                    pulse.beat(unit_index, seed=seed)
-                if row is None:
-                    failed += 1
-                    continue
-                completed += 1
-                rows.append(row)
+            if pulse is not None:
+                pulse.beat(unit_index, seed=repetition.seed)
+            if repetition.row is None:
+                failed += 1
+                continue
+            completed += 1
+            rows.append(repetition.row)
+        if heartbeat is not None and heartbeat.path is not None:
+            append_worker_beats(heartbeat.path, "repetition", beats)
+        tel.set_attribute(
+            "worker_seconds",
+            {
+                pid: round(seconds, 6)
+                for pid, seconds in sorted(worker_seconds.items())
+            },
+        )
         tel.set_attribute("completed", completed)
         tel.set_attribute("failed", failed)
         tel.set_attribute("retried", retried)
@@ -306,7 +342,7 @@ def run_point(
         )
 
     metrics: List[MechanismMetrics] = []
-    for index, (spec, _) in enumerate(built):
+    for index, spec in enumerate(config.mechanisms):
         results = [row[index] for row in rows]
         ratios = [r.overpayment_ratio for r in results]
         defined_ratios = [r for r in ratios if r is not None]
@@ -356,12 +392,12 @@ def run_sweep(
     for (``retries > 0`` or a checkpoint store) and ``"raise"``
     otherwise, preserving the historical fail-fast behaviour.
 
-    ``workers > 1`` fans each point's repetitions out over one process
-    pool shared across the whole sweep.  Seed pairing, aggregation
-    order, point statuses, and checkpoint bytes are identical to a
-    serial run (see :mod:`repro.experiments.parallel`); checkpointing
-    composes with parallelism unchanged, because points are still
-    completed and persisted one at a time.
+    ``workers > 1`` fans each point's repetitions out over a process
+    pool (one per computed point, see :func:`run_point`).  Seed
+    pairing, aggregation order, point statuses, and checkpoint bytes
+    are identical to a serial run; checkpointing composes with
+    parallelism unchanged, because points are still completed and
+    persisted one at a time.
 
     A ``heartbeat`` pulses per completed sweep *point* (on top of the
     per-repetition pulses :func:`run_point` emits with the same
@@ -372,7 +408,6 @@ def run_sweep(
     if on_failure is None:
         resilient = retries > 0 or checkpoint is not None
         on_failure = ON_FAILURE_PARTIAL if resilient else ON_FAILURE_RAISE
-    executor: Optional[Executor] = None
     points: List[SweepPoint] = []
     point_pulse = (
         Heartbeat(
@@ -382,54 +417,47 @@ def run_sweep(
         if heartbeat is not None
         else None
     )
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        with obs.span(
-            "sweep.run",
-            sweep=spec.name,
-            param=spec.param,
-            values=len(spec.values),
-            workers=workers,
-        ) as tel:
-            checkpoint_hits = 0
-            for value_index, value in enumerate(spec.values):
-                point: Optional[SweepPoint] = None
+    with obs.span(
+        "sweep.run",
+        sweep=spec.name,
+        param=spec.param,
+        values=len(spec.values),
+        workers=workers,
+    ) as tel:
+        checkpoint_hits = 0
+        for value_index, value in enumerate(spec.values):
+            point: Optional[SweepPoint] = None
+            if checkpoint is not None:
+                with obs.span("sweep.checkpoint.load", value=value):
+                    point = checkpoint.load_point(
+                        spec.name, spec.param, value
+                    )
+                if point is not None:
+                    checkpoint_hits += 1
+                    obs.counter("sweep.checkpoint.hits")
+            if point is None:
+                workload = apply_workload_override(
+                    spec.config.workload, spec.param, value
+                )
+                point = run_point(
+                    spec.config,
+                    workload=workload,
+                    param=spec.param,
+                    value=value,
+                    retries=retries,
+                    backoff=backoff,
+                    sleep=sleep,
+                    on_failure=on_failure,
+                    workers=workers,
+                    heartbeat=heartbeat,
+                )
                 if checkpoint is not None:
-                    with obs.span("sweep.checkpoint.load", value=value):
-                        point = checkpoint.load_point(
-                            spec.name, spec.param, value
-                        )
-                    if point is not None:
-                        checkpoint_hits += 1
-                        obs.counter("sweep.checkpoint.hits")
-                if point is None:
-                    workload = apply_workload_override(
-                        spec.config.workload, spec.param, value
-                    )
-                    point = run_point(
-                        spec.config,
-                        workload=workload,
-                        param=spec.param,
-                        value=value,
-                        retries=retries,
-                        backoff=backoff,
-                        sleep=sleep,
-                        on_failure=on_failure,
-                        workers=workers,
-                        executor=executor,
-                        heartbeat=heartbeat,
-                    )
-                    if checkpoint is not None:
-                        with obs.span("sweep.checkpoint.save", value=value):
-                            checkpoint.save_point(spec.name, point)
-                points.append(point)
-                if point_pulse is not None:
-                    point_pulse.beat(value_index, value=value)
-            tel.set_attribute("checkpoint_hits", checkpoint_hits)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+                    with obs.span("sweep.checkpoint.save", value=value):
+                        checkpoint.save_point(spec.name, point)
+            points.append(point)
+            if point_pulse is not None:
+                point_pulse.beat(value_index, value=value)
+        tel.set_attribute("checkpoint_hits", checkpoint_hits)
     return SweepResult(
         name=spec.name,
         param=spec.param,

@@ -1,12 +1,13 @@
 """Sharded multi-city campaigns with shared-memory fan-out.
 
-The repetition-level pool (:mod:`repro.experiments.parallel`, PR 4) and the
-round-level campaign pool (:func:`repro.auction.multi_round.run_campaign`)
-both pickle a full workload draw — or regenerate it — once per task.  At
-city scale that is the bottleneck: generating and pickling a 2·10⁴-phone
-round costs an order of magnitude more than running the streaming
-mechanism over it.  This module fans campaigns out at *shard*
-granularity instead:
+The sweep runner (:mod:`repro.experiments.runner`) and the independent
+rounds of :func:`repro.auction.multi_round.run_campaign` hand the pool
+one repetition or round per unit, and each unit generates its own
+workload draw.  At city scale that is the bottleneck: generating and
+pickling a 2·10⁴-phone round costs an order of magnitude more than
+running the streaming mechanism over it.  This module fans campaigns
+out at *shard* granularity instead, over the same
+:class:`~repro.utils.pool.WorkerPool`:
 
 * A campaign is a list of :class:`CityConfig` entries.  Each city's rounds
   are split into ``shards_per_city`` contiguous round ranges (single-city
@@ -16,8 +17,10 @@ granularity instead:
   (``WorkloadConfig.generate_columns``), packs the columns into **one**
   ``multiprocessing.shared_memory`` segment per shard
   (:mod:`repro.model.columnar`), and submits the segment *name* plus a
-  small picklable :class:`ShardTask` to a persistent process pool — no bid
-  list ever crosses a pickle boundary on the way in.
+  small picklable :class:`ShardTask` to the pool — no bid list ever
+  crosses a pickle boundary on the way in.  With ``workers=1`` the pool
+  runs in-process and encodes each shard only after the previous one
+  was collected, so one segment is alive at a time.
 * Workers attach by name, rebuild each round zero-copy through the
   codec's trusted fast path, run the mechanism, and stream one durable
   checkpoint record per round from a background writer thread
@@ -54,7 +57,6 @@ import queue
 import re
 import secrets
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from typing import (
     Any,
@@ -79,16 +81,12 @@ from repro.model.columnar import (
     unpack_rounds,
 )
 from repro.obs.clock import perf_seconds
-from repro.obs.live import (
-    Heartbeat,
-    HeartbeatConfig,
-    append_worker_beat,
-    merge_heartbeats,
-)
+from repro.obs.live import Heartbeat, HeartbeatConfig, append_worker_beats
 from repro.simulation.costs import UniformCosts
 from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import WorkloadConfig
+from repro.utils.pool import Envelope, WorkerPool
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_positive, check_type
 
@@ -176,7 +174,6 @@ class ShardTask:
     skip_rounds: Tuple[int, ...] = ()
     checkpoint_path: Optional[str] = None
     fsync: str = FSYNC_BATCH
-    heartbeat_path: Optional[str] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,13 +183,13 @@ class ShardOutcome:
     ``rounds`` holds ``(round_index, pickled SimulationResult)`` pairs —
     blobs, not objects, so the parent rebuilds every round from its own
     pickle stream regardless of which execution path produced it (see
-    the module docstring's determinism note).
+    the module docstring's determinism note).  ``round_seconds`` is each
+    computed round's wall time, for the parent's worker-beat records.
     """
 
     shard_id: int
     rounds: Tuple[Tuple[int, bytes], ...]
-    elapsed_seconds: float
-    worker_pid: int
+    round_seconds: Tuple[float, ...]
     checkpointed: int
 
 
@@ -537,7 +534,6 @@ def _run_shard(
     before the segment is closed (the ``BufferError`` contract of
     :func:`repro.model.columnar.unpack_rounds`).
     """
-    start = perf_seconds()
     segment = _attach_segment(task.segment)
     writer: Optional[ShardCheckpointWriter] = None
     try:
@@ -551,6 +547,7 @@ def _run_shard(
             )
         skip = frozenset(task.skip_rounds)
         computed: List[Tuple[int, bytes]] = []
+        round_seconds: List[float] = []
         base_metadata = dict(task.metadata_base)
         for position, round_index in enumerate(task.round_indices):
             if round_index in skip:
@@ -568,14 +565,7 @@ def _run_shard(
             if writer is not None:
                 writer.append(round_index, blob)
             computed.append((round_index, blob))
-            if task.heartbeat_path is not None:
-                append_worker_beat(
-                    task.heartbeat_path,
-                    "round",
-                    round_index,
-                    perf_seconds() - round_start,
-                    shard=task.shard_id,
-                )
+            round_seconds.append(perf_seconds() - round_start)
         del rounds  # release the column views before closing the segment
         if writer is not None:
             checkpointed = writer.appended
@@ -586,8 +576,7 @@ def _run_shard(
         return ShardOutcome(
             shard_id=task.shard_id,
             rounds=tuple(computed),
-            elapsed_seconds=perf_seconds() - start,
-            worker_pid=os.getpid(),
+            round_seconds=tuple(round_seconds),
             checkpointed=checkpointed,
         )
     except BaseException:
@@ -643,7 +632,7 @@ def run_sharded_campaign(
     submission_order: Optional[Sequence[int]] = None,
     checkpoint_crash_hook: Optional[Callable[[int], None]] = None,
 ) -> ShardedCampaignResult:
-    """Run a multi-city campaign sharded over a persistent process pool.
+    """Run a multi-city campaign sharded over a worker pool.
 
     Parameters
     ----------
@@ -659,9 +648,10 @@ def run_sharded_campaign(
         Campaign master seed; see the module docstring for the city /
         round derivation.
     workers:
-        Pool size.  ``workers=1`` executes shards in-process through the
-        identical codec path (the serial reference the byte-identity
-        contract is stated against).
+        :class:`~repro.utils.pool.WorkerPool` size.  ``workers=1``
+        executes shards in-process, one at a time, through the identical
+        codec path (the serial reference the byte-identity contract is
+        stated against).
     shards_per_city:
         Contiguous round ranges per city (clamped to the city's rounds).
     checkpoint_dir:
@@ -672,9 +662,9 @@ def run_sharded_campaign(
         Checkpoint durability policy (the journal's ``always`` /
         ``batch`` / ``off``).
     heartbeat:
-        Optional live progress: workers pulse per-round sidecar beats
-        (tagged with their shard), the parent pulses per collected
-        shard, and sidecars merge deterministically after the run.
+        Optional live progress: the parent pulses per collected shard,
+        then appends one worker-beat record per computed round (tagged
+        with its shard), ordered by ``(shard, round)``.
     submission_order:
         Permutation of shard ids fixing pool submission order (tests);
         default plan order.  Outcomes do not depend on it.
@@ -705,7 +695,6 @@ def run_sharded_campaign(
     order = _validated_order(submission_order, len(plans))
     cities_by_index = list(cities)
 
-    heartbeat_path = heartbeat.path if heartbeat is not None else None
     pulse = (
         Heartbeat(heartbeat, total=len(plans))
         if heartbeat is not None
@@ -715,6 +704,24 @@ def run_sharded_campaign(
     segments: Dict[int, shared_memory.SharedMemory] = {}
     resumed: Dict[int, Dict[int, bytes]] = {}
     outcomes: Dict[int, ShardOutcome] = {}
+    beats: List[Dict[str, Any]] = []
+    # A generator, so a workers=1 pool encodes each shard's segment only
+    # after the previous shard was collected (and its segment released).
+    units = (
+        (
+            _prepare_shard(
+                plans[shard_id],
+                cities_by_index,
+                mechanism,
+                segments,
+                resumed,
+                checkpoint_dir,
+                fsync,
+            ),
+            checkpoint_crash_hook,
+        )
+        for shard_id in order
+    )
     with obs.span(
         "campaign.sharded",
         cities=len(cities_by_index),
@@ -722,48 +729,28 @@ def run_sharded_campaign(
         workers=workers,
     ):
         try:
-            if workers == 1:
-                for shard_id in order:
-                    task = _prepare_shard(
-                        plans[shard_id],
-                        cities_by_index,
-                        mechanism,
-                        segments,
-                        resumed,
-                        checkpoint_dir,
-                        fsync,
-                        heartbeat_path,
+            with WorkerPool(workers) as pool:
+                for envelope in pool.run(_run_shard, units):
+                    outcome = envelope.result
+                    _collect_shard(envelope, plans, segments, pulse)
+                    outcomes[outcome.shard_id] = outcome
+                    beats.extend(
+                        {
+                            "unit_index": round_index,
+                            "shard": outcome.shard_id,
+                            "elapsed_seconds": seconds,
+                            "worker_pid": envelope.worker_pid,
+                        }
+                        for (round_index, _), seconds in zip(
+                            outcome.rounds, outcome.round_seconds
+                        )
                     )
-                    outcome = _run_shard(task, checkpoint_crash_hook)
-                    _collect_shard(outcome, plans, segments, pulse)
-                    outcomes[shard_id] = outcome
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = []
-                    for shard_id in order:
-                        task = _prepare_shard(
-                            plans[shard_id],
-                            cities_by_index,
-                            mechanism,
-                            segments,
-                            resumed,
-                            checkpoint_dir,
-                            fsync,
-                            heartbeat_path,
-                        )
-                        futures.append(
-                            (shard_id, pool.submit(_run_shard, task))
-                        )
-                    for shard_id, future in futures:
-                        outcome = future.result()
-                        _collect_shard(outcome, plans, segments, pulse)
-                        outcomes[shard_id] = outcome
         finally:
             for segment in segments.values():
                 _release_segment(segment, unlink=True)
             segments.clear()
-            if heartbeat_path is not None:
-                merge_heartbeats(heartbeat_path)
+            if heartbeat is not None and heartbeat.path is not None:
+                append_worker_beats(heartbeat.path, "round", beats)
 
     return _assemble(cities_by_index, plans, outcomes, resumed)
 
@@ -790,7 +777,6 @@ def _prepare_shard(
     resumed: Dict[int, Dict[int, bytes]],
     checkpoint_dir: Optional["os.PathLike[str]"],
     fsync: str,
-    heartbeat_path: Optional["os.PathLike[str]"],
 ) -> ShardTask:
     """Encode one shard's rounds into a fresh segment; build its task."""
     city = cities[plan.city_index]
@@ -847,19 +833,17 @@ def _prepare_shard(
         skip_rounds=skip,
         checkpoint_path=checkpoint_path,
         fsync=fsync,
-        heartbeat_path=(
-            str(heartbeat_path) if heartbeat_path is not None else None
-        ),
     )
 
 
 def _collect_shard(
-    outcome: ShardOutcome,
+    envelope: Envelope[ShardOutcome],
     plans: Sequence[ShardPlan],
     segments: Dict[int, shared_memory.SharedMemory],
     pulse: Optional[Heartbeat],
 ) -> None:
     """Account one finished shard and release its segment eagerly."""
+    outcome = envelope.result
     segment = segments.pop(outcome.shard_id, None)
     if segment is not None:
         _release_segment(segment, unlink=True)
@@ -870,7 +854,7 @@ def _collect_shard(
             "campaign.shard.checkpoint.appends", outcome.checkpointed
         )
     obs.observe(
-        "campaign.shard.worker.seconds", outcome.elapsed_seconds
+        "campaign.shard.worker.seconds", envelope.elapsed_seconds
     )
     if pulse is not None:
         plan = plans[outcome.shard_id]

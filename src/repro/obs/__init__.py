@@ -65,10 +65,7 @@ from repro.obs.live import (
     Heartbeat,
     HeartbeatConfig,
     HeartbeatError,
-    append_worker_beat,
-    merge_heartbeats,
     read_heartbeats,
-    worker_heartbeat_path,
 )
 from repro.obs.metrics import (
     MODE_BOUNDED,
@@ -157,7 +154,6 @@ __all__ = [
     "activate",
     "aggregate_hotspots",
     "aggregate_spans",
-    "append_worker_beat",
     "build_snapshot",
     "collect_trends",
     "config_digest",
@@ -167,7 +163,6 @@ __all__ = [
     "gauge",
     "load_snapshot",
     "make_run_id",
-    "merge_heartbeats",
     "observe",
     "perf_seconds",
     "read_heartbeats",

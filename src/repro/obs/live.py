@@ -16,18 +16,16 @@ Two invariants shape the design:
   streams, outcomes, or platform state, so a run with heartbeats is
   bit-identical (outcome-wise) to one without — the
   ``check_trace_transparency`` contract extends to live telemetry.
-* **Worker pulses merge deterministically.**  Process-pool workers
-  cannot share one file handle, so each appends to its own sidecar
-  file (:func:`worker_heartbeat_path`); the parent merges them with
-  :func:`merge_heartbeats`, ordering records by
-  ``(shard, unit_index, seq)`` — stable unit identity, never pid or
-  arrival time — so the merged file's record order is reproducible
-  across worker counts and schedules even though the latency *values*
-  inside the records are wall-clock facts.  Unsharded runners omit the
-  ``shard`` key and sort as shard 0, preserving their historical
-  ``(unit_index, seq)`` order; sharded campaigns reuse round indices
-  per shard, so without the shard component the interleaved records
-  of two shards would shuffle by arrival.
+* **Worker beats are written by the parent, in unit order.**  Pool
+  workers never touch the heartbeat file: each unit's wall time and pid
+  come back in its :class:`~repro.utils.pool.Envelope`, and after
+  collection the parent appends one worker-beat record per unit with
+  :func:`append_worker_beats`, ordered by ``(shard, unit_index)`` —
+  stable unit identity, never pid or arrival time — so the record
+  order is reproducible across worker counts and schedules even though
+  the latency *values* inside the records are wall-clock facts.
+  Sharded campaigns reuse round indices per shard, so the shard
+  component keeps two shards' records from interleaving.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import dataclasses
 import json
 import os
 import pathlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ObservabilityError
@@ -239,92 +237,32 @@ class Heartbeat:
 
 
 # ----------------------------------------------------------------------
-# Per-worker sidecar files (process-pool runners)
+# Worker beats (process-pool runners)
 # ----------------------------------------------------------------------
-def worker_heartbeat_path(
-    base: "os.PathLike[str]", worker_id: int
-) -> pathlib.Path:
-    """The sidecar file a pool worker appends to.
-
-    Keyed by the worker's pid purely to avoid write interleaving; the
-    pid never survives into the merged ordering.
-    """
-    path = pathlib.Path(base)
-    return path.with_name(f"{path.stem}.worker-{worker_id}{path.suffix}")
-
-
-def append_worker_beat(
-    base: "os.PathLike[str]",
+def append_worker_beats(
+    path: "os.PathLike[str]",
     label: str,
-    unit_index: int,
-    elapsed_seconds: float,
-    **extra: Any,
+    beats: Iterable[Dict[str, Any]],
 ) -> None:
-    """Record one completed unit from inside a pool worker.
+    """Append one record per completed pool unit, in unit order.
 
-    Each worker process appends to its own sidecar next to ``base``
-    (derived from its pid), so no two processes share a file handle;
-    :func:`merge_heartbeats` later folds the sidecars into ``base`` in
-    deterministic order.
+    Each beat carries ``unit_index``, ``elapsed_seconds`` and
+    ``worker_pid`` (from the unit's
+    :class:`~repro.utils.pool.Envelope`) plus any extra keys.  Records
+    are ordered by ``(shard, unit_index)`` — stable unit identity, never
+    pid or completion time — so the sequence is identical across worker
+    counts and schedules; beats without a ``shard`` key sort as shard 0.
     """
-    record: Dict[str, Any] = {
-        "schema": HEARTBEAT_SCHEMA,
-        "label": label,
-        "seq": 0,
-        "unit_index": unit_index,
-        "elapsed_seconds": elapsed_seconds,
-        "worker_pid": os.getpid(),
-    }
-    for key, value in extra.items():
-        record[key] = value
-    _append_jsonl(worker_heartbeat_path(base, os.getpid()), record)
-
-
-def merge_heartbeats(base: "os.PathLike[str]") -> int:
-    """Fold every worker sidecar into ``base``, deterministically.
-
-    Records are ordered by ``(shard, unit_index, seq)`` — their stable
-    unit identity — never by pid, arrival, or timestamp, so the merged
-    file's record sequence is identical across worker counts and
-    schedules (the REP013 unordered-reduction discipline, applied to
-    telemetry).  Records without a ``shard`` key (unsharded runners)
-    sort as shard 0; sharded campaigns reuse unit indices across
-    shards, so the shard component is what keeps interleaved shard
-    progress from reordering.  Sidecars are deleted after a successful
-    merge.  Unparseable sidecar lines are skipped (heartbeats are lossy
-    by charter); returns the number of records merged.
-    """
-    base_path = pathlib.Path(base)
-    pattern = f"{base_path.stem}.worker-*{base_path.suffix}"
-    worker_files = sorted(base_path.parent.glob(pattern))
-    records: List[Dict[str, Any]] = []
-    for worker_file in worker_files:
-        for line in worker_file.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (
-                isinstance(parsed, dict)
-                and parsed.get("schema") == HEARTBEAT_SCHEMA
-            ):
-                records.append(parsed)
-    records.sort(
-        key=lambda r: (
-            int(r.get("shard", 0)),
-            int(r.get("unit_index", 0)),
-            int(r.get("seq", 0)),
-        )
-    )
-    for record in records:
-        _append_jsonl(base_path, record)
-    for worker_file in worker_files:
-        worker_file.unlink()
-    if records:
-        obs.counter("heartbeat.merged", len(records))
-    return len(records)
+    for beat in sorted(
+        beats, key=lambda b: (int(b.get("shard", 0)), int(b["unit_index"]))
+    ):
+        record: Dict[str, Any] = {
+            "schema": HEARTBEAT_SCHEMA,
+            "label": label,
+            "seq": 0,
+        }
+        record.update(beat)
+        _append_jsonl(pathlib.Path(path), record)
 
 
 def read_heartbeats(
@@ -333,7 +271,7 @@ def read_heartbeats(
     """Every heartbeat record in ``path``, in file order.
 
     Missing file → empty; unparseable or foreign-schema lines are
-    skipped (same lossy charter as the merge).
+    skipped (heartbeats are lossy by charter).
     """
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")

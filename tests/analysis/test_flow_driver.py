@@ -23,6 +23,17 @@ BAD_REDUCTION = """
         return acc
     """
 
+POOL_LAMBDA = """
+    from repro.utils.pool import WorkerPool
+
+    def fan_out(items):
+        with WorkerPool(2) as pool:
+            return [
+                envelope.result
+                for envelope in pool.run(lambda x: x + 1, [(i,) for i in items])
+            ]
+    """
+
 
 class TestRealTree:
     def test_repo_is_flow_clean(self):
@@ -39,8 +50,10 @@ class TestRealTree:
         graph, _ = build_graph("src")
         engine = FlowEngine(graph)
         entrypoints = set(engine.worker_entrypoints())
-        assert "repro.experiments.parallel:run_repetition" in entrypoints
+        # Every WorkerPool user's worker, seen through ``pool.run``.
+        assert "repro.experiments.runner:run_repetition" in entrypoints
         assert "repro.auction.multi_round:_run_round" in entrypoints
+        assert "repro.experiments.sharding:_run_shard" in entrypoints
         # The registry's memoised name check sits behind the fan-out.
         reachable = engine.worker_reachable()
         assert "repro.mechanisms.registry:create_mechanism" in reachable
@@ -52,6 +65,12 @@ class TestFixtureTree:
         report = run_flow(root=tmp_path)
         assert [v.code for v in report.violations] == ["REP013"]
         assert report.violations[0].symbol == "pkg.m:total"
+
+    def test_lambda_handed_to_worker_pool_flagged(self, tmp_path):
+        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": POOL_LAMBDA})
+        report = run_flow(root=tmp_path)
+        assert [v.code for v in report.violations] == ["REP010"]
+        assert report.violations[0].symbol == "pkg.m:fan_out"
 
     def test_noqa_comment_suppresses(self, tmp_path):
         source = BAD_REDUCTION.replace(

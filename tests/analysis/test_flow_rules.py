@@ -87,6 +87,39 @@ class TestWorkerPickleSafety:
         )
         assert "REP010" in codes
 
+    def test_lambda_handed_to_worker_pool_flagged(self):
+        codes = codes_of(
+            {
+                "app.fan": """
+                from repro.utils.pool import WorkerPool
+
+                def fan_out(items):
+                    with WorkerPool(2) as pool:
+                        return list(pool.run(lambda x: x + 1, items))
+                """
+            }
+        )
+        assert "REP010" in codes
+
+    def test_worker_pool_parameter_run_is_a_submit_site(self):
+        engine = make_engine(
+            {
+                "app.fan": """
+                from repro.utils.pool import WorkerPool
+
+                def work(item):
+                    return item + 1
+
+                def fan_out(pool: WorkerPool, items):
+                    return list(pool.run(work, items))
+
+                def not_a_pool(engine, items):
+                    return engine.run(work, items)
+                """
+            }
+        )
+        assert engine.worker_entrypoints() == {"app.fan:work": "app.fan:fan_out"}
+
     def test_module_level_callable_clean(self):
         codes = codes_of(
             {

@@ -4,8 +4,9 @@
 worker counts, submission (chunk) orders, and matching backends, and
 asserts every run's result rows pickle to the same bytes as the serial
 reference.  The full acceptance matrix — ≥ 3 worker counts × the three
-in-house backends × 3 submission orders, plus the shard-permutation
-matrix against ``run_sharded_campaign`` — runs here unconditionally;
+in-house backends × 3 submission orders, plus the campaign-round matrix
+against ``run_campaign`` and the shard-permutation matrix against
+``run_sharded_campaign`` — runs here unconditionally;
 ``pytest --schedule-fuzz`` additionally gates the whole suite on a
 wider matrix at session start (see ``tests/conftest.py``).
 """
@@ -37,8 +38,11 @@ class TestScheduleFuzz:
     def test_full_matrix_is_byte_identical(self, fuzz_workload):
         """3 worker counts × 3 backends × 3 chunk orders, all identical.
 
-        Plus the shard-permutation half: the workers=1 reference and
-        five fuzzed (shard workers × submission order) combinations.
+        Plus the campaign-round half (with and without faults: the
+        serial reference, ``run_campaign`` at workers 2 and 3, and 3
+        worker counts × 3 round orders) and the shard-permutation half
+        (the workers=1 reference and five fuzzed (shard workers ×
+        submission order) combinations).
         """
         checked = check_parallel_determinism(
             workload=fuzz_workload,
@@ -47,7 +51,7 @@ class TestScheduleFuzz:
             backends=("numpy", "sparse", "python"),
             shard_worker_counts=(1, 2),
         )
-        assert checked == 27 + 6
+        assert checked == 27 + 2 * (1 + 2 + 9) + 6
 
     def test_shard_matrix_alone(self, fuzz_workload):
         """The shard half runs (and passes) with the sweep half minimal."""
@@ -58,7 +62,7 @@ class TestScheduleFuzz:
             backends=("numpy",),
             shard_worker_counts=(2,),
         )
-        assert checked == 3 + 1 + 3
+        assert checked == 3 + 2 * (1 + 3) + 1 + 3
 
     def test_shard_matrix_skippable(self, fuzz_workload):
         """Empty shard_worker_counts skips the sharded half entirely."""
@@ -69,20 +73,18 @@ class TestScheduleFuzz:
             backends=("numpy",),
             shard_worker_counts=(),
         )
-        assert checked == 3
+        assert checked == 3 + 2 * (1 + 3)
 
     def test_lost_repetition_detected(self, fuzz_workload, monkeypatch):
         """The seed-coverage guard trips before any byte comparison."""
-        import repro.experiments.parallel as parallel_mod
+        from repro.utils.pool import WorkerPool
 
-        real = parallel_mod.run_repetitions_parallel
+        real = WorkerPool.run
 
-        def dropping(*args, **kwargs):
-            return real(*args, **kwargs)[:-1]
+        def dropping(self, worker, units):
+            return list(real(self, worker, units))[:-1]
 
-        monkeypatch.setattr(
-            parallel_mod, "run_repetitions_parallel", dropping
-        )
+        monkeypatch.setattr(WorkerPool, "run", dropping)
         with pytest.raises(SanitizationError, match="lost repetitions"):
             check_parallel_determinism(
                 workload=fuzz_workload,

@@ -1,6 +1,8 @@
-"""Parallel campaign rounds — identical results, guarded policies."""
+"""Parallel campaign rounds — byte-identical results, guarded policies."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -25,7 +27,7 @@ class TestParallelCampaign:
     def test_equal_to_serial(self, mechanism, workload):
         serial = run_campaign(mechanism, workload, 4, seed=3)
         parallel = run_campaign(mechanism, workload, 4, seed=3, workers=3)
-        assert serial == parallel
+        assert pickle.dumps(serial) == pickle.dumps(parallel)
 
     def test_equal_to_serial_with_faults(self, mechanism, workload):
         faults = FaultConfig(dropout_prob=0.2, task_failure_prob=0.1)
@@ -35,7 +37,7 @@ class TestParallelCampaign:
         parallel = run_campaign(
             mechanism, workload, 3, seed=5, fault_config=faults, workers=2
         )
-        assert serial == parallel
+        assert pickle.dumps(serial) == pickle.dumps(parallel)
 
     def test_workers_must_be_positive(self, mechanism, workload):
         with pytest.raises(SimulationError, match="workers"):

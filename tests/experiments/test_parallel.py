@@ -19,12 +19,12 @@ from repro.experiments import (
     SweepSpec,
     point_to_dict,
 )
-from repro.experiments.parallel import (
+from repro.experiments.runner import (
     RepetitionResult,
+    run_point,
     run_repetition,
-    run_repetitions_parallel,
+    run_sweep,
 )
-from repro.experiments.runner import run_point, run_sweep
 from repro.simulation import WorkloadConfig
 
 
@@ -76,18 +76,6 @@ class TestRunRepetition:
         assert len(result.row) == len(fast_config.mechanisms)
         labels = [r.mechanism_name for r in result.row]
         assert labels == [s.name for s in fast_config.mechanisms]
-
-    def test_workers_must_be_positive(self, fast_config):
-        with pytest.raises(ExperimentError, match="workers"):
-            run_repetitions_parallel(
-                fast_config.workload,
-                fast_config.mechanisms,
-                seeds=[1],
-                retries=0,
-                backoff=0.0,
-                on_failure="raise",
-                workers=0,
-            )
 
 
 class TestRunPointParallel:

@@ -1,9 +1,8 @@
-"""Live telemetry: heartbeat cadence, sidecar merging, transparency."""
+"""Live telemetry: heartbeat cadence, worker beats, transparency."""
 
 from __future__ import annotations
 
 import io
-import json
 import pickle
 
 import pytest
@@ -19,12 +18,10 @@ from repro.obs import (
     HeartbeatError,
     ManualClock,
     Tracer,
-    append_worker_beat,
-    merge_heartbeats,
     read_heartbeats,
     set_perf_clock,
-    worker_heartbeat_path,
 )
+from repro.obs.live import append_worker_beats
 from repro.simulation.workload import WorkloadConfig
 
 
@@ -36,6 +33,31 @@ def manual_perf():
         yield clock
     finally:
         set_perf_clock(previous)
+
+
+def worker_beats(path):
+    """The file's worker-beat records, minus their wall-clock values."""
+    return [
+        {
+            key: value
+            for key, value in record.items()
+            if key not in ("worker_pid", "elapsed_seconds")
+        }
+        for record in read_heartbeats(path)
+        if "worker_pid" in record
+    ]
+
+
+class NoSidecarConsole:
+    """A heartbeat console that asserts no worker file exists mid-run."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.notes = 0
+
+    def note(self, text=""):
+        assert list(self.directory.glob("*.worker-*")) == []
+        self.notes += 1
 
 
 class TestHeartbeatCadence:
@@ -157,71 +179,85 @@ class TestHeartbeatChannels:
             pulse.beat(1)
         assert tracer.metrics.counters["heartbeat.emits"] == 2.0
 
-
-class TestWorkerSidecars:
-    def test_sidecar_path_is_keyed_by_worker(self, tmp_path):
-        base = tmp_path / "hb.jsonl"
-        assert worker_heartbeat_path(base, 123).name == "hb.worker-123.jsonl"
-
-    def test_merge_orders_by_unit_index_not_pid(self, tmp_path):
-        base = tmp_path / "hb.jsonl"
-        # Two "workers" writing interleaved unit indices, out of order.
-        for pid, units in ((999, (3, 1)), (111, (2, 0))):
-            sidecar = worker_heartbeat_path(base, pid)
-            for unit in units:
-                with open(sidecar, "a", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "schema": HEARTBEAT_SCHEMA,
-                                "label": "round",
-                                "seq": 0,
-                                "unit_index": unit,
-                                "worker_pid": pid,
-                            }
-                        )
-                        + "\n"
-                    )
-        merged = merge_heartbeats(base)
-        assert merged == 4
-        records = read_heartbeats(base)
-        assert [r["unit_index"] for r in records] == [0, 1, 2, 3]
-        # Sidecars are consumed.
-        assert list(tmp_path.glob("hb.worker-*")) == []
-
-    def test_merge_is_deterministic_across_write_orders(self, tmp_path):
-        def build(tag, units):
-            base = tmp_path / f"hb-{tag}.jsonl"
-            for unit in units:
-                append_worker_beat(base, "round", unit, 0.5, seed=unit)
-            merge_heartbeats(base)
-            return tuple(
-                (r["unit_index"], r.get("seed"))
-                for r in read_heartbeats(base)
-            )
-
-        first = build("a", [2, 0, 1])
-        second = build("b", [0, 1, 2])
-        assert first == second == ((0, 0), (1, 1), (2, 2))
-
-    def test_corrupt_sidecar_lines_are_skipped(self, tmp_path):
-        base = tmp_path / "hb.jsonl"
-        sidecar = worker_heartbeat_path(base, 7)
-        sidecar.write_text(
-            "garbage\n"
-            + json.dumps(
-                {"schema": HEARTBEAT_SCHEMA, "unit_index": 0, "seq": 0}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        assert merge_heartbeats(base) == 1
-
-    def test_merge_without_sidecars_is_a_no_op(self, tmp_path):
-        assert merge_heartbeats(tmp_path / "hb.jsonl") == 0
-
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_heartbeats(tmp_path / "absent.jsonl") == ()
+
+
+class TestWorkerBeats:
+    """Pool units' beats, appended by the parent in unit order."""
+
+    def test_orders_by_shard_then_unit_not_arrival(self, tmp_path):
+        path = tmp_path / "hb.jsonl"
+        beats = [  # (shard, unit, pid) — deliberately scrambled
+            (1, 0, 222),
+            (0, 5, 333),
+            (1, 1, 222),
+            (0, 2, 111),
+        ]
+        append_worker_beats(
+            path,
+            "round",
+            [
+                {
+                    "unit_index": unit,
+                    "shard": shard,
+                    "elapsed_seconds": 0.5,
+                    "worker_pid": pid,
+                }
+                for shard, unit, pid in beats
+            ],
+        )
+        records = read_heartbeats(path)
+        assert [(r["shard"], r["unit_index"]) for r in records] == [
+            (0, 2),
+            (0, 5),
+            (1, 0),
+            (1, 1),
+        ]
+        assert all(
+            r["schema"] == HEARTBEAT_SCHEMA
+            and r["label"] == "round"
+            and r["seq"] == 0
+            for r in records
+        )
+
+    def test_no_beats_write_nothing(self, tmp_path):
+        path = tmp_path / "hb.jsonl"
+        append_worker_beats(path, "round", [])
+        assert not path.exists()
+
+    def test_sweep_beats_identical_across_worker_counts(self, tmp_path):
+        from repro.experiments import ExperimentConfig, SweepSpec
+        from repro.experiments.runner import run_sweep
+
+        spec = SweepSpec(
+            name="hb-sweep",
+            title="t",
+            param="num_slots",
+            values=(3, 4),
+            config=ExperimentConfig(
+                workload=WorkloadConfig(num_slots=4),
+                repetitions=3,
+                base_seed=5,
+            ),
+        )
+        streams = []
+        for workers in (1, 2, 4):
+            path = tmp_path / f"hb{workers}.jsonl"
+            console = NoSidecarConsole(tmp_path)
+            run_sweep(
+                spec,
+                workers=workers,
+                heartbeat=HeartbeatConfig(path=path, every=1, console=console),
+            )
+            assert console.notes > 0
+            streams.append(worker_beats(path))
+        assert streams[0] == streams[1] == streams[2]
+        seeds = list(spec.config.seeds())
+        assert [(r["unit_index"], r["seed"]) for r in streams[0]] == [
+            (index, seed) for index, seed in enumerate(seeds)
+        ] * 2
+        assert list(tmp_path.glob("*.worker-*")) == []
 
 
 class TestCampaignTransparency:
@@ -253,82 +289,52 @@ class TestCampaignTransparency:
             journal_dir=tmp_path / "j2",
         )
         assert pickle.dumps(silent) == pickle.dumps(pulsed)
-        records = read_heartbeats(path)
+        records = [r for r in read_heartbeats(path) if "worker_pid" not in r]
         assert len(records) == 5  # rounds 10, 20, 30, 40, 50
         assert [r["completed"] for r in records] == [10, 20, 30, 40, 50]
+        # Then one worker beat per round, in round order.
+        assert [r["unit_index"] for r in worker_beats(path)] == list(range(50))
 
     def test_parallel_campaign_identical_across_worker_counts(
         self, tmp_path
     ):
         silent = self._campaign(workers=2)
-        two = self._campaign(
-            heartbeat=HeartbeatConfig(path=tmp_path / "hb2.jsonl", every=10),
-            workers=2,
-        )
-        four = self._campaign(
-            heartbeat=HeartbeatConfig(path=tmp_path / "hb4.jsonl", every=10),
-            workers=4,
-        )
-        assert pickle.dumps(silent) == pickle.dumps(two)
-        assert pickle.dumps(two) == pickle.dumps(four)
-        # Worker pulses merged by unit identity: same order either way.
-        order2 = [
-            r["unit_index"]
-            for r in read_heartbeats(tmp_path / "hb2.jsonl")
-            if "worker_pid" in r
-        ]
-        order4 = [
-            r["unit_index"]
-            for r in read_heartbeats(tmp_path / "hb4.jsonl")
-            if "worker_pid" in r
-        ]
-        assert order2 == order4 == list(range(50))
-        # No sidecars survive the merge.
+        pulsed = {}
+        for workers in (1, 2, 4):
+            path = tmp_path / f"hb{workers}.jsonl"
+            console = NoSidecarConsole(tmp_path)
+            pulsed[workers] = self._campaign(
+                heartbeat=HeartbeatConfig(
+                    path=path, every=10, console=console
+                ),
+                workers=workers,
+            )
+            assert console.notes == 5
+        assert pickle.dumps(silent) == pickle.dumps(pulsed[2])
+        assert pickle.dumps(pulsed[1]) == pickle.dumps(pulsed[2])
+        assert pickle.dumps(pulsed[2]) == pickle.dumps(pulsed[4])
+        # Worker beats ordered by unit identity: the same stream either way.
+        beats = [worker_beats(tmp_path / f"hb{w}.jsonl") for w in (1, 2, 4)]
+        assert beats[0] == beats[1] == beats[2]
+        assert [r["unit_index"] for r in beats[0]] == list(range(50))
         assert list(tmp_path.glob("*.worker-*")) == []
 
 
 class TestShardMergeIdentity:
-    """Shard-aware merge key: ``(shard_id, unit_index, seq)``."""
+    """Shard-aware worker-beat order: ``(shard_id, unit_index)``."""
 
     WORKLOAD = WorkloadConfig(num_slots=4)
 
-    def test_merge_orders_by_shard_then_unit_then_seq(self, tmp_path):
-        base = tmp_path / "hb.jsonl"
-        beats = [  # (pid, shard, unit, seq) — deliberately scrambled
-            (222, 1, 0, 0),
-            (222, 1, 1, 0),
-            (111, 0, 2, 1),
-            (111, 0, 2, 0),
-            (333, 0, 5, 0),
-        ]
-        for pid, shard, unit, seq in beats:
-            sidecar = worker_heartbeat_path(base, pid)
-            with open(sidecar, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "schema": HEARTBEAT_SCHEMA,
-                            "label": "round",
-                            "seq": seq,
-                            "unit_index": unit,
-                            "shard": shard,
-                            "worker_pid": pid,
-                        }
-                    )
-                    + "\n"
-                )
-        assert merge_heartbeats(base) == 5
-        keys = [
-            (r["shard"], r["unit_index"], r["seq"])
-            for r in read_heartbeats(base)
-        ]
-        assert keys == [(0, 2, 0), (0, 2, 1), (0, 5, 0), (1, 0, 0), (1, 1, 0)]
-
     def test_shardless_records_sort_as_shard_zero(self, tmp_path):
         base = tmp_path / "hb.jsonl"
-        append_worker_beat(base, "round", 1, 0.1, shard=1)
-        append_worker_beat(base, "round", 0, 0.1)  # legacy: no shard key
-        merge_heartbeats(base)
+        append_worker_beats(
+            base,
+            "round",
+            [
+                {"unit_index": 1, "shard": 1, "elapsed_seconds": 0.1},
+                {"unit_index": 0, "elapsed_seconds": 0.1},  # no shard key
+            ],
+        )
         records = read_heartbeats(base)
         assert [r.get("shard", 0) for r in records] == [0, 1]
 
@@ -345,6 +351,7 @@ class TestShardMergeIdentity:
 
         def merged_beats(tag, workers):
             path = tmp_path / f"hb-{tag}.jsonl"
+            console = NoSidecarConsole(tmp_path)
             run_sharded_campaign(
                 MechanismSpec.of("online-greedy"),
                 [
@@ -354,21 +361,15 @@ class TestShardMergeIdentity:
                 seed=7,
                 workers=workers,
                 shards_per_city=2,
-                heartbeat=HeartbeatConfig(path=path, every=1),
+                heartbeat=HeartbeatConfig(path=path, every=1, console=console),
             )
-            return [
-                {
-                    key: value
-                    for key, value in record.items()
-                    if key not in ("worker_pid", "elapsed_seconds")
-                }
-                for record in read_heartbeats(path)
-                if "worker_pid" in record
-            ]
+            assert console.notes == 4
+            return worker_beats(path)
 
+        one = merged_beats("w1", 1)
         two = merged_beats("w2", 2)
         four = merged_beats("w4", 4)
-        assert two == four
+        assert one == two == four
         assert [(r["shard"], r["unit_index"]) for r in two] == [
             (0, 0),
             (0, 1),
@@ -377,3 +378,4 @@ class TestShardMergeIdentity:
             (2, 1),
             (3, 2),
         ]
+        assert list(tmp_path.glob("*.worker-*")) == []

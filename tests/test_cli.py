@@ -598,7 +598,11 @@ class TestHeartbeatFlag:
         assert code == 0
         assert "[heartbeat] round 2/6" in out
         records = read_heartbeats(path)
-        assert [r["completed"] for r in records] == [2, 4, 6]
+        pulses = [r for r in records if "worker_pid" not in r]
+        assert [r["completed"] for r in pulses] == [2, 4, 6]
+        # Followed by one worker beat per round, in round order.
+        beats = [r["unit_index"] for r in records if "worker_pid" in r]
+        assert beats == list(range(6))
 
     def test_quiet_silences_the_console_pulse(self, capsys, tmp_path):
         path = tmp_path / "hb.jsonl"
