@@ -5,9 +5,10 @@ lose power between a bid arriving and a payment settling.  This package
 supplies the three layers:
 
 * :mod:`repro.durability.journal` — the append-only, hash-chained JSONL
-  write-ahead journal with fsync policies, segment rotation, and a
-  recovery scan that truncates torn tails but refuses mid-log
-  corruption with a typed :class:`~repro.errors.JournalError`;
+  write-ahead journal (on the shared :mod:`repro.utils.recordlog`
+  line format) with segment rotation and a recovery scan that
+  truncates torn tails but refuses mid-log corruption with a typed
+  :class:`~repro.errors.JournalError`;
 * :mod:`repro.durability.journaled` — :class:`JournaledPlatform`, the
   wrapper that journals every command *before* the corresponding
   :class:`~repro.auction.CrowdsourcingPlatform` mutation (and every
@@ -23,9 +24,6 @@ runtime by :func:`repro.analysis.sanitizer.check_replay_fidelity`.
 """
 
 from repro.durability.journal import (
-    FSYNC_ALWAYS,
-    FSYNC_BATCH,
-    FSYNC_OFF,
     GENESIS_HASH,
     KIND_COMMAND,
     KIND_EVENT,
@@ -60,9 +58,6 @@ __all__ = [
     "GENESIS_HASH",
     "KIND_COMMAND",
     "KIND_EVENT",
-    "FSYNC_ALWAYS",
-    "FSYNC_BATCH",
-    "FSYNC_OFF",
     "JournaledPlatform",
     "ReplayResult",
     "ResumeResult",

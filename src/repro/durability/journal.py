@@ -23,27 +23,34 @@ failure shapes a crash-consistent log must tell apart:
   order and never rewritten), so recovery refuses with a typed
   :class:`~repro.errors.JournalError` naming the bad sequence number.
 
-Durability of individual appends is governed by the fsync policy:
-``"always"`` fsyncs every record, ``"batch"`` every ``batch_size``
-records (and on close), ``"off"`` leaves flushing to the OS.  Writes go
-through an optional :class:`~repro.utils.retry.RetryPolicy` for
-transient ``OSError``.
+Lines are sealed, scanned and appended through
+:mod:`repro.utils.recordlog`: every record is flushed as it is
+appended, and :meth:`Journal.sync` fsyncs the segment every
+:data:`~repro.utils.recordlog.FSYNC_EVERY` records, on rotation and on
+close.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import pathlib
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.auction.events import AuctionEvent, event_from_dict
 from repro.errors import EventDecodeError, JournalError
 from repro.obs.clock import perf_seconds
-from repro.utils.retry import RetryPolicy, call_with_retry
+from repro.utils.recordlog import (
+    RecordError,
+    RecordWriter,
+    canonical_json,
+    checksum_text,
+    scan_lines,
+    seal,
+    truncate,
+    unseal,
+)
 
 #: ``prev`` hash of the first record.
 GENESIS_HASH = "0" * 64
@@ -56,29 +63,23 @@ KIND_COMMAND = "command"
 KIND_EVENT = "event"
 _KINDS = (KIND_COMMAND, KIND_EVENT)
 
-#: Supported fsync policies.
-FSYNC_ALWAYS = "always"
-FSYNC_BATCH = "batch"
-FSYNC_OFF = "off"
-_FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF)
-
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 
 
-def _canonical(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON: sorted keys, no whitespace (checkpoint idiom)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The field that seals each record (its chaining hash).
+_SEAL_FIELD = "hash"
 
 
 def record_hash(
     seq: int, prev: str, kind: str, event_payload: Mapping[str, Any]
 ) -> str:
     """The SHA-256 chaining hash of one record body."""
-    body = _canonical(
-        {"event": dict(event_payload), "kind": kind, "prev": prev, "seq": seq}
+    return checksum_text(
+        canonical_json(
+            {"event": event_payload, "kind": kind, "prev": prev, "seq": seq}
+        )
     )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +94,7 @@ class JournalRecord:
 
     def to_line(self) -> str:
         """The record's canonical JSONL line (without the newline)."""
-        return _canonical(
+        return canonical_json(
             {
                 "event": self.event.to_dict(),
                 "hash": self.hash,
@@ -108,34 +109,42 @@ def make_record(
     seq: int, prev: str, kind: str, event: AuctionEvent
 ) -> JournalRecord:
     """Build (and hash) a record from its parts."""
+    return _sealed_record(seq, prev, kind, event)[0]
+
+
+def _sealed_record(
+    seq: int, prev: str, kind: str, event: AuctionEvent
+) -> Tuple[JournalRecord, bytes]:
+    """A record and its sealed line, from one encoding of the body."""
     if kind not in _KINDS:
         raise JournalError(f"unknown record kind {kind!r}", sequence=seq)
-    digest = record_hash(seq, prev, kind, event.to_dict())
-    return JournalRecord(
+    line, digest = seal(
+        {"event": event.to_dict(), "kind": kind, "prev": prev, "seq": seq},
+        _SEAL_FIELD,
+    )
+    record = JournalRecord(
         seq=seq, prev=prev, kind=kind, event=event, hash=digest
     )
+    return record, line
 
 
-def decode_line(line: str) -> JournalRecord:
+def decode_line(line: "str | bytes") -> JournalRecord:
     """Decode one JSONL line into a verified record.
 
     Raises :class:`~repro.errors.JournalError` when the line is not
-    valid JSON, misses fields, fails its own hash, or carries an
+    valid JSON, fails its own hash, misses fields, or carries an
     undecodable event payload.  Chain position (seq/prev against the
     neighbour) is the scanner's job, not this function's.
     """
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JournalError(f"record is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise JournalError("record is not a JSON object")
+        payload = unseal(line, _SEAL_FIELD)
+    except RecordError as exc:
+        raise JournalError(str(exc)) from exc
     try:
         seq = payload["seq"]
         prev = payload["prev"]
         kind = payload["kind"]
         event_payload = payload["event"]
-        digest = payload["hash"]
     except KeyError as exc:
         raise JournalError(f"record misses field {exc}") from exc
     if not isinstance(seq, int) or isinstance(seq, bool):
@@ -143,13 +152,6 @@ def decode_line(line: str) -> JournalRecord:
     if kind not in _KINDS:
         raise JournalError(
             f"unknown record kind {kind!r}", sequence=seq
-        )
-    expected = record_hash(seq, prev, kind, event_payload)
-    if digest != expected:
-        raise JournalError(
-            f"record {seq} checksum mismatch: recorded {digest!r}, "
-            f"recomputed {expected!r}",
-            sequence=seq,
         )
     try:
         event = event_from_dict(event_payload)
@@ -159,7 +161,7 @@ def decode_line(line: str) -> JournalRecord:
             sequence=seq,
         ) from exc
     return JournalRecord(
-        seq=seq, prev=prev, kind=kind, event=event, hash=digest
+        seq=seq, prev=prev, kind=kind, event=event, hash=payload[_SEAL_FIELD]
     )
 
 
@@ -215,19 +217,30 @@ def segment_paths(directory: pathlib.Path) -> List[pathlib.Path]:
     )
 
 
-def _split_lines(data: bytes) -> List[Tuple[int, bytes]]:
-    """``(byte_offset, line_without_newline)`` for every non-empty line.
+class _Chain:
+    """Line decoder that also checks each record against its neighbour."""
 
-    A final chunk without a trailing newline is returned too — whether
-    it is a torn write or a complete record is decided by decoding it.
-    """
-    lines: List[Tuple[int, bytes]] = []
-    offset = 0
-    for chunk in data.split(b"\n"):
-        if chunk:
-            lines.append((offset, chunk))
-        offset += len(chunk) + 1
-    return lines
+    def __init__(self) -> None:
+        self.seq = 1
+        self.prev = GENESIS_HASH
+
+    def __call__(self, raw: bytes) -> JournalRecord:
+        record = decode_line(raw)
+        if record.seq != self.seq:
+            raise JournalError(
+                f"record out of sequence: expected {self.seq}, found "
+                f"{record.seq}",
+                sequence=self.seq,
+            )
+        if record.prev != self.prev:
+            raise JournalError(
+                f"record {record.seq} breaks the hash chain: prev "
+                f"{record.prev!r} does not match {self.prev!r}",
+                sequence=record.seq,
+            )
+        self.seq += 1
+        self.prev = record.hash
+        return record
 
 
 def scan_journal(directory: os.PathLike) -> ScanResult:
@@ -241,72 +254,32 @@ def scan_journal(directory: os.PathLike) -> ScanResult:
     root = pathlib.Path(directory)
     segments = segment_paths(root)
     records: List[JournalRecord] = []
-    expected_seq = 1
-    prev_hash = GENESIS_HASH
+    chain = _Chain()
     with obs.span("journal.scan", directory=str(root)) as tel:
-        for segment_index, segment in enumerate(segments):
+        for segment in segments:
             data = segment.read_bytes()
-            lines = _split_lines(data)
-            for line_index, (offset, raw) in enumerate(lines):
-                is_final_line = (
-                    segment_index == len(segments) - 1
-                    and line_index == len(lines) - 1
+            scan = scan_lines(data, chain)
+            records.extend(record for _, record in scan.records)
+            if scan.bad_offset is None:
+                continue
+            if scan.torn and segment == segments[-1]:
+                # The signature of a crash mid-write: repairable.
+                return ScanResult(
+                    records=tuple(records),
+                    segments=tuple(segments),
+                    torn_segment=segment,
+                    torn_offset=scan.bad_offset,
+                    torn_reason=str(scan.error),
+                    truncated_bytes=len(data) - scan.bad_offset,
                 )
-                try:
-                    record = decode_line(raw.decode("utf-8", "replace"))
-                    if record.seq != expected_seq:
-                        raise JournalError(
-                            f"record out of sequence: expected "
-                            f"{expected_seq}, found {record.seq}",
-                            sequence=expected_seq,
-                        )
-                    if record.prev != prev_hash:
-                        raise JournalError(
-                            f"record {record.seq} breaks the hash chain: "
-                            f"prev {record.prev!r} does not match "
-                            f"{prev_hash!r}",
-                            sequence=record.seq,
-                        )
-                except JournalError as exc:
-                    if is_final_line:
-                        # The signature of a crash mid-write: repairable.
-                        return ScanResult(
-                            records=tuple(records),
-                            segments=tuple(segments),
-                            torn_segment=segment,
-                            torn_offset=offset,
-                            torn_reason=str(exc),
-                            truncated_bytes=len(data) - offset,
-                        )
-                    raise JournalError(
-                        f"mid-log corruption at sequence "
-                        f"{exc.sequence if exc.sequence is not None else expected_seq}"
-                        f" in {segment.name}: {exc}",
-                        sequence=(
-                            exc.sequence
-                            if exc.sequence is not None
-                            else expected_seq
-                        ),
-                    ) from exc
-                if is_final_line and not data.endswith(b"\n"):
-                    # The record decodes but its newline never landed:
-                    # a torn write that lost exactly the terminator.
-                    # Appending after it would corrupt the line, so the
-                    # whole record is redone.
-                    return ScanResult(
-                        records=tuple(records),
-                        segments=tuple(segments),
-                        torn_segment=segment,
-                        torn_offset=offset,
-                        torn_reason=(
-                            f"record {record.seq} is missing its "
-                            f"trailing newline (torn write)"
-                        ),
-                        truncated_bytes=len(data) - offset,
-                    )
-                records.append(record)
-                expected_seq += 1
-                prev_hash = record.hash
+            sequence = getattr(scan.error, "sequence", None)
+            if sequence is None:
+                sequence = chain.seq
+            raise JournalError(
+                f"mid-log corruption at sequence {sequence} in "
+                f"{segment.name}: {scan.error}",
+                sequence=sequence,
+            ) from scan.error
         tel.set_attribute("records", len(records))
     return ScanResult(records=tuple(records), segments=tuple(segments))
 
@@ -319,73 +292,44 @@ class Journal:
     directory:
         The journal directory (created if missing); one journal per
         round.
-    fsync:
-        ``"always"`` / ``"batch"`` / ``"off"`` — see the module
-        docstring.
-    batch_size:
-        Records per fsync under the ``"batch"`` policy.
     segment_bytes:
         Rotation threshold: a new segment file is started once the
         current one reaches this many bytes.
-    io_retry:
-        Optional :class:`~repro.utils.retry.RetryPolicy` applied to
-        every write/fsync against transient ``OSError``.
     crash_hook:
         Fault-injection point (see
-        :class:`~repro.faults.crash.CrashController`): an object with
-        ``mutate(seq, data) -> bytes`` called just before the bytes
-        hit the file, and ``after_append(seq)`` called just after —
-        which may raise to simulate the process dying.  The journal
-        flushes before ``after_append`` so the "crashed" bytes are on
-        disk for recovery, exactly like a real kill between ``write``
-        and return.
-    repair:
-        Truncate a torn tail found on open (default).  With
-        ``repair=False`` a torn journal raises instead — use
-        :func:`scan_journal` for read-only inspection.
+        :class:`~repro.faults.crash.CrashController`), handed to every
+        segment's :class:`~repro.utils.recordlog.RecordWriter`: an
+        object with ``mutate(seq, data) -> bytes`` called just before
+        the bytes hit the file, and ``after_append(seq)`` called once
+        they are flushed — which may raise to simulate the process
+        dying, exactly like a real kill between ``write`` and return.
+
+    Opening truncates a torn tail; :func:`scan_journal` is the
+    read-only inspection path.
     """
 
     def __init__(
         self,
         directory: os.PathLike,
-        fsync: str = FSYNC_BATCH,
-        batch_size: int = 8,
         segment_bytes: int = 1 << 20,
-        io_retry: Optional[RetryPolicy] = None,
         crash_hook: Optional[Any] = None,
-        repair: bool = True,
     ) -> None:
-        if fsync not in _FSYNC_POLICIES:
-            raise JournalError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{_FSYNC_POLICIES}"
-            )
-        if batch_size < 1:
-            raise JournalError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         if segment_bytes < 1:
             raise JournalError(
                 f"segment_bytes must be >= 1, got {segment_bytes}"
             )
         self._directory = pathlib.Path(directory)
-        self._fsync = fsync
-        self._batch_size = batch_size
         self._segment_bytes = segment_bytes
-        self._io_retry = io_retry or RetryPolicy()
         self._crash_hook = crash_hook
-        self._directory.mkdir(parents=True, exist_ok=True)
 
         with obs.span("journal.open", directory=str(self._directory)) as tel:
             scan = scan_journal(self._directory)
             if scan.torn:
-                if not repair:
-                    raise JournalError(
-                        f"journal has a torn tail in "
-                        f"{scan.torn_segment} ({scan.torn_reason}); "
-                        f"open with repair=True to truncate it"
-                    )
-                self._truncate_tail(scan)
+                assert scan.torn_segment is not None
+                assert scan.torn_offset is not None
+                truncate(scan.torn_segment, scan.torn_offset)
+                obs.counter("journal.truncated_bytes", scan.truncated_bytes)
+                obs.counter("journal.torn_tails")
             self._records: List[JournalRecord] = list(scan.records)
             self._next_seq = scan.last_seq + 1
             self._prev_hash = scan.last_hash
@@ -394,20 +338,16 @@ class Journal:
             tel.set_attribute("truncated_bytes", scan.truncated_bytes)
 
         segments = segment_paths(self._directory)
-        if segments:
-            self._segment_path = segments[-1]
-            self._segment_size = self._segment_path.stat().st_size
-            self._segment_index = int(
-                self._segment_path.name[
+        self._segment_index = (
+            int(
+                segments[-1].name[
                     len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)
                 ]
             )
-        else:
-            self._segment_index = 1
-            self._segment_path = self._segment_file(1)
-            self._segment_size = 0
-        self._handle = open(self._segment_path, "ab")
-        self._unsynced = 0
+            if segments
+            else 1
+        )
+        self._writer = self._open_segment()
         self._dead = False
         self._closed = False
 
@@ -429,110 +369,64 @@ class Journal:
         """Sequence number of the last record (0 when empty)."""
         return self._next_seq - 1
 
-    def _segment_file(self, index: int) -> pathlib.Path:
-        return self._directory / (
-            f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
+    def _open_segment(self) -> RecordWriter:
+        path = self._directory / (
+            f"{_SEGMENT_PREFIX}{self._segment_index:08d}{_SEGMENT_SUFFIX}"
         )
-
-    def _truncate_tail(self, scan: ScanResult) -> None:
-        """Repair a torn tail: cut the segment back to the good bytes."""
-        assert scan.torn_segment is not None
-        assert scan.torn_offset is not None
-        with open(scan.torn_segment, "r+b") as handle:
-            handle.truncate(scan.torn_offset)
-        obs.counter("journal.truncated_bytes", scan.truncated_bytes)
-        obs.counter("journal.torn_tails")
+        return RecordWriter(path, crash_hook=self._crash_hook)
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
     def append(self, kind: str, event: AuctionEvent) -> JournalRecord:
-        """Append one record; returns it once durable per the policy."""
+        """Append one record; returns it once written and flushed."""
         if self._closed:
             raise JournalError("journal is closed")
         if self._dead:
             raise JournalError(
                 "journal observed a simulated crash; no further appends"
             )
-        record = make_record(self._next_seq, self._prev_hash, kind, event)
-        data = (record.to_line() + "\n").encode("utf-8")
-        if self._segment_size + len(data) > self._segment_bytes and (
-            self._segment_size > 0
-        ):
-            self._rotate()
-        crashing = False
-        if self._crash_hook is not None:
-            mutated = self._crash_hook.mutate(record.seq, data)
-            crashing = mutated is not data and mutated != data
-            data = mutated
-        call_with_retry(
-            lambda: self._write(data), self._io_retry, retry_on=(OSError,)
+        record, data = _sealed_record(
+            self._next_seq, self._prev_hash, kind, event
         )
-        self._segment_size += len(data)
-        self._unsynced += 1
-        if self._fsync == FSYNC_ALWAYS or (
-            self._fsync == FSYNC_BATCH
-            and self._unsynced >= self._batch_size
-        ):
+        size = self._writer.size
+        if size > 0 and size + len(data) > self._segment_bytes:
+            self._rotate()
+        try:
+            due = self._writer.append(data)
+        except BaseException:
+            self._dead = True
+            raise
+        if due:
             self.sync()
         obs.counter("journal.appends")
-        if self._crash_hook is not None:
-            # Flush so the (possibly mutated) tail is visible to the
-            # recovery that follows the simulated death.
-            self._handle.flush()
-            try:
-                self._crash_hook.after_append(record.seq)
-            except BaseException:
-                self._dead = True
-                raise
-        if crashing:  # pragma: no cover - hook should have raised
-            self._dead = True
-            raise JournalError(
-                "crash hook mutated the record but did not raise"
-            )
         self._records.append(record)
         self._next_seq += 1
         self._prev_hash = record.hash
         return record
 
-    def _write(self, data: bytes) -> None:
-        self._handle.write(data)
-        self._handle.flush()
-
     def _rotate(self) -> None:
         """Seal the current segment and start the next one."""
         self.sync()
-        self._handle.close()
+        self._writer.close()
         self._segment_index += 1
-        self._segment_path = self._segment_file(self._segment_index)
-        self._segment_size = 0
-        self._handle = open(self._segment_path, "ab")
+        self._writer = self._open_segment()
         obs.counter("journal.rotations")
 
     def sync(self) -> None:
-        """Flush and fsync the current segment (a no-op when ``off``)."""
-        self._handle.flush()
-        if self._fsync != FSYNC_OFF:
-            fsync_start = perf_seconds()
-            call_with_retry(
-                lambda: os.fsync(self._handle.fileno()),
-                self._io_retry,
-                retry_on=(OSError,),
-            )
-            obs.observe(
-                "journal.fsync.seconds", perf_seconds() - fsync_start
-            )
-        self._unsynced = 0
+        """Flush and fsync the current segment."""
+        fsync_start = perf_seconds()
+        self._writer.sync()
+        obs.observe("journal.fsync.seconds", perf_seconds() - fsync_start)
 
     def close(self) -> None:
         """Flush, fsync, and close the journal (idempotent)."""
         if self._closed:
             return
         try:
-            if not self._handle.closed:
-                self.sync()
+            self.sync()
         finally:
-            self._handle.close()
+            self._writer.close()
             self._closed = True
 
     def __enter__(self) -> "Journal":

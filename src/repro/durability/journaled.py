@@ -210,9 +210,9 @@ class JournaledPlatform:
     def finalize(self) -> AuctionOutcome:
         """Journal the seal and finalize the round.
 
-        The journal is fsynced afterwards regardless of policy: the
-        outcome is about to be acted on, so its history must be on
-        disk.
+        The journal is fsynced afterwards, however many records await
+        the next batched fsync: the outcome is about to be acted on,
+        so its history must be on disk.
         """
         self._inner.validate_finalize()
         outcome: Optional[AuctionOutcome] = self._run(

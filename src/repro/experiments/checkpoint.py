@@ -16,14 +16,13 @@ to ``*.corrupt`` (and counted on the ``checkpoint.quarantined``
 counter) so the sweep never wedges behind the same unreadable point
 twice and the evidence survives for inspection.  ``strict=True`` raises
 :class:`~repro.errors.CheckpointError` instead, leaving the file in
-place.  Transient I/O failures on save/load retry under an optional
-:class:`~repro.utils.retry.RetryPolicy`.
+place.  The checksum is the repository-wide one from
+:mod:`repro.utils.recordlog`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -35,31 +34,10 @@ from repro import obs
 from repro.errors import CheckpointError
 from repro.experiments.runner import MechanismMetrics, SweepPoint
 from repro.metrics.summary import Summary
-from repro.utils.retry import RetryPolicy, call_with_retry
+from repro.utils.recordlog import canonical_json, checksum_text
 
 #: Bump when the checkpoint payload layout changes incompatibly.
 SCHEMA_VERSION = 1
-
-
-def canonical_json(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON encoding: sorted keys, no whitespace.
-
-    The checksum convention every durable artifact in ``experiments``
-    uses (sweep checkpoints here, shard checkpoint streams in
-    :mod:`repro.experiments.sharding`): checksums are computed over this
-    canonical form, so formatting can never affect integrity checks.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def checksum_text(text: str) -> str:
-    """SHA-256 hex digest of ``text`` (the checkpoint integrity hash)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# Historical private aliases (internal call sites predate the public names).
-_canonical = canonical_json
-_checksum = checksum_text
 
 
 def summary_to_dict(summary: Summary) -> Dict[str, Any]:
@@ -140,24 +118,12 @@ def _slug(value: Any) -> str:
 class CheckpointStore:
     """A directory of per-sweep-point checkpoint files.
 
-    Parameters
-    ----------
-    directory:
-        Root directory; one subdirectory per sweep name is created on
-        first save.
-    io_retry:
-        Optional :class:`~repro.utils.retry.RetryPolicy` applied to
-        file reads/writes against transient ``OSError`` (default: no
-        retries, the historical behaviour).
+    ``directory`` is the root; one subdirectory per sweep name is
+    created on first save.
     """
 
-    def __init__(
-        self,
-        directory: os.PathLike,
-        io_retry: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, directory: os.PathLike) -> None:
         self._root = pathlib.Path(directory)
-        self._io_retry = io_retry or RetryPolicy()
 
     @property
     def root(self) -> pathlib.Path:
@@ -182,33 +148,28 @@ class CheckpointStore:
         concurrent reader (or a crash) never observes a partial file.
         """
         payload = point_to_dict(point)
-        body = _canonical(payload)
-        document = _canonical(
+        document = canonical_json(
             {
                 "schema": SCHEMA_VERSION,
-                "checksum": _checksum(body),
+                "checksum": checksum_text(canonical_json(payload)),
                 "payload": payload,
             }
         )
         path = self.path_for(sweep_name, point.param, point.value)
         path.parent.mkdir(parents=True, exist_ok=True)
-
-        def _attempt() -> None:
-            handle, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w") as stream:
-                    stream.write(document)
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                if os.path.exists(tmp_name):
-                    os.unlink(tmp_name)
-                raise
-
-        call_with_retry(_attempt, self._io_retry, retry_on=(OSError,))
+        handle, tmp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name, suffix=".tmp"
+        )
+        try:
+            with os.fdopen(handle, "w") as stream:
+                stream.write(document)
+                stream.flush()
+                os.fsync(stream.fileno())
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
         return path
 
     def load_point(
@@ -233,9 +194,7 @@ class CheckpointStore:
         path = self.path_for(sweep_name, param, value)
         if not path.exists():
             return None
-        text = call_with_retry(
-            path.read_text, self._io_retry, retry_on=(OSError,)
-        )
+        text = path.read_text()
         try:
             return self._decode(text, param, value)
         except CheckpointError:
@@ -272,7 +231,7 @@ class CheckpointStore:
         if not isinstance(payload, dict):
             raise CheckpointError("checkpoint payload missing")
         expected = document.get("checksum")
-        actual = _checksum(_canonical(payload))
+        actual = checksum_text(canonical_json(payload))
         if expected != actual:
             raise CheckpointError(
                 f"checkpoint checksum mismatch: recorded {expected!r}, "

@@ -25,7 +25,10 @@ out at *shard* granularity instead, over the same
   codec's trusted fast path, run the mechanism, and stream one durable
   checkpoint record per round from a background writer thread
   (:class:`ShardCheckpointWriter`) concurrently with compute — so a
-  killed 10⁴-round campaign resumes mid-shard.
+  killed 10⁴-round campaign resumes mid-shard.  Checkpoint files are
+  :mod:`repro.utils.recordlog` logs: sealed lines, the shared torn-tail
+  rule, and an fsync every
+  :data:`~repro.utils.recordlog.FSYNC_EVERY` records and on close.
 * Workers return each round as its own pickle blob.  The parent decodes
   every round from its own blob — whether it was computed in-process
   (``workers=1``), crossed the pool pipe, or was loaded from a shard
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import json
 import os
 import pathlib
 import pickle
@@ -58,21 +60,11 @@ import re
 import secrets
 import threading
 from multiprocessing import shared_memory
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.multi_round import CampaignResult, aggregate_rounds
-from repro.durability.journal import FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF
 from repro.errors import CheckpointError, ShardingError
-from repro.experiments.checkpoint import canonical_json, checksum_text
 from repro.experiments.config import MechanismSpec
 from repro.model.columnar import (
     RoundColumns,
@@ -87,18 +79,21 @@ from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import WorkloadConfig
 from repro.utils.pool import Envelope, WorkerPool
+from repro.utils.recordlog import (
+    RecordError,
+    RecordWriter,
+    scan_lines,
+    seal,
+    truncate,
+    unseal,
+)
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_positive, check_type
 
 #: Schema tag on every shard checkpoint record.
 SHARD_CHECKPOINT_SCHEMA = "repro-shard-checkpoint/1"
 
-_FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF)
 _CITY_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-
-#: How many checkpoint records may accumulate between fsyncs under the
-#: ``batch`` policy (mirrors the journal's batching discipline).
-CHECKPOINT_FSYNC_BATCH = 8
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +168,6 @@ class ShardTask:
     mechanism: MechanismSpec
     skip_rounds: Tuple[int, ...] = ()
     checkpoint_path: Optional[str] = None
-    fsync: str = FSYNC_BATCH
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,11 +314,12 @@ class ShardCheckpointWriter:
     """Append per-round checkpoint records concurrently with compute.
 
     The shard worker enqueues ``(round_index, blob)`` pairs; a background
-    thread encodes each as one checksummed JSONL record and appends it,
-    fsyncing per the journal's policies (``always`` / ``batch`` /
-    ``off``).  :meth:`close` drains the queue, fsyncs the tail, and
-    re-raises any error the writer thread hit — so a failed append (or an
-    injected crash) surfaces on the shard, not silently.
+    thread seals each as one JSONL record and appends it through a
+    :class:`~repro.utils.recordlog.RecordWriter` (which also runs the
+    optional ``crash_hook``).  :meth:`close` drains the queue, fsyncs
+    the tail, and re-raises any error the writer thread hit — so a
+    failed append (or an injected crash) surfaces on the shard, not
+    silently.
     """
 
     _SENTINEL = object()
@@ -332,24 +327,11 @@ class ShardCheckpointWriter:
     def __init__(
         self,
         path: "os.PathLike[str]",
-        fsync: str = FSYNC_BATCH,
-        batch_size: int = CHECKPOINT_FSYNC_BATCH,
-        crash_hook: Optional[Callable[[int], None]] = None,
+        crash_hook: Optional[Any] = None,
     ) -> None:
-        if fsync not in _FSYNC_POLICIES:
-            raise ShardingError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{_FSYNC_POLICIES}"
-            )
-        self._path = pathlib.Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
-        self._batch_size = max(1, batch_size)
-        self._crash_hook = crash_hook
+        self._log = RecordWriter(path, crash_hook=crash_hook)
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._error: Optional[BaseException] = None
-        self._appended = 0
-        self._handle = open(self._path, "ab")
         self._thread = threading.Thread(
             target=self._run, name="shard-checkpoint", daemon=True
         )
@@ -357,92 +339,69 @@ class ShardCheckpointWriter:
 
     @property
     def appended(self) -> int:
-        """Records durably appended so far (writer-thread progress)."""
-        return self._appended
+        """Records appended so far (final once :meth:`close` returned)."""
+        return self._log.appended
 
     def append(self, round_index: int, blob: bytes) -> None:
         """Enqueue one round's result for durable append."""
         if self._error is not None:
-            self._raise_pending()
+            raise self._error
         self._queue.put((round_index, blob))
 
     def close(self) -> None:
         """Drain, fsync the tail, join the thread; re-raise its error."""
         self._queue.put(self._SENTINEL)
         self._thread.join()
-        self._handle.close()
-        if self._error is not None:
-            self._raise_pending()
+        error = self._error
+        try:
+            self._log.close()
+        except OSError as exc:  # pragma: no cover - device failure
+            error = error or exc
+        if error is not None:
+            raise error
 
     def abort(self) -> None:
         """Best-effort shutdown that never raises (error paths)."""
-        self._queue.put(self._SENTINEL)
-        self._thread.join()
         try:
-            self._handle.close()
-        except OSError:  # pragma: no cover - defensive
+            self.close()
+        except Exception:  # noqa: BLE001 - the caller is already failing
             pass
 
-    def _raise_pending(self) -> None:
-        error = self._error
-        assert error is not None
-        raise error
-
     def _run(self) -> None:
-        pending_fsync = 0
         while True:
             item = self._queue.get()
             if item is self._SENTINEL:
                 break
             if self._error is not None:
                 continue  # drain without writing after a failure
-            round_index, blob = item
             try:
-                line = encode_checkpoint_record(round_index, blob)
-                self._handle.write(line)
-                self._handle.flush()
-                self._appended += 1
-                pending_fsync += 1
-                if self._crash_hook is not None:
-                    self._crash_hook(self._appended)
-                if self._fsync == FSYNC_ALWAYS or (
-                    self._fsync == FSYNC_BATCH
-                    and pending_fsync >= self._batch_size
-                ):
+                if self._log.append(encode_checkpoint_record(*item)):
                     start = perf_seconds()
-                    os.fsync(self._handle.fileno())
+                    self._log.sync()
                     obs.observe(
                         "campaign.shard.fsync.seconds",
                         perf_seconds() - start,
                     )
-                    pending_fsync = 0
             except BaseException as exc:  # noqa: BLE001 - ferried to caller
-                self._error = exc
-        if self._error is None and self._fsync != FSYNC_OFF:
-            try:
-                self._handle.flush()
-                if pending_fsync:
-                    os.fsync(self._handle.fileno())
-            except OSError as exc:  # pragma: no cover - device failure
                 self._error = exc
 
 
 def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
-    """One shard checkpoint record as a checksummed JSONL line.
+    """One shard checkpoint record as a sealed JSONL line.
 
-    The checksum covers the canonical JSON of the record body (the
-    sweep-checkpoint convention from
-    :mod:`repro.experiments.checkpoint`), so torn or corrupted lines are
-    detected on load and treated as end-of-log.
+    The ``checksum`` field covers the canonical JSON of the rest of the
+    record, so torn or corrupted lines are detected on load and treated
+    as end-of-log.
     """
-    body = {
-        "schema": SHARD_CHECKPOINT_SCHEMA,
-        "round": round_index,
-        "payload": base64.b64encode(blob).decode("ascii"),
-    }
-    record = dict(body)
-    record["checksum"] = checksum_text(canonical_json(body))
-    return (canonical_json(record) + "\n").encode("utf-8")
+    line, _ = seal(
+        {
+            "schema": SHARD_CHECKPOINT_SCHEMA,
+            "round": round_index,
+            "payload": base64.b64encode(blob).decode("ascii"),
+        },
+        "checksum",
+    )
+    return line
 
 
 def load_shard_checkpoint(
@@ -451,59 +410,36 @@ def load_shard_checkpoint(
     """Load the valid prefix of a shard checkpoint; truncate the rest.
 
     Returns ``round_index -> pickled SimulationResult`` for every intact
-    record.  The first unparseable or checksum-failing line (a torn tail
-    from a crash mid-append) ends the valid prefix; the file is truncated
-    back to it so resumed appends continue a clean log.  A later record
-    for an already-seen round wins (duplicate appends from a crash
-    between write and fsync are harmless).
+    record.  The first unparseable or checksum-failing line — or a final
+    line missing its newline (a torn tail from a crash mid-append) —
+    ends the valid prefix; the file is truncated back to it so resumed
+    appends continue a clean log.  A later record for an already-seen
+    round wins (duplicate appends from a crash between write and fsync
+    are harmless).
     """
     target = pathlib.Path(path)
     try:
-        raw = target.read_bytes()
+        data = target.read_bytes()
     except FileNotFoundError:
         return {}
-    records: Dict[int, bytes] = {}
-    valid_bytes = 0
-    torn = False
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            valid_bytes += len(line) + 1
-            continue
-        blob = _decode_checkpoint_line(line)
-        if blob is None:
-            torn = True
-            break
-        records[blob[0]] = blob[1]
-        valid_bytes += len(line) + 1
-    if torn:
-        with open(target, "r+b") as handle:
-            handle.truncate(min(valid_bytes, len(raw)))
+    scan = scan_lines(data, _decode_checkpoint_line)
+    if scan.bad_offset is not None:
+        truncate(target, scan.bad_offset)
         obs.counter("campaign.shard.checkpoint.torn")
-    return records
+    return dict(record for _, record in scan.records)
 
 
-def _decode_checkpoint_line(
-    line: bytes,
-) -> Optional[Tuple[int, bytes]]:
-    """Decode one checkpoint line; ``None`` if torn/corrupt/foreign."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(record, dict)
-        or record.get("schema") != SHARD_CHECKPOINT_SCHEMA
-    ):
-        return None
-    checksum = record.pop("checksum", None)
-    if checksum != checksum_text(canonical_json(record)):
-        return None
+def _decode_checkpoint_line(line: bytes) -> Tuple[int, bytes]:
+    """Decode one checkpoint line; raises if torn, corrupt or foreign."""
+    record = unseal(line, "checksum")
+    if record.get("schema") != SHARD_CHECKPOINT_SCHEMA:
+        raise RecordError(f"not a {SHARD_CHECKPOINT_SCHEMA} record")
     try:
         return int(record["round"]), base64.b64decode(
             record["payload"], validate=True
         )
-    except (KeyError, TypeError, ValueError):
-        return None
+    except (KeyError, TypeError) as exc:
+        raise RecordError(f"malformed checkpoint record: {exc}") from exc
 
 
 def shard_checkpoint_path(
@@ -526,7 +462,7 @@ def shard_checkpoint_path(
 # ----------------------------------------------------------------------
 def _run_shard(
     task: ShardTask,
-    crash_hook: Optional[Callable[[int], None]] = None,
+    crash_hook: Optional[Any] = None,
 ) -> ShardOutcome:
     """Execute one shard: attach, decode, run, stream checkpoints.
 
@@ -541,9 +477,7 @@ def _run_shard(
         mechanism = task.mechanism.build()
         if task.checkpoint_path is not None:
             writer = ShardCheckpointWriter(
-                task.checkpoint_path,
-                fsync=task.fsync,
-                crash_hook=crash_hook,
+                task.checkpoint_path, crash_hook=crash_hook
             )
         skip = frozenset(task.skip_rounds)
         computed: List[Tuple[int, bytes]] = []
@@ -567,12 +501,11 @@ def _run_shard(
             computed.append((round_index, blob))
             round_seconds.append(perf_seconds() - round_start)
         del rounds  # release the column views before closing the segment
+        checkpointed = 0
         if writer is not None:
-            checkpointed = writer.appended
             writer.close()
+            checkpointed = writer.appended
             writer = None
-        else:
-            checkpointed = 0
         return ShardOutcome(
             shard_id=task.shard_id,
             rounds=tuple(computed),
@@ -627,10 +560,9 @@ def run_sharded_campaign(
     workers: int = 1,
     shards_per_city: int = 1,
     checkpoint_dir: Optional["os.PathLike[str]"] = None,
-    fsync: str = FSYNC_BATCH,
     heartbeat: Optional[HeartbeatConfig] = None,
     submission_order: Optional[Sequence[int]] = None,
-    checkpoint_crash_hook: Optional[Callable[[int], None]] = None,
+    checkpoint_crash_hook: Optional[Any] = None,
 ) -> ShardedCampaignResult:
     """Run a multi-city campaign sharded over a worker pool.
 
@@ -658,9 +590,6 @@ def run_sharded_campaign(
         When given, every shard streams per-round records into this
         directory concurrently with compute and a rerun resumes
         mid-shard, recomputing only missing rounds — byte-identically.
-    fsync:
-        Checkpoint durability policy (the journal's ``always`` /
-        ``batch`` / ``off``).
     heartbeat:
         Optional live progress: the parent pulses per collected shard,
         then appends one worker-beat record per computed round (tagged
@@ -669,18 +598,15 @@ def run_sharded_campaign(
         Permutation of shard ids fixing pool submission order (tests);
         default plan order.  Outcomes do not depend on it.
     checkpoint_crash_hook:
-        Test-only fault hook called after each durable append (e.g. a
-        :class:`~repro.faults.crash.CrashController` raising a
-        :class:`~repro.faults.crash.SimulatedCrash` mid-shard).
-        Requires ``workers=1`` — hooks cannot cross the pool boundary.
+        Test-only fault hook with the journal's shape, handed to every
+        shard's checkpoint writer (e.g. a
+        :class:`~repro.faults.crash.CrashController` corrupting an
+        append and raising :class:`~repro.faults.crash.SimulatedCrash`
+        mid-shard).  Requires ``workers=1`` — hooks cannot cross the
+        pool boundary.
     """
     if workers < 1:
         raise ShardingError(f"workers must be >= 1, got {workers}")
-    if fsync not in _FSYNC_POLICIES:
-        raise ShardingError(
-            f"unknown fsync policy {fsync!r}; expected one of "
-            f"{_FSYNC_POLICIES}"
-        )
     if checkpoint_crash_hook is not None:
         if workers != 1:
             raise ShardingError(
@@ -716,7 +642,6 @@ def run_sharded_campaign(
                 segments,
                 resumed,
                 checkpoint_dir,
-                fsync,
             ),
             checkpoint_crash_hook,
         )
@@ -776,7 +701,6 @@ def _prepare_shard(
     segments: Dict[int, shared_memory.SharedMemory],
     resumed: Dict[int, Dict[int, bytes]],
     checkpoint_dir: Optional["os.PathLike[str]"],
-    fsync: str,
 ) -> ShardTask:
     """Encode one shard's rounds into a fresh segment; build its task."""
     city = cities[plan.city_index]
@@ -832,7 +756,6 @@ def _prepare_shard(
         mechanism=mechanism,
         skip_rounds=skip,
         checkpoint_path=checkpoint_path,
-        fsync=fsync,
     )
 
 

@@ -1,8 +1,8 @@
-"""Seeded crash-fault injection for the write-ahead journal.
+"""Seeded crash-fault injection for the record logs.
 
 A :class:`CrashPlan` describes one process death, drawn deterministically
 from the :class:`~repro.utils.rng.RngStreams` discipline like every
-other fault in this package: *the process dies during its Nth journal
+other fault in this package: *the process dies during its Nth log
 write*, optionally corrupting the record it was writing the way real
 crashes do —
 
@@ -12,28 +12,30 @@ crashes do —
   mid-``write``);
 * ``"duplicate"`` — the record's bytes land twice (a retried write that
   had in fact succeeded);
-* ``"flip"`` — one character of the record's stored checksum is flipped
+* ``"flip"`` — one character of the record's sealed checksum is flipped
   (media corruption of the tail).
 
-All four leave at most the *final* record of the journal invalid, which
-is exactly the class of damage recovery repairs by truncation
-(:func:`repro.durability.journal.scan_journal`); the journal's hash
+All four leave at most the *final* record of the log invalid, which is
+exactly the class of damage the torn-tail rule of
+:mod:`repro.utils.recordlog` repairs by truncation; the journal's hash
 chain turns anything worse into a typed refusal.
 
 :class:`CrashController` is the runtime half: it plugs into
-``Journal(crash_hook=...)`` and raises :class:`SimulatedCrash` at the
-planned write.  The "dead" journal object refuses further appends; the
-test or driver then recovers by opening a fresh
-:class:`~repro.durability.Journal` over the same directory, exactly as
-a restarted process would.
+``Journal(crash_hook=...)`` or ``run_sharded_campaign(
+checkpoint_crash_hook=...)`` and raises :class:`SimulatedCrash` at the
+planned write.  The test then recovers from the same directory —
+a fresh :class:`~repro.durability.Journal`, or a rerun campaign —
+exactly as a restarted process would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Any, Dict, Mapping, Union
 
 from repro.errors import FaultError
+from repro.utils.recordlog import RecordError, unseal
 from repro.utils.rng import RngStreams
 
 #: Corruption applied to the record being written when the crash hits.
@@ -50,12 +52,12 @@ class SimulatedCrash(FaultError):
 
 @dataclasses.dataclass(frozen=True)
 class CrashPlan:
-    """One deterministic process death, in journal-write coordinates.
+    """One deterministic process death, in log-write coordinates.
 
     Attributes
     ----------
     after_writes:
-        The 1-based journal write during which the process dies (the
+        The 1-based log write during which the process dies (the
         record of that write is the one corrupted).
     mode:
         One of :data:`CRASH_MODES`.
@@ -156,21 +158,24 @@ def draw_crash_plan(
 
 
 def _flip_checksum(data: bytes, offset: int) -> bytes:
-    """Flip one hex character of the stored ``"hash"`` field."""
-    marker = b'"hash":"'
-    start = data.find(marker)
-    if start < 0:  # pragma: no cover - every record carries a hash
-        return data
-    position = start + len(marker) + offset
-    original = data[position : position + 1]
-    replacement = b"0" if original != b"0" else b"1"
-    return data[:position] + replacement + data[position + 1 :]
+    """Flip one hex character of the record's sealed checksum field."""
+    for field in json.loads(data):
+        try:
+            unseal(data, field)
+        except RecordError:
+            continue
+        marker = f'"{field}":"'.encode("utf-8")
+        position = data.index(marker) + len(marker) + offset
+        original = data[position : position + 1]
+        replacement = b"0" if original != b"0" else b"1"
+        return data[:position] + replacement + data[position + 1 :]
+    return data  # pragma: no cover - every log line is sealed
 
 
 class CrashController:
-    """The journal-side hook executing a :class:`CrashPlan`.
+    """The record-log hook executing a :class:`CrashPlan`.
 
-    Counts journal writes; at write ``plan.after_writes`` it corrupts
+    Counts log writes; at write ``plan.after_writes`` it corrupts
     the outgoing bytes per ``plan.mode`` (``mutate``) and raises
     :class:`SimulatedCrash` once the bytes are on disk
     (``after_append``).  :attr:`fired` records whether the death
@@ -206,7 +211,7 @@ class CrashController:
         if self.writes == self.plan.after_writes and not self.fired:
             self.fired = True
             raise SimulatedCrash(
-                f"simulated crash during journal write "
+                f"simulated crash during log write "
                 f"{self.plan.after_writes} (mode {self.plan.mode!r}, "
-                f"record seq {seq})"
+                f"write {seq} of its file)"
             )

@@ -10,11 +10,12 @@ machine?" is a query over a file instead of an archaeology session.
 
 Design points:
 
-* **Append-only JSONL, fsync'd per append.**  One run = one line; a
-  crashed process costs at most its own line, and
-  :meth:`RunLedger.read` tolerates a torn tail (and any other corrupt
-  line) by skipping it and counting it on ``ledger.skipped_lines`` —
-  the ledger is an observability aid, never a gate that can wedge.
+* **Append-only JSONL, fsync'd per append** through a
+  :class:`~repro.utils.recordlog.RecordWriter`: a crashed process costs
+  at most its own line, which the next append cuts first.
+  :meth:`RunLedger.read` skips a torn tail and any corrupt or foreign
+  line, counting them on ``ledger.skipped_lines`` — the ledger is an
+  observability aid, never a gate that can wedge.
 * **Identity is content-derived.**  ``run_id`` hashes the command,
   label, start stamp, and config digest, so two processes appending
   concurrently cannot collide silently, and a test driving the wall
@@ -28,16 +29,16 @@ Design points:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pathlib
 import subprocess
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs.clock import perf_seconds, wall_seconds
+from repro.utils.recordlog import RecordWriter, checksum_text, scan_lines
 
 #: Format marker carried on every ledger record.
 LEDGER_SCHEMA = "repro-run-ledger/1"
@@ -64,7 +65,7 @@ def config_digest(config: Mapping[str, Any]) -> str:
         )
     except TypeError as exc:  # pragma: no cover - default=str catches most
         raise LedgerError(f"configuration is not serialisable: {exc}") from exc
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return checksum_text(canonical)[:12]
 
 
 def current_git_sha(cwd: Optional["os.PathLike[str]"] = None) -> Optional[str]:
@@ -182,7 +183,7 @@ def make_run_id(
 ) -> str:
     """The content-derived run identifier (12 hex chars)."""
     material = f"{command}|{label}|{started_at!r}|{digest}"
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:12]
+    return checksum_text(material)[:12]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,13 +215,10 @@ class RunLedger:
 
     def append(self, record: RunRecord) -> None:
         """Durably append one record (creates parents on first write)."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
         try:
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            with RecordWriter(self._path) as log:
+                log.append(line.encode("utf-8"))
         except OSError as exc:
             raise LedgerError(
                 f"cannot append to run ledger {self._path}: {exc}"
@@ -230,25 +228,29 @@ class RunLedger:
     def read(self) -> LedgerView:
         """Every readable record, in file order; a missing file is empty."""
         try:
-            text = self._path.read_text(encoding="utf-8")
+            data = self._path.read_bytes()
         except FileNotFoundError:
             return LedgerView(records=())
         except OSError as exc:
             raise LedgerError(
                 f"cannot read run ledger {self._path}: {exc}"
             ) from exc
-        records: List[RunRecord] = []
-        skipped = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, LedgerError):
-                skipped += 1
+        scan = scan_lines(data, _decode_ledger_line)
+        records = [record for _, record in scan.records if record is not None]
+        skipped = len(scan.records) - len(records)
+        if scan.bad_offset is not None:
+            skipped += 1  # the torn tail
         if skipped:
             obs.counter("ledger.skipped_lines", skipped)
         return LedgerView(records=tuple(records), skipped_lines=skipped)
+
+
+def _decode_ledger_line(line: bytes) -> Optional[RunRecord]:
+    """One ledger line's record; ``None`` for corrupt or foreign lines."""
+    try:
+        return RunRecord.from_dict(json.loads(line))
+    except (ValueError, AttributeError, LedgerError):
+        return None
 
 
 class LedgerSession:

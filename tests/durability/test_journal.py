@@ -117,13 +117,47 @@ class TestAppendAndScan:
 
     @pytest.mark.parametrize("fsync", ["always", "batch", "off"])
     def test_all_fsync_policies_persist(self, tmp_path, fsync):
-        with Journal(tmp_path / fsync, fsync=fsync) as journal:
-            _fill(journal, 9)
-        assert scan_journal(tmp_path / fsync).last_seq == 9
+        # Each id names a former fsync policy; the one remaining rule
+        # still gives the guarantee that policy stood for.
+        directory = tmp_path / fsync
+        journal = Journal(directory)
+        try:
+            for index in range(9):
+                record = journal.append(
+                    KIND_COMMAND, PhoneDropped(slot=1, phone_id=index)
+                )
+                if fsync == "always":
+                    # every record is readable as soon as append returns
+                    assert scan_journal(directory).last_seq == record.seq
+            if fsync == "off":
+                # flushed records outlive a journal that is never closed
+                with Journal(directory) as reopened:
+                    assert reopened.last_seq == 9
+                    assert reopened.append(
+                        KIND_EVENT, SlotClosed(slot=1, pool_size=9)
+                    ).prev == record.hash
+        finally:
+            journal.close()
+        expected = 10 if fsync == "off" else 9
+        assert scan_journal(directory).last_seq == expected
 
-    def test_unknown_fsync_policy_rejected(self, tmp_path):
-        with pytest.raises(JournalError, match="fsync"):
-            Journal(tmp_path, fsync="sometimes")
+    def test_fsync_every_eighth_record_and_on_close(
+        self, tmp_path, monkeypatch
+    ):
+        syncs = []
+        real_sync = Journal.sync
+
+        def counting_sync(journal):
+            syncs.append(journal.last_seq)
+            real_sync(journal)
+
+        monkeypatch.setattr(Journal, "sync", counting_sync)
+        with Journal(tmp_path) as journal:
+            _fill(journal, 17)
+        # Journal.sync runs before the record is counted: after records
+        # 8 and 16 land, then once on close.
+        assert syncs == [7, 15, 17]
+        assert scan_journal(tmp_path).last_seq == 17
 
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = Journal(tmp_path)
@@ -170,6 +204,8 @@ class TestRecovery:
         scan = scan_journal(tmp_path)
         assert scan.torn
         assert scan.last_seq == 4
+        # scan_journal is the read-only path: it reports, never repairs.
+        assert segment.read_bytes() == data[:-17]
         with Journal(tmp_path) as journal:
             assert journal.last_seq == 4
             journal.append(KIND_COMMAND, PhoneDropped(slot=1, phone_id=50))
@@ -230,14 +266,6 @@ class TestRecovery:
         # sequence 2 would silently discard good records 4 and 5.
         with pytest.raises(JournalError, match="mid-log corruption"):
             Journal(tmp_path)
-
-    def test_repair_false_raises_on_torn_tail(self, tmp_path):
-        segment = self._journal_with_tail(tmp_path)
-        segment.write_bytes(segment.read_bytes()[:-17])
-        with pytest.raises(JournalError, match="torn"):
-            Journal(tmp_path, repair=False)
-        # read-only scan still succeeds and reports the tear
-        assert scan_journal(tmp_path).torn
 
     def test_empty_directory_is_a_valid_empty_journal(self, tmp_path):
         scan = scan_journal(tmp_path / "fresh")

@@ -32,8 +32,17 @@ from repro.experiments.sharding import (
     run_sharded_campaign,
     shard_checkpoint_path,
 )
-from repro.faults.crash import SimulatedCrash
+from repro import obs
+from repro.faults.crash import (
+    CRASH_MODES,
+    CrashController,
+    CrashPlan,
+    SimulatedCrash,
+    draw_crash_plan,
+)
+from repro.obs import ManualClock, Tracer
 from repro.simulation.workload import WorkloadConfig
+from repro.utils.rng import RngStreams
 
 SPEC = MechanismSpec.of("online-greedy")
 
@@ -306,43 +315,115 @@ class TestCheckpointing:
 
     def test_writer_error_surfaces_on_close(self, tmp_path):
         writer = ShardCheckpointWriter(tmp_path / "e.ckpt.jsonl")
-        writer._handle.close()  # provoke a write failure in the thread
+        writer._log.close()  # provoke a write failure in the thread
         writer.append(0, b"x")
         with pytest.raises(ValueError):
             writer.close()
 
-    def test_unknown_fsync_policy_rejected(self, tmp_path):
-        with pytest.raises(ShardingError, match="fsync"):
-            ShardCheckpointWriter(tmp_path / "f.jsonl", fsync="sometimes")
-        with pytest.raises(ShardingError, match="fsync"):
+    def test_record_missing_only_its_newline_is_torn(self, tmp_path):
+        """A final record that lost just its newline is dropped, and the
+        next append starts a fresh line instead of being glued onto it."""
+        target = tmp_path / "n.ckpt.jsonl"
+        writer = ShardCheckpointWriter(target)
+        writer.append(0, b"zero")
+        writer.append(1, b"one")
+        writer.close()
+        intact = target.read_bytes()
+        target.write_bytes(intact[:-1])
+        writer = ShardCheckpointWriter(target)
+        writer.append(2, b"two")
+        writer.close()
+        assert load_shard_checkpoint(target) == {0: b"zero", 2: b"two"}
+        target.write_bytes(intact[:-1])
+        assert load_shard_checkpoint(target) == {0: b"zero"}
+        assert target.read_bytes() == intact.splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_append_counter_matches_rounds_computed(self, tmp_path, workers):
+        tracer = Tracer(clock=ManualClock())
+        with obs.activate(tracer):
             run_sharded_campaign(
-                SPEC, two_cities(), seed=0, fsync="sometimes"
+                SPEC,
+                two_cities(rounds=(12, 12)),
+                seed=4,
+                workers=workers,
+                checkpoint_dir=tmp_path,
             )
+        counters = tracer.metrics.counters
+        assert counters["campaign.shard.rounds"] == 24
+        assert counters["campaign.shard.checkpoint.appends"] == 24
 
 
 class TestCrashInjection:
+    """Crash the checkpoint writer at every append, in every crash mode.
+
+    Two cities split into four shards stream five records; a
+    :class:`CrashController` kills the campaign during append ``index``
+    (clean kill, torn record, duplicated record, or flipped checksum),
+    and a rerun over the same directory must be byte-identical to the
+    uncrashed campaign.  CI rotates ``--crash-seed``.
+    """
+
+    APPENDS = 5
+
+    @pytest.mark.parametrize("mode", CRASH_MODES)
+    def test_resume_is_byte_identical_after_every_append(
+        self, crash_seed, tmp_path, mode
+    ):
+        cities = two_cities()
+        reference = result_bytes(
+            run_sharded_campaign(SPEC, cities, seed=crash_seed)
+        )
+        for index in range(1, self.APPENDS + 1):
+            drawn = draw_crash_plan(
+                RngStreams(crash_seed + index), total_writes=self.APPENDS
+            )
+            controller = CrashController(
+                CrashPlan(
+                    after_writes=index,
+                    mode=mode,
+                    torn_fraction=drawn.torn_fraction,
+                    flip_offset=drawn.flip_offset,
+                )
+            )
+            directory = tmp_path / f"append-{index}"
+            with pytest.raises(SimulatedCrash):
+                run_sharded_campaign(
+                    SPEC,
+                    cities,
+                    seed=crash_seed,
+                    shards_per_city=2,
+                    checkpoint_dir=directory,
+                    checkpoint_crash_hook=controller,
+                )
+            assert controller.fired, f"append {index} never crashed"
+            resumed = run_sharded_campaign(
+                SPEC,
+                cities,
+                seed=crash_seed,
+                shards_per_city=2,
+                checkpoint_dir=directory,
+            )
+            assert result_bytes(resumed) == reference, (
+                f"seed {crash_seed}: resume after a {mode} crash at "
+                f"append {index} diverged from the uncrashed campaign"
+            )
+
     def test_simulated_crash_mid_shard_then_resume(self, tmp_path):
         cities = [CityConfig("solo", tiny_workload(), num_rounds=4)]
         reference = result_bytes(
             run_sharded_campaign(SPEC, cities, seed=13)
         )
-        appended = {"n": 0}
-
-        def crash_hook(count: int) -> None:
-            appended["n"] = count
-            if count == 2:
-                raise SimulatedCrash("die after the second append")
-
+        controller = CrashController(CrashPlan(after_writes=2))
         with pytest.raises(SimulatedCrash):
             run_sharded_campaign(
                 SPEC,
                 cities,
                 seed=13,
                 checkpoint_dir=tmp_path,
-                fsync="always",
-                checkpoint_crash_hook=crash_hook,
+                checkpoint_crash_hook=controller,
             )
-        assert appended["n"] == 2
+        assert controller.writes == 2
         (plan,) = plan_shards(cities, seed=13)
         survived = load_shard_checkpoint(
             shard_checkpoint_path(tmp_path, plan)
@@ -361,7 +442,7 @@ class TestCrashInjection:
                 seed=0,
                 workers=2,
                 checkpoint_dir=tmp_path,
-                checkpoint_crash_hook=lambda n: None,
+                checkpoint_crash_hook=CrashController(CrashPlan(1)),
             )
 
     def test_crash_hook_requires_checkpoint_dir(self):
@@ -370,7 +451,7 @@ class TestCrashInjection:
                 SPEC,
                 two_cities(),
                 seed=0,
-                checkpoint_crash_hook=lambda n: None,
+                checkpoint_crash_hook=CrashController(CrashPlan(1)),
             )
 
 
@@ -445,16 +526,13 @@ class TestSharedMemoryLifecycle:
         assert_segments_gone(spy.names)
 
     def test_injected_crash_unlinks_segments(self, spy, tmp_path):
-        def crash_hook(count: int) -> None:
-            raise SimulatedCrash("immediate")
-
         with pytest.raises(SimulatedCrash):
             run_sharded_campaign(
                 SPEC,
                 two_cities(),
                 seed=1,
                 checkpoint_dir=tmp_path,
-                checkpoint_crash_hook=crash_hook,
+                checkpoint_crash_hook=CrashController(CrashPlan(1)),
             )
         assert_segments_gone(spy.names)
 

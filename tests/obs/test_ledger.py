@@ -136,6 +136,23 @@ class TestRunLedgerIO:
         assert [r.run_id for r in view.records] == ["good", "also-good"]
         assert view.skipped_lines == 2
 
+    def test_append_after_torn_tail_is_kept(self, tmp_path):
+        """A record cut mid-line by a crash is dropped by the next
+        append instead of swallowing it."""
+        path = tmp_path / "RUNS.jsonl"
+        ledger = RunLedger(path)
+        ledger.append(_record(run_id="r1"))
+        ledger.append(_record(run_id="r2"))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 20])
+        torn = ledger.read()
+        assert [r.run_id for r in torn.records] == ["r1"]
+        assert torn.skipped_lines == 1
+        ledger.append(_record(run_id="r3"))
+        view = ledger.read()
+        assert [r.run_id for r in view.records] == ["r1", "r3"]
+        assert view.skipped_lines == 0
+
     def test_skipped_lines_feed_the_counter(self, tmp_path):
         path = tmp_path / "RUNS.jsonl"
         path.write_text("garbage\n", encoding="utf-8")

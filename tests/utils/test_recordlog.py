@@ -1,0 +1,231 @@
+"""The shared record log: sealing, scanning, torn tails, the fsync rule."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import repro.utils.recordlog as recordlog
+from repro.errors import JournalError
+from repro.faults.crash import (
+    CRASH_MODES,
+    CrashController,
+    CrashPlan,
+    SimulatedCrash,
+)
+from repro.utils.recordlog import (
+    FSYNC_EVERY,
+    RecordError,
+    RecordWriter,
+    canonical_json,
+    checksum_text,
+    scan_lines,
+    seal,
+    truncate,
+    unseal,
+)
+
+
+def _line(index: int) -> bytes:
+    return seal({"n": index}, "checksum")[0]
+
+
+def _decode(line: bytes) -> int:
+    return unseal(line, "checksum")["n"]
+
+
+class TestSealing:
+    def test_canonical_json_sorts_keys_without_whitespace(self):
+        assert canonical_json({"b": [1, 2], "a": {"d": 1, "c": 2}}) == (
+            '{"a":{"c":2,"d":1},"b":[1,2]}'
+        )
+
+    def test_checksum_covers_the_canonical_body(self):
+        line, digest = seal({"seq": 3, "kind": "x"}, "hash")
+        assert line.endswith(b"\n")
+        assert digest == checksum_text('{"kind":"x","seq":3}')
+        assert line == (
+            '{"hash":"%s","kind":"x","seq":3}\n' % digest
+        ).encode("utf-8")
+
+    def test_unseal_round_trips(self):
+        line, digest = seal({"seq": 3}, "hash")
+        assert unseal(line, "hash") == {"seq": 3, "hash": digest}
+
+    @pytest.mark.parametrize(
+        "line", [b"not json", b"[1, 2]", b'{"seq": 3}', b'{"seq":3,"hash":1}']
+    )
+    def test_unseal_rejects_garbage(self, line):
+        with pytest.raises(RecordError):
+            unseal(line, "hash")
+
+    def test_unseal_rejects_a_tampered_body(self):
+        document = json.loads(seal({"seq": 3}, "hash")[0])
+        document["seq"] = 4
+        with pytest.raises(RecordError, match="checksum mismatch"):
+            unseal(json.dumps(document), "hash")
+
+
+class TestScan:
+    def test_clean_file(self):
+        data = _line(0) + _line(1)
+        scan = scan_lines(data, _decode)
+        assert scan.records == ((0, 0), (len(_line(0)), 1))
+        assert scan.bad_offset is None and not scan.torn
+
+    def test_blank_lines_are_skipped(self):
+        data = b"\n" + _line(0) + b"  \n" + _line(1)
+        assert [v for _, v in scan_lines(data, _decode).records] == [0, 1]
+
+    def test_cut_final_line_is_torn(self):
+        data = _line(0) + _line(1)[:7]
+        scan = scan_lines(data, _decode)
+        assert [v for _, v in scan.records] == [0]
+        assert scan.torn
+        assert scan.bad_offset == len(_line(0))
+
+    def test_final_line_missing_only_its_newline_is_torn(self):
+        data = _line(0) + _line(1)[:-1]
+        scan = scan_lines(data, _decode)
+        assert [v for _, v in scan.records] == [0]
+        assert scan.torn
+        assert "newline" in str(scan.error)
+
+    def test_bad_final_line_with_newline_is_torn(self):
+        data = _line(0) + _line(1).replace(b'"n":1', b'"n":2')
+        scan = scan_lines(data, _decode)
+        assert scan.torn
+        assert isinstance(scan.error, RecordError)
+
+    def test_bad_earlier_line_is_not_torn(self):
+        data = _line(0) + b"garbage\n" + _line(2)
+        scan = scan_lines(data, _decode)
+        assert [v for _, v in scan.records] == [0]
+        assert scan.bad_offset == len(_line(0))
+        assert not scan.torn
+
+    def test_repro_errors_reject_a_line(self):
+        def decode(line: bytes) -> int:
+            raise JournalError("no")
+
+        scan = scan_lines(_line(0), decode)
+        assert scan.torn and isinstance(scan.error, JournalError)
+
+    def test_empty_data(self):
+        scan = scan_lines(b"", _decode)
+        assert scan.records == () and scan.bad_offset is None
+
+
+class TestWriter:
+    def test_appends_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        with RecordWriter(path) as log:
+            log.append(_line(0))
+            log.append(_line(1))
+            assert log.appended == 2
+            assert log.size == len(_line(0)) + len(_line(1))
+        assert path.read_bytes() == _line(0) + _line(1)
+
+    @pytest.mark.parametrize("cut", [1, 9])
+    def test_open_cuts_a_torn_tail(self, tmp_path, cut):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0) + _line(1)[:-cut])
+        with RecordWriter(path) as log:
+            assert log.size == len(_line(0))
+            log.append(_line(2))
+        assert path.read_bytes() == _line(0) + _line(2)
+
+    def test_open_cuts_a_lone_partial_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0)[:-1])
+        with RecordWriter(path) as log:
+            assert log.size == 0
+
+    def test_open_cuts_a_long_partial_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        partial = b'{"payload":"' + b"x" * 200_000
+        path.write_bytes(_line(0) + partial)
+        RecordWriter(path).close()
+        assert path.read_bytes() == _line(0)
+
+    def test_open_leaves_a_whole_file_alone(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0))
+        RecordWriter(path).close()
+        assert path.read_bytes() == _line(0)
+
+    def test_truncate(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0) + _line(1))
+        truncate(path, len(_line(0)))
+        assert path.read_bytes() == _line(0)
+
+
+class TestFsyncRule:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            recordlog.os, "fsync", lambda fd: calls.append(fd)
+        )
+        return calls
+
+    def test_every_eighth_record_is_due(self, tmp_path, fsyncs):
+        log = RecordWriter(tmp_path / "log.jsonl")
+        due = []
+        for index in range(2 * FSYNC_EVERY):
+            due.append(log.append(_line(index)))
+            if due[-1]:
+                log.sync()
+        log.close()
+        assert FSYNC_EVERY == 8
+        assert [i + 1 for i, d in enumerate(due) if d] == [8, 16]
+        assert len(fsyncs) == 2  # nothing pending at close
+
+    def test_close_fsyncs_the_pending_tail(self, tmp_path, fsyncs):
+        log = RecordWriter(tmp_path / "log.jsonl")
+        log.append(_line(0))
+        log.close()
+        log.close()  # idempotent
+        assert len(fsyncs) == 1
+
+    def test_close_without_appends_does_not_fsync(self, tmp_path, fsyncs):
+        RecordWriter(tmp_path / "log.jsonl").close()
+        assert fsyncs == []
+
+
+class TestCrashHook:
+    @pytest.mark.parametrize("mode", CRASH_MODES)
+    def test_the_crashed_write_leaves_a_torn_or_whole_tail(
+        self, tmp_path, mode
+    ):
+        path = tmp_path / "log.jsonl"
+        controller = CrashController(CrashPlan(after_writes=3, mode=mode))
+        log = RecordWriter(path, crash_hook=controller)
+        log.append(_line(0))
+        log.append(_line(1))
+        with pytest.raises(SimulatedCrash, match="write 3 of its file"):
+            log.append(_line(2))
+        log.close()
+        scan = scan_lines(path.read_bytes(), _decode)
+        survivors = [v for _, v in scan.records]
+        if mode in ("clean", "duplicate"):
+            assert survivors[:3] == [0, 1, 2] and not scan.torn
+        else:
+            assert survivors == [0, 1] and scan.torn
+
+    def test_flip_finds_the_sealed_field(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        controller = CrashController(
+            CrashPlan(after_writes=1, mode="flip", flip_offset=5)
+        )
+        with RecordWriter(path, crash_hook=controller) as log:
+            with pytest.raises(SimulatedCrash):
+                log.append(
+                    seal({"hash": "not-the-seal", "n": 1}, "checksum")[0]
+                )
+        document = json.loads(path.read_bytes())
+        assert document["hash"] == "not-the-seal"
+        with pytest.raises(RecordError, match="checksum mismatch"):
+            unseal(path.read_bytes(), "checksum")
