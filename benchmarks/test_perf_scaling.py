@@ -37,9 +37,9 @@ SPARSE_TIER = [
 
 #: The streaming-engine city tier: (phones, slots, bench rounds).  The
 #: CI smoke runs the 2·10⁴ case; 10⁵ and 10⁶ phones are ``slow``-marked
-#: and exist to demonstrate the event-driven engine at the scale the
-#: batch prober cannot reasonably reach (its means are committed under
-#: ``before_mean_seconds`` in BENCH_0007.json).
+#: and exist to demonstrate the event-driven engine at city scale (the
+#: retired batch engine's means on the same instances are committed
+#: under ``before_mean_seconds`` in BENCH_0007.json).
 CITY_TIER = [
     pytest.param(20_000, 200, 5, id="20000x200"),
     pytest.param(
@@ -147,13 +147,13 @@ def test_offline_vcg_scaling_sparse(benchmark, num_slots):
 def test_online_streaming_scaling(benchmark, num_phones, num_slots, rounds):
     """The full online round on the event-driven streaming engine.
 
-    Allocation plus every Algorithm-2 payment from one pass; the batch
-    engine on the same instances is the committed
+    Allocation plus every Algorithm-2 payment from one pass; the
+    retired batch engine on the same instances is the committed
     ``before_mean_seconds`` baseline (≥5× at the 10⁵-phone tier).
     """
     scenario = _city_scenario(num_phones, num_slots)
     bids = scenario.truthful_bids()
-    mechanism = OnlineGreedyMechanism(engine="streaming")
+    mechanism = OnlineGreedyMechanism()
 
     outcome = benchmark.pedantic(
         mechanism.run,
@@ -201,7 +201,7 @@ def test_sharded_campaign_city_scale(
         CityConfig(f"city-{index}", workload, num_rounds=rounds_per_city)
         for index in range(num_cities)
     ]
-    mechanism = MechanismSpec.of("online-greedy", engine="streaming")
+    mechanism = MechanismSpec.of("online-greedy")
 
     result = benchmark.pedantic(
         run_sharded_campaign,

@@ -37,12 +37,8 @@ SEEDED_PACKAGES = ("repro.mechanisms", "repro.matching", "repro.faults")
 #: The sanctioned wall-clock choke point: the injectable Clock layer.
 CLOCK_MODULE = "repro.obs.clock"
 
-#: Modules sanctioned to touch the clock: the Clock layer itself, and
-#: the deterministic retry policy (``repro.utils.retry``), whose only
-#: time read — the :attr:`RetryPolicy.timeout` deadline — is routed
-#: through :func:`repro.obs.clock.perf_seconds` so a replay harness can
-#: freeze it; its backoff arithmetic is pure.
-CLOCK_EXEMPT_MODULES = (CLOCK_MODULE, "repro.utils.retry")
+#: Modules sanctioned to touch the clock: the Clock layer itself.
+CLOCK_EXEMPT_MODULES = (CLOCK_MODULE,)
 
 
 def _in_packages(module: str, packages: Sequence[str]) -> bool:

@@ -56,6 +56,7 @@ from repro.mechanisms.critical_payment import (
     exact_critical_payment,
 )
 from repro.mechanisms.greedy_core import bid_sort_key
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
 from repro.model.task import SensingTask, TaskSchedule
@@ -535,7 +536,10 @@ class CrowdsourcingPlatform:
 
         Algorithm 2 only consumes bids that arrived by the winner's
         departure and tasks announced by then — all known now — so the
-        payment computed here equals the batch mechanism's.
+        payment computed here equals the whole-round mechanism's.  One
+        streaming engine over the known bids and tasks serves every
+        payment of the call: a winner it also selected at the same slot
+        is priced from its records, any other winner by a re-run.
 
         A due winner previously marked unreliable
         (:meth:`report_task_failure`) fails instead of delivering; the
@@ -547,6 +551,7 @@ class CrowdsourcingPlatform:
             num_slots=self._num_slots, tasks=self._tasks
         )
         known_bids = list(self._all_bids.values())
+        engine: Optional[StreamingGreedyEngine] = None
         while True:
             due = [
                 (phone_id, win_slot)
@@ -563,6 +568,12 @@ class CrowdsourcingPlatform:
                     self._fail_delivery(phone_id, reason="no-delivery")
                     continue
                 winner = self._all_bids[phone_id]
+                if engine is None:
+                    engine = StreamingGreedyEngine(
+                        known_bids,
+                        schedule_so_far,
+                        reserve_price=self._reserve_price,
+                    )
                 if self._payment_rule == "paper":
                     amount = algorithm2_payment(
                         known_bids,
@@ -570,6 +581,7 @@ class CrowdsourcingPlatform:
                         winner,
                         win_slot,
                         reserve_price=self._reserve_price,
+                        engine=engine,
                     )
                 else:
                     amount = exact_critical_payment(
@@ -577,6 +589,7 @@ class CrowdsourcingPlatform:
                         schedule_so_far,
                         winner,
                         reserve_price=self._reserve_price,
+                        engine=engine,
                     )
                 if phone_id in self._reassigned and amount < winner.cost:
                     # A recovery winner was not the greedy choice in its

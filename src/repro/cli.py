@@ -153,14 +153,13 @@ def _add_mechanism_argument(
         default="paper",
         help="online-greedy only: Algorithm 2 or exact critical value",
     )
+    # Accepted and ignored: the streaming engine is the only online
+    # engine, but documented benchmark commands still pass the flag.
     parser.add_argument(
         "--engine",
         choices=("batch", "streaming"),
         default="batch",
-        help=(
-            "online-greedy only: snapshot-resume batch engine or the "
-            "event-driven streaming engine (bit-identical outcomes)"
-        ),
+        help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--price",
@@ -214,7 +213,6 @@ def _mechanism_kwargs_from_args(args: argparse.Namespace) -> Dict[str, Any]:
         return {
             "reserve_price": args.reserve_price,
             "payment_rule": args.payment_rule,
-            "engine": getattr(args, "engine", "batch"),
         }
     if args.mechanism == "fixed-price":
         if args.price is None:
@@ -344,10 +342,7 @@ def _cmd_figures(args: argparse.Namespace, console: Console) -> int:
     rendered = []
     for name in names:
         spec = figure_spec(
-            name,
-            repetitions=args.repetitions,
-            base_seed=args.seed,
-            engine=args.engine,
+            name, repetitions=args.repetitions, base_seed=args.seed
         )
         key = (spec.param, spec.values)
         if key not in cache:
@@ -1221,13 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument("--repetitions", type=int, default=5)
     figures.add_argument("--seed", type=int, default=2014)
-    figures.add_argument(
-        "--engine",
-        choices=("batch", "streaming"),
-        default="batch",
-        help="allocation engine for the online mechanism "
-        "(bit-identical outcomes; streaming scales to larger sweeps)",
-    )
     figures.add_argument(
         "--csv-dir", type=pathlib.Path, default=None,
         help="also write each figure's CSV into this directory",

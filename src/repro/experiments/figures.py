@@ -15,7 +15,6 @@ share a spec and differ only in which metric a report reads).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ExperimentError
@@ -127,42 +126,12 @@ def list_figures() -> Tuple[str, ...]:
     return tuple(FIGURES)
 
 
-def _spec_with_engine(spec: SweepSpec, engine: str) -> SweepSpec:
-    """Rebuild ``spec`` with every online-greedy entry pinned to ``engine``.
-
-    The default specs stay byte-stable (checkpoint keys hash the config,
-    so ``engine="batch"`` must not perturb them); only an explicit
-    non-default engine rewrites the mechanism kwargs.
-    """
-    if engine == "batch":
-        return spec
-    mechanisms = tuple(
-        dataclasses.replace(
-            entry,
-            kwargs=tuple(
-                sorted({**dict(entry.kwargs), "engine": engine}.items())
-            ),
-        )
-        if entry.name == "online-greedy"
-        else entry
-        for entry in spec.config.mechanisms
-    )
-    config = dataclasses.replace(spec.config, mechanisms=mechanisms)
-    return dataclasses.replace(spec, config=config)
-
-
 def figure_spec(
     name: str,
     repetitions: int = 10,
     base_seed: Optional[int] = None,
-    engine: str = "batch",
 ) -> SweepSpec:
-    """Build the spec of one figure by name.
-
-    ``engine`` selects the online mechanism's allocation engine
-    (``"batch"`` or ``"streaming"``); outcomes — and therefore figure
-    data — are bit-identical either way.
-    """
+    """Build the spec of one figure by name."""
     try:
         builder = FIGURES[name]
     except KeyError:
@@ -170,7 +139,5 @@ def figure_spec(
             f"unknown figure {name!r}; available: {sorted(FIGURES)}"
         ) from None
     if base_seed is None:
-        spec = builder(repetitions=repetitions)
-    else:
-        spec = builder(repetitions=repetitions, base_seed=base_seed)
-    return _spec_with_engine(spec, engine)
+        return builder(repetitions=repetitions)
+    return builder(repetitions=repetitions, base_seed=base_seed)

@@ -11,13 +11,8 @@
 """
 
 from repro.mechanisms.base import Mechanism
-from repro.mechanisms.greedy_core import (
-    GreedyProber,
-    GreedyRun,
-    bid_index,
-    run_greedy_allocation,
-)
-from repro.mechanisms.offline_vcg import OfflineVCGMechanism
+from repro.mechanisms.greedy_core import GreedyRun
+from repro.mechanisms.offline_vcg import OfflineVCGMechanism, bid_index
 from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.mechanisms.registry import (
     available_mechanisms,
@@ -30,11 +25,9 @@ __all__ = [
     "Mechanism",
     "OfflineVCGMechanism",
     "OnlineGreedyMechanism",
-    "GreedyProber",
     "GreedyRun",
     "StreamingGreedyEngine",
     "bid_index",
-    "run_greedy_allocation",
     "available_mechanisms",
     "create_mechanism",
     "register_mechanism",

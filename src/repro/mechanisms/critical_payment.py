@@ -23,47 +23,25 @@ Two payment rules are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.errors import MechanismError
-from repro.mechanisms.greedy_core import GreedyProber, run_greedy_allocation
+from repro.mechanisms.greedy_core import GreedyRun
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.task import TaskSchedule
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.mechanisms.streaming import StreamingGreedyEngine
-
-
-def _check_prober(
-    prober: GreedyProber,
-    bids: Sequence[Bid],
-    reserve_price: bool,
-) -> None:
-    """Reject a prober built for different bids or a different reserve.
-
-    A mismatched prober would silently compute payments for the wrong
-    auction, so the guard is strict equality on the full bid tuple.
-    """
-    if prober.reserve_price != reserve_price:  # repro: noqa-REP002 -- boolean flag, not a money value
-        raise MechanismError(
-            "prober reserve_price does not match the payment call"
-        )
-    if not prober.covers(bids):
-        raise MechanismError(
-            "prober was built for a different bid vector"
-        )
-
 
 def _check_engine(
-    engine: "StreamingGreedyEngine",
+    engine: StreamingGreedyEngine,
     bids: Sequence[Bid],
     reserve_price: bool,
 ) -> None:
     """Reject a streaming engine built for a different auction.
 
-    Same strictness as :func:`_check_prober`: a mismatched engine would
-    silently price the wrong auction.
+    A mismatched engine would silently compute payments for the wrong
+    auction, so the guard is strict equality on the full bid tuple.
     """
     if engine.reserve_price != reserve_price:  # repro: noqa-REP002 -- boolean flag, not a money value
         raise MechanismError(
@@ -76,27 +54,40 @@ def _check_engine(
         )
 
 
+def _rerun(
+    bids: Sequence[Bid], schedule: TaskSchedule, reserve_price: bool
+) -> GreedyRun:
+    """Algorithm 1 over a perturbed bid list, on a fresh engine.
+
+    Algorithm 1 at slot ``t`` reads only slots ``<= t``, so a
+    full-horizon re-run selects the same winners up to any departure
+    as one stopped there.
+    """
+    return StreamingGreedyEngine(
+        bids, schedule, reserve_price=reserve_price
+    ).base_run
+
+
 def algorithm2_payment(
     bids: Sequence[Bid],
     schedule: TaskSchedule,
     winner: Bid,
     win_slot: int,
     reserve_price: bool = False,
-    prober: Optional[GreedyProber] = None,
-    engine: Optional["StreamingGreedyEngine"] = None,
+    engine: Optional[StreamingGreedyEngine] = None,
 ) -> float:
     """Algorithm 2 of the paper: pay the critical player's claimed cost.
 
-    Re-runs the greedy allocation without ``winner`` up to the winner's
-    reported departure and returns the maximum claimed cost among bids
-    that win in slots ``[win_slot, winner.departure]``, floored at the
-    winner's own claimed cost.  A :class:`~repro.mechanisms.greedy_core
-    .GreedyProber` built for the same bids makes the re-run incremental
-    (resumed from the winner's arrival slot) without changing the result.
-    A :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` goes
-    further: when its displacement-cascade records apply, the payment is
-    read off without any re-run at all; otherwise the engine's fallback
-    prober takes over.  All three routes are bit-identical.
+    Re-runs the greedy allocation without ``winner`` and returns the
+    maximum claimed cost among bids that win in slots
+    ``[win_slot, winner.departure]``, floored at the winner's own
+    claimed cost.  A :class:`~repro.mechanisms.streaming
+    .StreamingGreedyEngine` built for the same auction answers the
+    payment from its displacement-cascade records without any re-run
+    when they apply (a base-run winner at ``win_slot``, or a phone that
+    never won); otherwise — and without an engine — a fresh engine
+    re-runs the bids with the winner removed.  Both routes are
+    bit-identical.
     """
     if not (winner.arrival <= win_slot <= winner.departure):
         raise MechanismError(
@@ -114,20 +105,11 @@ def algorithm2_payment(
                 win_slot,
             ):
                 return engine.algorithm2_payment(winner, win_slot)
-            prober = engine.prober
-        if prober is not None:
-            _check_prober(prober, bids, reserve_price)
-            rerun = prober.run_excluding(
-                winner.phone_id, stop_after_slot=winner.departure
-            )
-        else:
-            rerun = run_greedy_allocation(
-                bids,
-                schedule,
-                exclude_phone=winner.phone_id,
-                reserve_price=reserve_price,
-                stop_after_slot=winner.departure,
-            )
+        rerun = _rerun(
+            [bid for bid in bids if bid.phone_id != winner.phone_id],
+            schedule,
+            reserve_price,
+        )
         payment = winner.cost
         for other in rerun.winners_between(win_slot, winner.departure):
             if other.cost > payment:
@@ -147,13 +129,7 @@ def _wins_with_cost(
         bid.with_cost(candidate_cost) if bid.phone_id == winner.phone_id else bid
         for bid in bids
     ]
-    rerun = run_greedy_allocation(
-        replaced,
-        schedule,
-        reserve_price=reserve_price,
-        stop_after_slot=winner.departure,
-    )
-    return winner.phone_id in rerun.win_slots
+    return winner.phone_id in _rerun(replaced, schedule, reserve_price).win_slots
 
 
 def exact_critical_payment(
@@ -161,8 +137,7 @@ def exact_critical_payment(
     schedule: TaskSchedule,
     winner: Bid,
     reserve_price: bool = False,
-    prober: Optional[GreedyProber] = None,
-    engine: Optional["StreamingGreedyEngine"] = None,
+    engine: Optional[StreamingGreedyEngine] = None,
 ) -> float:
     """The exact critical value of Definition 9, by binary search.
 
@@ -173,9 +148,10 @@ def exact_critical_payment(
     The supremum of winning costs is therefore attained at one of those
     thresholds, found here with ``O(log n)`` greedy re-runs — or, when
     a :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` with
-    applicable incremental records is supplied, read directly off its
-    per-slot marginal thresholds with no re-run at all (bit-identical;
-    see the streaming module's docstring for the argument).
+    applicable incremental records is supplied and ``winner`` won its
+    base run, read directly off its per-slot marginal thresholds with
+    no re-run at all (bit-identical; see the streaming module's
+    docstring for the argument).
 
     When the winner is uncontested — it would win at *any* price — the
     critical value is unbounded.  With ``reserve_price`` the task value
@@ -194,43 +170,26 @@ def exact_critical_payment(
             ) as fast_tel:
                 fast_tel.set_attribute("probes", 0)
                 return engine.exact_payment(winner)
-        prober = engine.prober
-    if prober is not None:
-        _check_prober(prober, bids, reserve_price)
     with obs.span("payment.exact", winner=winner.phone_id) as tel:
         probes = 0
 
         def probe(candidate_cost: float) -> bool:
             nonlocal probes
             probes += 1
-            if prober is not None:
-                rerun = prober.run_with_cost(
-                    winner,
-                    candidate_cost,
-                    stop_after_slot=winner.departure,
-                )
-                return winner.phone_id in rerun.win_slots
             return _wins_with_cost(
                 bids, schedule, winner, candidate_cost, reserve_price
             )
 
         try:
-            if prober is not None:
-                thresholds: List[float] = prober.exact_thresholds(winner)
-            else:
-                thresholds = sorted(
-                    {
-                        bid.cost
-                        for bid in bids
-                        if bid.phone_id != winner.phone_id
-                    }
-                    | (
-                        {task.value for task in schedule}
-                        if reserve_price
-                        else set()
-                    )
+            thresholds: List[float] = sorted(
+                {bid.cost for bid in bids if bid.phone_id != winner.phone_id}
+                | (
+                    {task.value for task in schedule}
+                    if reserve_price
+                    else set()
                 )
-                thresholds = [t for t in thresholds if t > 0.0]
+            )
+            thresholds = [t for t in thresholds if t > 0.0]
 
             if not thresholds:
                 return winner.cost

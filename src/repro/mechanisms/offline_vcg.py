@@ -19,15 +19,32 @@ follow the classic VCG arguments; the property auditors in
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import functools
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.matching.graph import TaskAssignmentGraph
 from repro.mechanisms.base import Mechanism
-from repro.mechanisms.greedy_core import bid_index
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
 from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
+
+
+@functools.lru_cache(maxsize=8)
+def bid_index(bids: Tuple[Bid, ...]) -> Dict[int, Bid]:
+    """``phone_id -> bid`` for a bid tuple, memoised across payment passes.
+
+    Every winner's payment pass used to rebuild this identical dict;
+    bids are frozen (hashable), so the tuple itself is the cache key.
+    Callers must treat the returned dict as read-only.
+
+    The cache is deliberately tiny: each entry pins the full bid tuple
+    of one round, which at city scale is tens of megabytes, and a long
+    campaign cycles through a fresh tuple per round — a large cache
+    would pin dead rounds for the process lifetime while the hit
+    pattern only ever needs the rounds currently in flight.
+    """
+    return {bid.phone_id: bid for bid in bids}
 
 
 class OfflineVCGMechanism(Mechanism):

@@ -19,7 +19,6 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import GreedyProber
 from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
@@ -27,7 +26,7 @@ from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
 
 _PAYMENT_RULES = ("paper", "exact")
-_ENGINES = ("batch", "streaming")
+_ENGINE_NAMES = ("batch", "streaming")
 
 
 class OnlineGreedyMechanism(Mechanism):
@@ -46,14 +45,12 @@ class OnlineGreedyMechanism(Mechanism):
         computes the true critical value by binary search (see
         :mod:`repro.mechanisms.critical_payment` for when they differ).
     engine:
-        ``"batch"`` (default) runs the snapshot-resume
-        :class:`~repro.mechanisms.greedy_core.GreedyProber`;
-        ``"streaming"`` runs the event-driven
-        :class:`~repro.mechanisms.streaming.StreamingGreedyEngine`,
-        which derives payments incrementally from per-slot records.
-        Outcomes are bit-identical (verified byte-for-byte on pickled
-        outcomes by the property suite); only the cost profile differs,
-        with streaming built for city-scale rounds.
+        Accepted for compatibility and selects nothing: the event-driven
+        :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` is the
+        only allocation engine.  ``"batch"`` and ``"streaming"`` are
+        valid and any other name raises :class:`~repro.errors
+        .MechanismError`.  The keyword stays because the frozen
+        benchmark workloads in ``perfbench/workloads.py`` pass it.
 
     Although the mechanism is conceptually online, :meth:`run` consumes a
     complete round like every other mechanism — determinism plus the
@@ -78,13 +75,13 @@ class OnlineGreedyMechanism(Mechanism):
                 f"unknown payment_rule {payment_rule!r}; expected one of "
                 f"{_PAYMENT_RULES}"
             )
-        if engine not in _ENGINES:
+        if engine not in _ENGINE_NAMES:
             raise MechanismError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
+                f"unknown engine {engine!r}; expected one of "
+                f"{_ENGINE_NAMES}"
             )
         self._reserve_price = bool(reserve_price)
         self._payment_rule = payment_rule
-        self._engine = engine
 
     @property
     def reserve_price(self) -> bool:
@@ -96,11 +93,6 @@ class OnlineGreedyMechanism(Mechanism):
         """The active payment rule, ``"paper"`` or ``"exact"``."""
         return self._payment_rule
 
-    @property
-    def engine(self) -> str:
-        """The active allocation engine, ``"batch"`` or ``"streaming"``."""
-        return self._engine
-
     def run(
         self,
         bids: Sequence[Bid],
@@ -108,63 +100,11 @@ class OnlineGreedyMechanism(Mechanism):
         config: Optional[RoundConfig] = None,
     ) -> AuctionOutcome:
         self._resolve_config(bids, schedule, config)
-        if self._engine == "streaming":
-            return self._run_streaming(bids, schedule)
-        return self._run_batch(bids, schedule)
-
-    def _run_batch(
-        self, bids: Sequence[Bid], schedule: TaskSchedule
-    ) -> AuctionOutcome:
-        # One prober serves the allocation *and* every payment pass: its
-        # base run is the Algorithm-1 allocation, and payment re-runs
-        # resume from each winner's arrival slot instead of slot 1.
-        prober = GreedyProber(
-            bids, schedule, reserve_price=self._reserve_price
-        )
-        greedy = prober.base_run
-
-        bid_by_phone = prober.bid_by_phone
-        payments: Dict[int, float] = {}
-        payment_slots: Dict[int, int] = {}
-        for phone_id, win_slot in greedy.win_slots.items():
-            winner = bid_by_phone[phone_id]
-            if self._payment_rule == "paper":
-                payments[phone_id] = algorithm2_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    win_slot,
-                    reserve_price=self._reserve_price,
-                    prober=prober,
-                )
-            else:
-                payments[phone_id] = exact_critical_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    reserve_price=self._reserve_price,
-                    prober=prober,
-                )
-            # The paper: "each smartphone receives its payment in its
-            # reported departure slot."
-            payment_slots[phone_id] = winner.departure
-
-        return AuctionOutcome(
-            bids=bids,
-            schedule=schedule,
-            allocation=greedy.allocation,
-            payments=payments,
-            payment_slots=payment_slots,
-        )
-
-    def _run_streaming(
-        self, bids: Sequence[Bid], schedule: TaskSchedule
-    ) -> AuctionOutcome:
         # One event-driven pass produces the allocation and the per-slot
         # records payments are read from; no re-runs unless the engine
         # declares its records inapplicable (reserve price over
-        # heterogeneous task values), where the prober fallback keeps
-        # outcomes bit-identical.
+        # heterogeneous task values), where each payment re-runs the
+        # allocation on a fresh engine.
         engine = StreamingGreedyEngine(
             bids, schedule, reserve_price=self._reserve_price
         )
@@ -196,6 +136,8 @@ class OnlineGreedyMechanism(Mechanism):
                     reserve_price=self._reserve_price,
                     engine=engine,
                 )
+            # The paper: "each smartphone receives its payment in its
+            # reported departure slot."
             payment_slots[phone_id] = winner.departure
         # Reported once, after the payment loop: how much cascade
         # walking the whole round needed (zero is common — most

@@ -1,10 +1,12 @@
-"""Event-driven streaming engine for the online mechanism.
+"""Event-driven streaming engine: the one implementation of Algorithm 1.
 
-The batch path (:mod:`repro.mechanisms.greedy_core`) answers each
-payment question by *re-running* Algorithm 1 — resumed from a snapshot,
-but still a walk per probe.  At city scale (10⁵–10⁶ phones) the probes
-dominate the round.  This module replaces them with bookkeeping done
-*during* a single allocation pass:
+Algorithm 2 defines each winner's payment by *re-running* Algorithm 1
+without the winner, and the exact critical value re-runs it with the
+winner's cost replaced.  At city scale (10⁵–10⁶ phones) a re-run per
+winner would dominate the round.  This engine answers those payments
+from bookkeeping done *during* a single allocation pass; the re-runs it
+cannot answer are fresh engines over the perturbed bid list (see
+:mod:`repro.mechanisms.critical_payment`):
 
 Event model
 -----------
@@ -28,9 +30,9 @@ Heap invariants
 Entries are ``(cost, arrival, phone_id, index)`` tuples.  The first
 three fields are exactly ``bid_sort_key`` — a *strict total order*,
 since ``phone_id`` is unique — so the pop sequence is a function of the
-entry multiset alone, independent of internal heap layout.  That is
-what makes the streaming pass bit-identical to ``_walk_slots``: both
-pop the same totally-ordered multiset in the same order.
+entry multiset alone, independent of internal heap layout: the pass
+selects exactly what a textbook "sort the pool, take the cheapest" walk
+selects, which the oracle suite in ``tests/oracles.py`` checks.
 
 Incremental critical thresholds
 -------------------------------
@@ -51,12 +53,12 @@ per slot, the marginal threshold below which an extra bid would be
 selected is the last winner's cost (fully served slot) or the open
 threshold — ``+inf`` without a reserve price, the task value with one —
 and the supremum over the winner's window, adjusted along the cascade,
-*is* the critical value the batch binary search converges to
+*is* the critical value a binary search over re-runs converges to
 (Theorems 4–7 justify monotonicity; see ARCHITECTURE.md for the
 argument).  With a reserve price and *heterogeneous* task values the
 within-slot shift can change reserve outcomes, so the engine declares
-incremental payments unsupported and payments fall back to the
-snapshot prober — results stay bit-identical either way.
+incremental payments unsupported and payments re-run the allocation
+instead — results stay bit-identical either way.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import MechanismError
-from repro.mechanisms.greedy_core import GreedyProber, GreedyRun, SlotOutcome
+from repro.mechanisms.greedy_core import GreedyRun, SlotOutcome
 from repro.model.bid import Bid
 from repro.model.task import TaskSchedule
 from repro.obs.clock import perf_seconds
@@ -119,13 +121,12 @@ class _RangeMax:
 class StreamingGreedyEngine:
     """One-pass Algorithm 1 with per-slot payment state (see module doc).
 
-    The constructor runs the allocation; :attr:`base_run` is
-    bit-identical to :func:`~repro.mechanisms.greedy_core
-    .run_greedy_allocation` on the same inputs.  When
+    The constructor runs the allocation into :attr:`base_run`.  When
     :attr:`supports_incremental_payments` is true,
     :meth:`algorithm2_payment` and :meth:`exact_payment` answer each
-    winner's payment from the recorded state without any re-walk;
-    otherwise :attr:`prober` supplies the snapshot-resume fallback.
+    base-run winner's payment from the recorded state without any
+    re-run; otherwise :mod:`repro.mechanisms.critical_payment` re-runs
+    a fresh engine over the perturbed bids.
     """
 
     def __init__(
@@ -140,7 +141,6 @@ class StreamingGreedyEngine:
         self._reserve_price = bool(reserve_price)
         self._num_slots = schedule.num_slots
         self._bid_by_phone = {bid.phone_id: bid for bid in self._bids}
-        self._prober: Optional[GreedyProber] = None
         self._cascade_steps = 0
         uniform = schedule.uniform_value
         self._supports_incremental = (
@@ -208,7 +208,7 @@ class StreamingGreedyEngine:
         heappop = heapq.heappop
 
         with obs.span(
-            "greedy.allocation.streaming",
+            "greedy.allocation",
             bids=count,
             slots=num_slots,
         ) as tel:
@@ -319,7 +319,7 @@ class StreamingGreedyEngine:
 
         Identity first (O(1) for the same sequence a mechanism run
         threads through every payment call), elementwise comparison as
-        the fallback — same contract as ``GreedyProber.covers``.
+        the fallback.
         """
         return (
             bids is self._source
@@ -344,7 +344,7 @@ class StreamingGreedyEngine:
 
     @property
     def base_run(self) -> GreedyRun:
-        """The allocation (bit-identical to the batch path)."""
+        """The Algorithm-1 allocation record."""
         return self._base_run
 
     @property
@@ -359,23 +359,8 @@ class StreamingGreedyEngine:
 
     @property
     def supports_incremental_payments(self) -> bool:
-        """Whether payments can skip the prober (see module doc)."""
+        """Whether payments can skip the re-run (see module doc)."""
         return self._supports_incremental
-
-    @property
-    def prober(self) -> GreedyProber:
-        """Snapshot-resume fallback, built on first use.
-
-        Only payments that the incremental records cannot answer — a
-        reserve price over heterogeneous task values — reach it.
-        """
-        if self._prober is None:
-            self._prober = GreedyProber(
-                self._bids,
-                self._schedule,
-                reserve_price=self._reserve_price,
-            )
-        return self._prober
 
     # ------------------------------------------------------------------
     # Incremental payments
@@ -384,8 +369,8 @@ class StreamingGreedyEngine:
         if not self._supports_incremental:
             raise MechanismError(
                 "incremental payments are unsupported with a reserve "
-                "price over heterogeneous task values; use the prober "
-                "fallback"
+                "price over heterogeneous task values; re-run the "
+                "allocation instead"
             )
 
     def algorithm2_payment(self, winner: Bid, win_slot: int) -> float:
@@ -394,7 +379,7 @@ class StreamingGreedyEngine:
         Valid when ``winner`` won slot ``win_slot`` in the base run (the
         standard call) or never won at all (the re-run without it is the
         base run itself); :mod:`repro.mechanisms.critical_payment`
-        routes anything else to the prober.
+        re-runs the allocation for anything else.
         """
         self._require_incremental()
         recorded = self._base_run.win_slots.get(winner.phone_id)
@@ -439,7 +424,7 @@ class StreamingGreedyEngine:
         window, with the cascade's runner-up costs (which can only
         raise a slot's marginal) folded in; ``+inf`` means the winner
         is uncontested and Algorithm 2's own-bid fallback applies —
-        exactly the value the batch binary search converges to.
+        exactly the value the re-run binary search converges to.
         """
         self._require_incremental()
         win_slot = self._base_run.win_slots.get(winner.phone_id)

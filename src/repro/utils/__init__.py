@@ -7,7 +7,7 @@ from repro.utils.numeric import (
     float_le,
     float_ne,
 )
-from repro.utils.retry import RetryPolicy, call_with_retry
+from repro.utils.retry import RetryPolicy
 from repro.utils.rng import RngStreams, spawn_rng
 from repro.utils.tables import format_table
 from repro.utils.validation import (
@@ -25,7 +25,6 @@ __all__ = [
     "float_le",
     "float_ne",
     "RetryPolicy",
-    "call_with_retry",
     "RngStreams",
     "spawn_rng",
     "format_table",

@@ -1,33 +1,20 @@
 """Deterministic retry policies for transient failures.
 
-The experiment harness has grown several hand-rolled
-``backoff * 2 ** attempt`` loops (the serial sweep runner, the
-process-pool repetition worker); the durability layer adds more
-consumers (journal appends, checkpoint I/O).  This module centralises
-the arithmetic in one frozen, picklable :class:`RetryPolicy` and one
-driver, :func:`call_with_retry`, so every layer retries with the same
-deterministic schedule.
+The sweep runner retries failed repetitions on a
+``backoff * 2 ** attempt`` schedule; this module holds that arithmetic
+in one frozen, picklable :class:`RetryPolicy`.
 
 Determinism matters here the same way it does for RNG: the delay for
 attempt ``k`` is a pure function of the policy, never of jitter or the
-wall clock, so a replayed run waits the same simulated time.  The one
-clock read — the deadline check for :attr:`RetryPolicy.timeout` — goes
-through :func:`repro.obs.clock.perf_seconds`, the process-wide
-injectable clock, which keeps this module inside the flow analyzer's
-REP015 sanction (see ``CLOCK_EXEMPT_MODULES`` in
-:mod:`repro.analysis.flow.rules`).
+wall clock, so a replayed run waits the same simulated time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.obs.clock import perf_seconds
-
-T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,18 +35,12 @@ class RetryPolicy:
         ``backoff * 2 ** attempt`` loops exactly).
     max_delay:
         Optional cap on any single delay.
-    timeout:
-        Optional overall deadline in seconds, measured on
-        :func:`~repro.obs.clock.perf_seconds` from the first attempt;
-        once exceeded, no further attempts are made and the last
-        exception propagates.
     """
 
     retries: int = 0
     backoff: float = 0.0
     multiplier: float = 2.0
     max_delay: Optional[float] = None
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -78,10 +59,6 @@ class RetryPolicy:
             raise ValidationError(
                 f"max_delay must be >= 0, got {self.max_delay}"
             )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValidationError(
-                f"timeout must be > 0, got {self.timeout}"
-            )
 
     def delay_for(self, attempt: int) -> float:
         """Seconds to wait after failed attempt ``attempt`` (0-based)."""
@@ -96,47 +73,3 @@ class RetryPolicy:
         """Every scheduled delay, in order (one per retry)."""
         return tuple(self.delay_for(k) for k in range(self.retries))
 
-
-def call_with_retry(
-    fn: Callable[[], T],
-    policy: RetryPolicy,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    sleep: Optional[Callable[[float], None]] = None,
-) -> T:
-    """Run ``fn`` under ``policy``, retrying the listed exceptions.
-
-    Parameters
-    ----------
-    fn:
-        Zero-argument callable; its return value is passed through.
-    policy:
-        The schedule.  ``policy.retries == 0`` degenerates to a single
-        plain call.
-    retry_on:
-        Exception classes that trigger a retry; anything else
-        propagates immediately.
-    sleep:
-        Injection point for the waits (tests pass a recording stub;
-        default :func:`time.sleep`).
-
-    The final failure always propagates as the original exception — the
-    policy never swallows or rewraps errors.
-    """
-    wait = time.sleep if sleep is None else sleep
-    deadline: Optional[float] = None
-    if policy.timeout is not None:
-        deadline = perf_seconds() + policy.timeout
-    for attempt in range(policy.retries + 1):
-        try:
-            return fn()
-        except retry_on:
-            out_of_attempts = attempt >= policy.retries
-            out_of_time = (
-                deadline is not None and perf_seconds() >= deadline
-            )
-            if out_of_attempts or out_of_time:
-                raise
-            delay = policy.delay_for(attempt)
-            if delay > 0:
-                wait(delay)
-    raise AssertionError("unreachable")  # pragma: no cover

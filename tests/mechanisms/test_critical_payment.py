@@ -9,12 +9,16 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import run_greedy_allocation
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model import Bid, TaskSchedule
 from repro.simulation.paper_example import (
     paper_example_bids,
     paper_example_schedule,
 )
+
+
+def _allocate(bids, schedule):
+    return StreamingGreedyEngine(bids, schedule).base_run
 
 
 def _schedule(counts, value=20.0):
@@ -38,7 +42,7 @@ class TestAlgorithm2:
         """
         bids = paper_example_bids()
         schedule = paper_example_schedule()
-        run = run_greedy_allocation(bids, schedule)
+        run = _allocate(bids, schedule)
         payments = {
             phone_id: algorithm2_payment(
                 bids,
@@ -95,7 +99,7 @@ class TestExactCriticalValue:
     def test_matches_algorithm2_in_competitive_market(self):
         bids = paper_example_bids()
         schedule = paper_example_schedule()
-        run = run_greedy_allocation(bids, schedule)
+        run = _allocate(bids, schedule)
         for phone_id, win_slot in run.win_slots.items():
             winner = next(b for b in bids if b.phone_id == phone_id)
             a2 = algorithm2_payment(bids, schedule, winner, win_slot)
@@ -115,8 +119,8 @@ class TestExactCriticalValue:
         # Just below: wins; just above: loses.
         low = [winner.with_cost(6.9)] + bids[1:]
         high = [winner.with_cost(7.1)] + bids[1:]
-        assert 1 in run_greedy_allocation(low, schedule).win_slots
-        assert 1 not in run_greedy_allocation(high, schedule).win_slots
+        assert 1 in _allocate(low, schedule).win_slots
+        assert 1 not in _allocate(high, schedule).win_slots
 
     def test_monopolist_without_reserve_falls_back_to_cost(self):
         bids = [Bid(phone_id=1, arrival=1, departure=1, cost=5.0)]

@@ -1,11 +1,12 @@
 """The event-driven streaming engine: allocation, payments, telemetry.
 
-Equivalence at scale lives in
-``tests/properties/test_streaming_properties.py``; this module covers
-the engine's surface — parameter validation, the single-pass allocation
-against :func:`run_greedy_allocation`, the incremental-payment guard
-rails, the fallback regime, memory discipline of the virtual-snapshot
-prober, and the ``online.stream.*`` counters.
+Equivalence with the textbook oracle lives in
+``tests/properties/test_streaming_properties.py`` and
+``tests/properties/test_oracle_sweep.py``; this module covers the
+engine's surface — parameter validation, the single-pass allocation
+against the oracle, the incremental-payment guard rails, the re-run
+regime, memory discipline of payment re-runs, and the
+``online.stream.*`` counters.
 """
 
 import pickle
@@ -24,14 +25,11 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import (
-    GreedyProber,
-    bid_index,
-    run_greedy_allocation,
-)
+from repro.mechanisms.offline_vcg import bid_index
 from repro.model.task import TaskSchedule
 from repro.obs import InMemorySink, Tracer
 from repro.simulation import WorkloadConfig
+from tests import oracles
 
 
 def _scenario(seed: int = 3, num_slots: int = 20, **kwargs):
@@ -43,18 +41,12 @@ class TestEngineSelection:
         with pytest.raises(MechanismError, match="engine"):
             OnlineGreedyMechanism(engine="turbo")
 
-    def test_engine_property_reports_the_choice(self):
-        assert OnlineGreedyMechanism().engine == "batch"
-        assert (
-            OnlineGreedyMechanism(engine="streaming").engine == "streaming"
-        )
-
     def test_registry_builds_the_streaming_variant(self):
         mechanism = create_mechanism("online-greedy", engine="streaming")
         assert isinstance(mechanism, OnlineGreedyMechanism)
-        assert mechanism.engine == "streaming"
 
     def test_streaming_outcome_matches_batch_via_registry(self):
+        """Both accepted engine names build the same mechanism."""
         scenario = _scenario()
         bids = scenario.truthful_bids()
         batch = create_mechanism("online-greedy").run(
@@ -75,10 +67,11 @@ class TestStreamingAllocation:
         engine = StreamingGreedyEngine(
             bids, scenario.schedule, reserve_price=reserve_price
         )
-        batch = run_greedy_allocation(
-            bids, scenario.schedule, reserve_price=reserve_price
+        allocation, win_slots = oracles.greedy_allocation(
+            bids, scenario.schedule, reserve_price
         )
-        assert engine.base_run == batch
+        assert engine.base_run.allocation == allocation
+        assert engine.base_run.win_slots == win_slots
 
     def test_event_count_covers_arrivals_and_tasks(self):
         scenario = _scenario()
@@ -98,7 +91,7 @@ class TestPaymentGuards:
         scenario = _scenario()
         bids = scenario.truthful_bids()
         engine = StreamingGreedyEngine(bids[:-1], scenario.schedule)
-        run = run_greedy_allocation(bids, scenario.schedule)
+        run = StreamingGreedyEngine(bids, scenario.schedule).base_run
         phone_id, win_slot = next(iter(run.win_slots.items()))
         winner = next(b for b in bids if b.phone_id == phone_id)
         with pytest.raises(MechanismError, match="different bid vector"):
@@ -116,7 +109,7 @@ class TestPaymentGuards:
         engine = StreamingGreedyEngine(
             bids, scenario.schedule, reserve_price=True
         )
-        run = run_greedy_allocation(bids, scenario.schedule)
+        run = StreamingGreedyEngine(bids, scenario.schedule).base_run
         phone_id, win_slot = next(iter(run.win_slots.items()))
         winner = next(b for b in bids if b.phone_id == phone_id)
         with pytest.raises(MechanismError, match="reserve_price"):
@@ -137,7 +130,7 @@ class TestPaymentGuards:
         assert not engine.covers(bids[:-1])
 
     def test_incremental_requires_homogeneous_values_under_reserve(self):
-        """Heterogeneous task values + reserve → prober fallback."""
+        """Heterogeneous task values + reserve → payments re-run."""
         scenario = _scenario()
         bids = scenario.truthful_bids()
         tasks = list(scenario.schedule.tasks)
@@ -156,8 +149,8 @@ class TestPaymentGuards:
         assert not engine.supports_incremental_payments
         with pytest.raises(MechanismError, match="incremental"):
             engine.exact_payment(bids[0])
-        # The payment entry points silently reroute through the prober
-        # and stay bit-identical to the engine-free path.
+        # The payment entry points silently re-run the allocation and
+        # stay bit-identical to the engine-free path.
         for phone_id, win_slot in engine.base_run.win_slots.items():
             winner = engine.bid_by_phone[phone_id]
             direct = algorithm2_payment(
@@ -207,7 +200,7 @@ class TestStreamTelemetry:
         bids = scenario.truthful_bids()
         tracer = Tracer(sink=InMemorySink())
         with obs.activate(tracer):
-            OnlineGreedyMechanism(engine="streaming").run(
+            OnlineGreedyMechanism().run(
                 bids, scenario.schedule
             )
         counters = tracer.metrics.counters
@@ -222,7 +215,7 @@ class TestStreamTelemetry:
         bids = scenario.truthful_bids()
         tracer = Tracer(sink=InMemorySink())
         with obs.activate(tracer):
-            OnlineGreedyMechanism(engine="streaming").run(
+            OnlineGreedyMechanism().run(
                 bids, scenario.schedule
             )
         assert "online.stream.payment_fallbacks" not in (
@@ -232,11 +225,11 @@ class TestStreamTelemetry:
 
 class TestProberMemory:
     def test_virtual_snapshots_stay_small_at_city_scale(self):
-        """~10⁴ phones × 200 slots must not materialise full snapshots.
+        """~10⁴ phones × 200 slots: the engine and its re-runs stay small.
 
-        The pre-virtual-snapshot prober copied every pool and partial
-        outcome per slot — O(bids × slots), tens of MB here.  The
-        prefix-count design keeps the whole prober within a few MB.
+        Payment re-runs are fresh engines over the perturbed bids, never
+        per-slot snapshots, so a round's allocation plus a handful of
+        exclusion re-runs stays within a few MB.
         """
         scenario = WorkloadConfig(num_slots=200, phone_rate=50.0).generate(
             seed=3
@@ -245,11 +238,16 @@ class TestProberMemory:
         assert len(bids) > 9_000
         tracemalloc.start()
         try:
-            prober = GreedyProber(bids, scenario.schedule)
-            run = prober.base_run
-            # Exercise a handful of probe-resumes too.
-            for phone_id in list(run.win_slots)[:5]:
-                prober.run_excluding(phone_id)
+            engine = StreamingGreedyEngine(bids, scenario.schedule)
+            run = engine.base_run
+            # Exercise a handful of re-run payments too.
+            for phone_id, win_slot in list(run.win_slots.items())[:5]:
+                algorithm2_payment(
+                    bids,
+                    scenario.schedule,
+                    engine.bid_by_phone[phone_id],
+                    win_slot,
+                )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.mechanisms import OfflineVCGMechanism, OnlineGreedyMechanism
-from repro.mechanisms.greedy_core import run_greedy_allocation
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.metrics import empirical_competitive_ratio
 from repro.model import TaskSchedule
 from tests.properties.strategies import MAX_SLOTS, bid_lists, instances
@@ -41,7 +41,7 @@ class TestStructuralInvariants:
     def test_online_per_slot_cheapest(self, instance):
         """In each slot, winners are the cheapest available bids."""
         bids, schedule = instance
-        run = run_greedy_allocation(bids, schedule)
+        run = StreamingGreedyEngine(bids, schedule).base_run
         allocated_before = set()
         for outcome in run.slots:
             winner_ids = {b.phone_id for b in outcome.winners}

@@ -11,7 +11,7 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import run_greedy_allocation
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model import Bid, TaskSchedule
 
 OFFLINE = OfflineVCGMechanism()
@@ -61,7 +61,7 @@ class TestAlgorithm2Properties:
     def test_equals_exact_rule_when_saturated(self, instance):
         """In fully-served markets, Algorithm 2 IS the critical value."""
         bids, schedule = instance
-        run = run_greedy_allocation(bids, schedule)
+        run = StreamingGreedyEngine(bids, schedule).base_run
         for phone_id, win_slot in run.win_slots.items():
             winner = next(b for b in bids if b.phone_id == phone_id)
             paper = algorithm2_payment(bids, schedule, winner, win_slot)

@@ -1,12 +1,14 @@
-"""Streaming-vs-batch equivalence properties of the online engine.
+"""The online mechanism against the textbook oracle, on Table-I rounds.
 
-The guarantee under test: ``OnlineGreedyMechanism(engine="streaming")``
-is a drop-in replacement for the batch engine — the *pickled*
-``AuctionOutcome`` objects are byte-identical on every instance, for
-both payment rules and both reserve modes.  Byte-identity of the pickle
-is deliberately stronger than field equality: it also pins dict
-insertion order (allocation, payments, payment slots), so any drift in
-the event-driven pass's iteration order shows up here.
+The guarantee under test: ``OnlineGreedyMechanism`` — the streaming
+engine with its incremental payments — produces the outcome the oracle
+in ``tests/oracles.py`` builds from the paper's definitions: the
+*pickled* ``AuctionOutcome`` objects are byte-identical on every
+instance, for both payment rules and both reserve modes.  Byte-identity
+of the pickle is deliberately stronger than field equality: it also pins
+dict insertion order (allocation, payments, payment slots), so any drift
+in the event-driven pass's iteration order shows up here.  (The test
+names predate the single engine, when a batch engine was the reference.)
 
 Exact float equality on money-valued quantities is the entire point of
 this suite, hence the REP002 suppressions.
@@ -24,6 +26,7 @@ from repro.model.bid import Bid
 from repro.model.task import SensingTask, TaskSchedule
 from repro.simulation.costs import CostDistribution
 from repro.simulation.workload import WorkloadConfig
+from tests import oracles
 
 #: The headline property sweep: 50 independent Table-I style rounds.
 SEEDS = range(50)
@@ -35,7 +38,7 @@ class TieHeavyCosts(CostDistribution):
     Small integers are exact in floating point and collide constantly,
     so every instance is saturated with tied bids — the regime where
     the streaming heap's pop order is most likely to diverge from the
-    batch sort if ``bid_sort_key`` ever stopped being a strict total
+    oracle's sort if ``bid_sort_key`` ever stopped being a strict total
     order.
     """
 
@@ -59,16 +62,14 @@ def _round(seed: int, cost_distribution=None, **config):
 
 
 def _assert_byte_identical(bids, schedule, *, payment_rule, reserve_price):
-    batch = OnlineGreedyMechanism(
+    oracle = oracles.online_outcome(
+        bids, schedule, reserve_price, payment_rule, exhaustive=False
+    )
+    streaming = OnlineGreedyMechanism(
         reserve_price=reserve_price, payment_rule=payment_rule
     ).run(bids, schedule)
-    streaming = OnlineGreedyMechanism(
-        reserve_price=reserve_price,
-        payment_rule=payment_rule,
-        engine="streaming",
-    ).run(bids, schedule)
-    assert pickle.dumps(streaming) == pickle.dumps(batch)
-    return batch, streaming
+    assert pickle.dumps(streaming) == pickle.dumps(oracle)
+    return oracle, streaming
 
 
 @pytest.mark.parametrize("payment_rule", ["paper", "exact"])
@@ -101,13 +102,13 @@ def test_tie_heavy_costs_stay_byte_identical(seed, payment_rule):
     scenario, bids = _round(
         seed, cost_distribution=TieHeavyCosts(), num_slots=20
     )
-    batch, streaming = _assert_byte_identical(
+    oracle, streaming = _assert_byte_identical(
         bids,
         scenario.schedule,
         payment_rule=payment_rule,
         reserve_price=False,
     )
-    assert streaming.payments == batch.payments  # repro: noqa-REP002 -- exact arithmetic on integer costs, ties included
+    assert streaming.payments == oracle.payments  # repro: noqa-REP002 -- exact arithmetic on integer costs, ties included
 
 
 @pytest.mark.parametrize("payment_rule", ["paper", "exact"])
@@ -130,8 +131,8 @@ def test_fault_injected_rounds_stay_byte_identical(seed, payment_rule):
 
     The effective bid vector a faulty round hands the mechanism has
     shrunk windows (delays), missing phones (losses), and — for
-    dropouts — departures truncated at the dropout slot; the streaming
-    engine must agree byte-for-byte on all of them.
+    dropouts — departures truncated at the dropout slot; the mechanism
+    must agree with the oracle byte-for-byte on all of them.
     """
     scenario, bids = _round(seed, num_slots=20)
     injector = FaultInjector(
@@ -162,12 +163,12 @@ def test_fault_injected_rounds_stay_byte_identical(seed, payment_rule):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_heterogeneous_values_with_reserve_fall_back_identically(seed):
-    """The probe-resume fallback regime stays byte-identical too.
+    """The re-run regime stays byte-identical too.
 
     Heterogeneous task values plus a reserve price invalidate the
-    incremental shortcuts (``uniform_value`` is ``None``), so the
-    streaming engine routes payments through its lazy prober — the
-    outcome must not change.
+    incremental shortcuts (``uniform_value`` is ``None``), so every
+    payment re-runs the allocation on a fresh engine — the outcome must
+    still be the oracle's.
     """
     rng = np.random.default_rng(seed)
     tasks = []

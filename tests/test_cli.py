@@ -738,14 +738,13 @@ class TestEngineFlag:
         assert code == 0
         assert "Per-round results" in out
 
-    def test_figures_accepts_engine(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "figures", "fig7", "--repetitions", "1",
-            "--engine", "streaming",
-        )
-        assert code == 0
-        assert "Fig. 7" in out
+    def test_figures_has_no_engine_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(
+                capsys,
+                "figures", "fig7", "--repetitions", "1",
+                "--engine", "streaming",
+            )
 
     def test_unknown_engine_rejected(self, capsys):
         with pytest.raises(SystemExit):

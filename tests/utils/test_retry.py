@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs.clock import ManualClock, set_perf_clock
-from repro.utils import RetryPolicy, call_with_retry
+from repro.utils import RetryPolicy
 
 
 class TestRetryPolicy:
@@ -40,7 +39,7 @@ class TestRetryPolicy:
             {"backoff": -0.1},
             {"multiplier": 0.0},
             {"max_delay": -1.0},
-            {"timeout": 0.0},
+            {"multiplier": -1.0},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -53,94 +52,3 @@ class TestRetryPolicy:
         policy = RetryPolicy(retries=2, backoff=0.25)
         assert pickle.loads(pickle.dumps(policy)) == policy
 
-
-class TestCallWithRetry:
-    def test_success_returns_value(self):
-        assert call_with_retry(lambda: 7, RetryPolicy()) == 7
-
-    def test_retries_then_succeeds(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        waits = []
-        result = call_with_retry(
-            flaky,
-            RetryPolicy(retries=3, backoff=0.5),
-            retry_on=(OSError,),
-            sleep=waits.append,
-        )
-        assert result == "ok"
-        assert len(calls) == 3
-        assert waits == [0.5, 1.0]
-
-    def test_final_failure_propagates_original_exception(self):
-        def always_fails():
-            raise OSError("persistent")
-
-        with pytest.raises(OSError, match="persistent"):
-            call_with_retry(
-                always_fails,
-                RetryPolicy(retries=2),
-                retry_on=(OSError,),
-            )
-
-    def test_unlisted_exception_propagates_immediately(self):
-        calls = []
-
-        def fails():
-            calls.append(1)
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            call_with_retry(
-                fails, RetryPolicy(retries=5), retry_on=(OSError,)
-            )
-        assert len(calls) == 1
-
-    def test_zero_backoff_never_sleeps(self):
-        calls = []
-        waits = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise ValueError("once")
-            return None
-
-        call_with_retry(
-            flaky,
-            RetryPolicy(retries=1),
-            retry_on=(ValueError,),
-            sleep=waits.append,
-        )
-        assert waits == []
-
-    def test_timeout_stops_retrying(self):
-        """The deadline is read off the injectable perf clock."""
-        clock = ManualClock(start=0.0)
-        previous = set_perf_clock(clock)
-        try:
-            calls = []
-
-            def flaky_forever():
-                calls.append(1)
-                clock.advance(10.0)  # each attempt "takes" 10 seconds
-                raise OSError("slow transient")
-
-            with pytest.raises(OSError):
-                call_with_retry(
-                    flaky_forever,
-                    RetryPolicy(retries=100, timeout=25.0),
-                    retry_on=(OSError,),
-                    sleep=lambda _: None,
-                )
-            # Attempts at t=0, 10, 20; the check after the third sees
-            # t=30 >= deadline 25 and gives up despite retries left.
-            assert len(calls) == 3
-        finally:
-            set_perf_clock(previous)
