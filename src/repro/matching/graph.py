@@ -19,13 +19,22 @@ The graph owns the weight-to-cost transformation shared by all solves:
 negative weights are clamped to zero (equivalent to leaving the pair
 unmatched), a zero-weight dummy column per task guarantees a feasible
 perfect row assignment, and maximisation becomes minimisation against the
-maximum entry.  On top of the cached full optimum, ``ω*(B₋ᵢ)`` queries
-are answered by the solver's one-augmentation repair instead of full
-re-solves — the difference between ``O(n^4)`` and ``O(n^3)`` for the VCG
-payment pass.  Both warm backends return the *repaired matching* and the
+maximum entry.
+
+VCG needs ``ω*(B₋ᵢ)`` for every winner.  When every task has the same
+value ``ν`` (the paper's model) and no compatibility filter applies, an
+edge's weight depends on the phone alone, so the matchable phone sets
+form a transversal matroid, and
+:meth:`TaskAssignmentGraph.welfare_without_each_winner` answers every
+winner in one replacement pass over the solved allocation
+(``docs/THEORY.md`` §2).  Heterogeneous task values and filtered graphs
+keep the general path: on top of the cached full optimum each
+``ω*(B₋ᵢ)`` is the solver's one-augmentation repair instead of a full
+re-solve.  Both warm backends return the *repaired matching* and the
 graph re-prices it from raw edge weights, so the dense and sparse engines
 produce bit-identical reduced welfare (and hence VCG payments) whenever
-they agree on the matching.
+they agree on the matching.  Both paths total gains as :func:`_sum_gains`
+does, so they agree bit for bit where both apply.
 
 Backend dispatch: ``backend=None`` defers to the session default of
 :mod:`repro.matching.backend` (``"auto"`` out of the box).  ``"auto"``
@@ -62,6 +71,10 @@ AUTO_SPARSE_MIN_CELLS = 200_000
 #: this dense.  Above it the CSR adjacency stops paying for itself.
 AUTO_SPARSE_MAX_DENSITY = 0.25
 
+#: Row blocks of the replacement pass's exchanged-gain sums stay under
+#: this many cells (8 MB of float64).
+_EXCHANGE_BLOCK_CELLS = 1 << 20
+
 #: Backends whose solver supports warm-started repair queries.
 _WARM_BACKENDS = ("numpy", "sparse")
 
@@ -80,6 +93,36 @@ def _sum_gains(gains: np.ndarray) -> float:
     if not gains.size:
         return 0.0
     return float(np.sort(gains).sum())
+
+
+def _sum_exchanged_gains(
+    base: np.ndarray, drop: np.ndarray, added: Optional[np.ndarray]
+) -> np.ndarray:
+    """:func:`_sum_gains` of ``base`` less ``base[drop[k]]`` plus ``added[k]``.
+
+    One total per ``k``; ``added=None`` removes without adding.
+    ``base`` must be sorted.  The exchanged multisets are built as rows
+    of a 2-D array, sorted row-wise and summed along the contiguous
+    last axis, which numpy reduces with the same pairwise kernel as a
+    1-D sum, so each total is bit-identical to :func:`_sum_gains` of
+    its row.  Rows are built in blocks of at most
+    :data:`_EXCHANGE_BLOCK_CELLS` cells to bound memory.
+    """
+    totals = np.empty(drop.size)
+    step = max(1, _EXCHANGE_BLOCK_CELLS // max(base.size, 1))
+    for start in range(0, drop.size, step):
+        block = slice(start, start + step)
+        count = drop[block].size
+        rows = np.tile(base, (count, 1))
+        if added is None:
+            keep = np.ones(rows.shape, dtype=bool)
+            keep[np.arange(count), drop[block]] = False
+            rows = rows[keep].reshape(count, base.size - 1)
+        else:
+            rows[np.arange(count), drop[block]] = added[block]
+            rows.sort(axis=1)
+        totals[block] = rows.sum(axis=1)
+    return totals
 
 
 class TaskAssignmentGraph:
@@ -427,6 +470,150 @@ class TaskAssignmentGraph:
         solver.solve()
         repaired = solver.matching_without_column(column)
         return self._assignment_welfare(repaired)
+
+    @property
+    def is_interval_matroid(self) -> bool:
+        """Whether :meth:`welfare_without_each_winner` applies.
+
+        True when every task carries one value ``ν`` and no
+        ``compatible`` filter prunes edges.  Each edge weight is then
+        ``ν − b_i``, a function of the phone alone, so the phone sets
+        that can be matched form a transversal matroid.
+        """
+        return (
+            self._compatible is None
+            and self._schedule.uniform_value is not None
+        )
+
+    def welfare_without_each_winner(
+        self, allocation: Dict[int, int]
+    ) -> Dict[int, float]:
+        """``ω*(B₋ᵢ)`` for every winner of an optimal ``allocation``.
+
+        One replacement pass over the solved allocation instead of one
+        repair per winner; valid only when :attr:`is_interval_matroid`.
+        In a matroid the optimum without winner ``i`` exchanges ``i``
+        for the best profitable loser ``j`` that can replace it, which
+        here means ``j``'s alternating-path closure reaches ``i``'s
+        slot.  That closure is a contiguous slot range: ``j``'s window,
+        widened by the windows of the winners served inside it until
+        it stops growing.  Losers are walked in ascending
+        ``(cost, phone_id)`` order and each paints the still-unpainted
+        slots of its closure, so the painter of ``i``'s slot is ``i``'s
+        replacement, and an unpainted slot means ``i`` has none.
+
+        The welfare is summed by :func:`_sum_gains` over the gain
+        multiset of ``W − i (+ j)``, the multiset every optimum of
+        ``B₋ᵢ`` shares, so it is bit-identical to
+        :meth:`welfare_without_phone`.  Raises :class:`MatchingError`
+        when a profitable loser's closure holds an unserved task: the
+        allocation is then not optimal.
+        """
+        value = self._schedule.uniform_value
+        if value is None or self._compatible is not None:
+            raise MatchingError(
+                "the replacement pass needs uniform task values and no "
+                "compatibility filter"
+            )
+        first = self._tasks[0].slot
+        span = self._tasks[-1].slot - first + 1
+        unserved = [0] * span
+        for task in self._tasks:
+            unserved[task.slot - first] += 1
+        # Per slot: the earliest arrival and the latest departure among
+        # the winners served there, clipped to the task slots.
+        reach_low = list(range(span))
+        reach_high = list(range(span))
+        winners: Dict[int, Tuple[Bid, int]] = {}
+        for task_id, phone_id in allocation.items():
+            row = self._row_by_task.get(task_id)
+            col = self._col_by_phone.get(phone_id)
+            if row is None or col is None:
+                raise MatchingError(
+                    f"task {task_id} -> phone {phone_id} is not a pair of "
+                    f"this graph"
+                )
+            bid, slot = self._bids[col], self._tasks[row].slot
+            if (
+                phone_id in winners
+                or not bid.arrival <= slot <= bid.departure
+                or not value - bid.cost > 0.0
+            ):
+                raise MatchingError(
+                    f"phone {phone_id} cannot profitably serve task "
+                    f"{task_id} in a matching"
+                )
+            slot -= first
+            winners[phone_id] = (bid, slot)
+            unserved[slot] -= 1
+            reach_low[slot] = min(reach_low[slot], max(bid.arrival - first, 0))
+            reach_high[slot] = max(
+                reach_high[slot], min(bid.departure - first, span - 1)
+            )
+
+        # Stable sort over phone-id order: ascending (cost, phone_id).
+        losers = sorted(
+            (
+                bid
+                for bid in self._bids
+                if bid.phone_id not in winners and value - bid.cost > 0.0
+            ),
+            key=lambda bid: bid.cost,
+        )
+        painter: List[Optional[Bid]] = [None] * span
+        # ``next_open[s]``: the first unpainted slot at or after ``s``.
+        next_open = list(range(span + 1))
+
+        def find_open(slot: int) -> int:
+            while next_open[slot] != slot:
+                next_open[slot] = next_open[next_open[slot]]
+                slot = next_open[slot]
+            return slot
+
+        for bid in losers:
+            low = max(bid.arrival - first, 0)
+            high = min(bid.departure - first, span - 1)
+            # A window already painted lies inside a painted closure,
+            # so its own closure paints nothing new.
+            if low > high or find_open(low) > high:
+                continue
+            done_low, done_high = low, low - 1
+            while low < done_low or high > done_high:
+                if high > done_high:
+                    fold = slice(done_high + 1, high + 1)
+                    done_high = high
+                else:
+                    fold = slice(low, done_low)
+                    done_low = low
+                low = min(low, min(reach_low[fold]))
+                high = max(high, max(reach_high[fold]))
+            if any(unserved[low : high + 1]):
+                raise MatchingError(
+                    f"allocation is not optimal: loser {bid.phone_id} can "
+                    f"reach an unserved task in slots "
+                    f"{low + first}..{high + first}"
+                )
+            slot = find_open(low)
+            while slot <= high:
+                painter[slot] = bid
+                next_open[slot] = slot + 1
+                slot = find_open(slot + 1)
+
+        gains = np.array(
+            [value - bid.cost for bid, _ in winners.values()], dtype=float
+        )
+        replacements = [painter[slot] for _, slot in winners.values()]
+        replaced = np.array([bid is not None for bid in replacements], bool)
+        added = np.array(
+            [value - bid.cost for bid in replacements if bid is not None],
+            dtype=float,
+        )
+        base = np.sort(gains)
+        drop = np.searchsorted(base, gains)
+        totals = np.empty(len(winners))
+        totals[replaced] = _sum_exchanged_gains(base, drop[replaced], added)
+        totals[~replaced] = _sum_exchanged_gains(base, drop[~replaced], None)
+        return dict(zip(winners, totals.tolist()))
 
     def _ensure_gains(self) -> np.ndarray:
         """Per-row profitable gain of the cached full optimum."""

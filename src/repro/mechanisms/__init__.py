@@ -12,7 +12,7 @@
 
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.greedy_core import GreedyRun
-from repro.mechanisms.offline_vcg import OfflineVCGMechanism, bid_index
+from repro.mechanisms.offline_vcg import OfflineVCGMechanism
 from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.mechanisms.registry import (
     available_mechanisms,
@@ -27,7 +27,6 @@ __all__ = [
     "OnlineGreedyMechanism",
     "GreedyRun",
     "StreamingGreedyEngine",
-    "bid_index",
     "available_mechanisms",
     "create_mechanism",
     "register_mechanism",

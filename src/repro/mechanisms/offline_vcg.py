@@ -10,17 +10,27 @@ VCG rule, Eq. (7)/(8) of the paper:
     p_i(B) = (ω^*(B) - (-b_i)) - ω^*(B_{-i}) = ω^*(B) + b_i - ω^*(B_{-i})
 
 for winners — each phone is paid its claimed cost plus its marginal
-contribution to everyone else's welfare — and zero for losers.  Theorem 1
-(truthfulness in cost *and* active time, given the no-early-arrival /
-no-late-departure constraints) and Theorem 2 (individual rationality)
-follow the classic VCG arguments; the property auditors in
-:mod:`repro.metrics.properties` verify both empirically.
+contribution to everyone else's welfare — and zero for losers.
+
+With one task value ``ν`` (the paper's model) the phone sets that can be
+matched form a transversal matroid, and every ``ω*(B₋ᵢ)`` comes from one
+replacement pass over the solved allocation
+(:meth:`~repro.matching.graph.TaskAssignmentGraph.welfare_without_each_winner`):
+in exact arithmetic ``p_i = ν − (ν − b_j) = b_j`` for the cheapest loser
+``j`` that can replace ``i``, and ``p_i = ν`` when none can.  Rounds
+with heterogeneous task values answer each ``ω*(B₋ᵢ)`` with a warm
+matching repair instead.  Both paths produce the same bytes wherever
+both apply (``docs/THEORY.md`` §2).
+
+Theorem 1 (truthfulness in cost *and* active time, given the
+no-early-arrival / no-late-departure constraints) and Theorem 2
+(individual rationality) follow the classic VCG arguments; the property
+auditors in :mod:`repro.metrics.properties` verify both empirically.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.matching.graph import TaskAssignmentGraph
 from repro.mechanisms.base import Mechanism
@@ -28,23 +38,6 @@ from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
 from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
-
-
-@functools.lru_cache(maxsize=8)
-def bid_index(bids: Tuple[Bid, ...]) -> Dict[int, Bid]:
-    """``phone_id -> bid`` for a bid tuple, memoised across payment passes.
-
-    Every winner's payment pass used to rebuild this identical dict;
-    bids are frozen (hashable), so the tuple itself is the cache key.
-    Callers must treat the returned dict as read-only.
-
-    The cache is deliberately tiny: each entry pins the full bid tuple
-    of one round, which at city scale is tens of megabytes, and a long
-    campaign cycles through a fresh tuple per round — a large cache
-    would pin dead rounds for the process lifetime while the hit
-    pattern only ever needs the rounds currently in flight.
-    """
-    return {bid.phone_id: bid for bid in bids}
 
 
 class OfflineVCGMechanism(Mechanism):
@@ -88,18 +81,23 @@ class OfflineVCGMechanism(Mechanism):
         graph = TaskAssignmentGraph(schedule, bids, backend=self._backend)
         allocation, optimal_welfare = graph.solve()
 
-        # Memoised across runs on the same bid tuple (repeated payment
-        # passes and counterfactual audits re-run identical bid vectors).
-        bid_by_phone = bid_index(tuple(bids))
-        payments: Dict[int, float] = {}
-        payment_slots: Dict[int, int] = {}
+        bid_by_phone = {bid.phone_id: bid for bid in bids}
         # Sorted so payment-dict insertion order (and therefore the
         # outcome's serialised bytes) never depends on set hash order.
-        for phone_id in sorted(set(allocation.values())):
-            welfare_without = graph.welfare_without_phone(phone_id)
+        winners = sorted(set(allocation.values()))
+        if graph.is_interval_matroid:
+            welfare_without = graph.welfare_without_each_winner(allocation)
+        else:
+            welfare_without = {
+                phone_id: graph.welfare_without_phone(phone_id)
+                for phone_id in winners
+            }
+        payments: Dict[int, float] = {}
+        payment_slots: Dict[int, int] = {}
+        for phone_id in winners:
             bid = bid_by_phone[phone_id]
             payments[phone_id] = (
-                optimal_welfare + bid.cost - welfare_without
+                optimal_welfare + bid.cost - welfare_without[phone_id]
             )
             payment_slots[phone_id] = bid.departure
 

@@ -25,7 +25,6 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.offline_vcg import bid_index
 from repro.model.task import TaskSchedule
 from repro.obs import InMemorySink, Tracer
 from repro.simulation import WorkloadConfig
@@ -253,15 +252,3 @@ class TestProberMemory:
             tracemalloc.stop()
         assert run.allocation
         assert peak < 16 * 1024 * 1024
-
-
-class TestBidIndexCache:
-    def test_cache_is_bounded(self):
-        bid_index.cache_clear()
-        scenario = _scenario(num_slots=5)
-        bids = scenario.truthful_bids()
-        for start in range(50):
-            bid_index(tuple(bids[start % len(bids):]))
-        info = bid_index.cache_info()
-        assert info.maxsize == 8
-        assert info.currsize <= 8
