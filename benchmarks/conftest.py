@@ -33,40 +33,24 @@ def pytest_addoption(parser):
         default=None,
         help="export every span/event of the bench session as JSONL",
     )
-    parser.addoption(
-        "--perf-snapshot",
-        default=None,
-        help="write a BENCH_<label>.json perf snapshot into this directory",
-    )
 
 
 @pytest.fixture(autouse=True, scope="session")
 def _bench_telemetry(request):
     """Trace the whole bench session when CI asks for artifacts.
 
-    With neither option given this fixture installs nothing, so plain
+    Without ``--trace-out`` this fixture installs nothing, so plain
     ``pytest benchmarks/`` keeps measuring the untraced fast path.
     """
     trace_out = request.config.getoption("--trace-out")
-    snapshot_dir = request.config.getoption("--perf-snapshot")
-    if trace_out is None and snapshot_dir is None:
+    if trace_out is None:
         yield None
         return
-    sink = obs.JsonlSink(trace_out) if trace_out else obs.NullSink()
+    sink = obs.JsonlSink(trace_out)
     tracer = obs.Tracer(sink=sink)
     with obs.activate(tracer):
         yield tracer
     sink.close()
-    if snapshot_dir is not None:
-        path = obs.snapshot_path(snapshot_dir, "perf-smoke")
-        obs.write_snapshot(
-            path,
-            obs.build_snapshot(
-                tracer,
-                label="perf-smoke",
-                meta={"suite": "benchmarks", "seed": BENCH_SEED},
-            ),
-        )
 
 
 @pytest.fixture(scope="session")

@@ -30,13 +30,8 @@ Commands
     Walk through the paper's Fig. 4 / Fig. 5 worked example.
 ``trace``
     Run an instrumented scenario suite with telemetry enabled; export
-    the span/event stream as JSONL, print the span tree and per-phase
-    timings (plus ``--top`` self-time hotspots), and write a
-    ``BENCH_*.json`` perf snapshot.
-``trends``
-    Render the bench-trend dashboard over every committed
-    ``BENCH_*.json`` (and, optionally, the local run ledger): per-
-    benchmark sparkline series with slope-based drift detection.
+    the span/event stream as JSONL and print the span tree and the
+    per-phase self-time table (``--top`` limits its rows).
 ``profile``
     cProfile one mechanism run alongside the telemetry span report.
 ``lint``
@@ -57,9 +52,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import pathlib
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -258,6 +254,74 @@ def _finish_ledger(
         f"({record.wall_seconds:.2f}s) appended"
     )
     console.result({"run_id": record.run_id})
+
+
+#: The campaign flags naming an output, in note/artifact order, each
+#: with its console note.  ``journal_dir`` is serial-only and
+#: ``checkpoint_dir`` sharded-only, so one run sets at most one of them.
+_CAMPAIGN_OUTPUTS = (
+    ("journal_dir", "per-round journals written under"),
+    ("checkpoint_dir", "shard checkpoints streamed under"),
+    ("heartbeat", "heartbeat log written to"),
+)
+
+
+@contextlib.contextmanager
+def _campaign_telemetry(
+    args: argparse.Namespace,
+    console: Console,
+    unit: str,
+    label: str,
+    **config: Any,
+) -> Iterator[Tuple[Optional[LedgerSession], Optional[HeartbeatConfig]]]:
+    """The ledger session and ``--heartbeat`` config of one campaign run.
+
+    ``config`` joins the workload flags in the run's config digest, and
+    heartbeats pulse once per ``unit``.  They snapshot the ambient
+    metrics registry, so an untraced command gets one for the run
+    (activation is outcome-transparent).  Afterwards, notes where each
+    output was written.
+    """
+    for flag in ("rounds", "seed", "workers", "slots", "phone_rate", "task_rate"):
+        config[flag] = getattr(args, flag)
+    session = _ledger_session(args, "campaign", label, config)
+    heartbeat = None
+    if args.heartbeat is not None:
+        heartbeat = HeartbeatConfig(
+            args.heartbeat, args.heartbeat_every, unit, console
+        )
+    vitals = (
+        obs.activate(obs.Tracer())
+        if heartbeat is not None and obs.current_tracer() is None
+        else contextlib.nullcontext()
+    )
+    with vitals:
+        yield session, heartbeat
+    for name, note in _CAMPAIGN_OUTPUTS:
+        if getattr(args, name) is not None:
+            console.note(f"{note} {getattr(args, name)}")
+
+
+def _finish_campaign_ledger(
+    session: Optional[LedgerSession],
+    args: argparse.Namespace,
+    console: Console,
+    result: Any,
+    **counters: float,
+) -> None:
+    """Record a campaign's totals and outputs, then append the run."""
+    if session is None:
+        return
+    session.add_counters(
+        rounds=result.num_rounds,
+        total_welfare=result.total_welfare,
+        total_payment=result.total_payment,
+        **counters,
+    )
+    for name, _ in _CAMPAIGN_OUTPUTS:
+        if getattr(args, name) is not None:
+            session.add_artifact(name, str(getattr(args, name)))
+    _finish_ledger(session, console)
 
 
 # ----------------------------------------------------------------------
@@ -500,38 +564,10 @@ def _cmd_campaign(args: argparse.Namespace, console: Console) -> int:
         or args.bid_delay_prob or args.bid_loss_prob
     ):
         fault_config = _fault_config_from_args(args)
-    session = _ledger_session(
-        args,
-        "campaign",
-        label=mechanism.name,
-        config={
-            "rounds": args.rounds,
-            "seed": args.seed,
-            "retry_losers": args.retry_losers,
-            "workers": args.workers,
-            "mechanism": mechanism.name,
-            "slots": args.slots,
-            "phone_rate": args.phone_rate,
-            "task_rate": args.task_rate,
-        },
-    )
-    heartbeat = None
-    if args.heartbeat is not None:
-        heartbeat = HeartbeatConfig(
-            path=args.heartbeat,
-            every=args.heartbeat_every,
-            label="round",
-            console=console,
-        )
-    # Heartbeats snapshot the ambient metrics registry; give them one
-    # to read when the command isn't already traced.  Activation is
-    # outcome-transparent (the trace-transparency invariant).
-    vitals = (
-        obs.activate(obs.Tracer())
-        if heartbeat is not None and obs.current_tracer() is None
-        else contextlib.nullcontext()
-    )
-    with vitals:
+    with _campaign_telemetry(
+        args, console, "round", mechanism.name,
+        mechanism=mechanism.name, retry_losers=args.retry_losers,
+    ) as (session, heartbeat):
         result = run_campaign(
             mechanism,
             _workload_from_args(args),
@@ -544,10 +580,6 @@ def _cmd_campaign(args: argparse.Namespace, console: Console) -> int:
             journal_dir=args.journal_dir,
             heartbeat=heartbeat,
         )
-    if args.journal_dir is not None:
-        console.note(f"per-round journals written under {args.journal_dir}")
-    if args.heartbeat is not None:
-        console.note(f"heartbeat log written to {args.heartbeat}")
     console.out(
         f"\ncampaign: {result.num_rounds} rounds, mechanism "
         f"{mechanism.name}, retry="
@@ -591,18 +623,10 @@ def _cmd_campaign(args: argparse.Namespace, console: Console) -> int:
             "recovered_tasks": result.recovered_tasks,
         }
     )
-    if session is not None:
-        session.add_counters(
-            rounds=result.num_rounds,
-            total_welfare=result.total_welfare,
-            total_payment=result.total_payment,
-            returning_phones=result.returning_phones,
-        )
-        if args.journal_dir is not None:
-            session.add_artifact("journal_dir", str(args.journal_dir))
-        if args.heartbeat is not None:
-            session.add_artifact("heartbeat", str(args.heartbeat))
-        _finish_ledger(session, console)
+    _finish_campaign_ledger(
+        session, args, console, result,
+        returning_phones=result.returning_phones,
+    )
     return 0
 
 
@@ -635,38 +659,10 @@ def _cmd_campaign_sharded(args: argparse.Namespace, console: Console) -> int:
         for index in range(num_cities)
     ]
     spec = _mechanism_spec_from_args(args)
-    session = _ledger_session(
-        args,
-        "campaign",
-        label=spec.display_label,
-        config={
-            "rounds": args.rounds,
-            "seed": args.seed,
-            "cities": num_cities,
-            "shards_per_city": args.shards,
-            "workers": args.workers,
-            "mechanism": spec.name,
-            "slots": args.slots,
-            "phone_rate": args.phone_rate,
-            "task_rate": args.task_rate,
-        },
-    )
-    heartbeat = None
-    if args.heartbeat is not None:
-        heartbeat = HeartbeatConfig(
-            path=args.heartbeat,
-            every=args.heartbeat_every,
-            label="shard",
-            console=console,
-        )
-    # The shard counters (campaign.shard.*) are parent-side; give them a
-    # registry to land on when the command is not already traced.
-    vitals = (
-        obs.activate(obs.Tracer())
-        if obs.current_tracer() is None
-        else contextlib.nullcontext()
-    )
-    with vitals:
+    with _campaign_telemetry(
+        args, console, "shard", spec.display_label,
+        mechanism=spec.name, cities=num_cities, shards_per_city=args.shards,
+    ) as (session, heartbeat):
         result = run_sharded_campaign(
             spec,
             cities,
@@ -676,12 +672,6 @@ def _cmd_campaign_sharded(args: argparse.Namespace, console: Console) -> int:
             checkpoint_dir=args.checkpoint_dir,
             heartbeat=heartbeat,
         )
-    if args.checkpoint_dir is not None:
-        console.note(
-            f"shard checkpoints streamed under {args.checkpoint_dir}"
-        )
-    if args.heartbeat is not None:
-        console.note(f"heartbeat log written to {args.heartbeat}")
     console.out(
         f"\nsharded campaign: {num_cities} cities x {args.rounds} rounds, "
         f"{args.shards} shard(s)/city, {args.workers} worker(s), "
@@ -718,20 +708,7 @@ def _cmd_campaign_sharded(args: argparse.Namespace, console: Console) -> int:
             "total_payment": result.total_payment,
         }
     )
-    if session is not None:
-        session.add_counters(
-            rounds=result.num_rounds,
-            cities=num_cities,
-            total_welfare=result.total_welfare,
-            total_payment=result.total_payment,
-        )
-        if args.checkpoint_dir is not None:
-            session.add_artifact(
-                "checkpoint_dir", str(args.checkpoint_dir)
-            )
-        if args.heartbeat is not None:
-            session.add_artifact("heartbeat", str(args.heartbeat))
-        _finish_ledger(session, console)
+    _finish_campaign_ledger(session, args, console, result, cities=num_cities)
     return 0
 
 
@@ -947,12 +924,8 @@ def _cmd_trace(args: argparse.Namespace, console: Console) -> int:
     session = _ledger_session(
         args,
         "trace",
-        label=args.label,
-        config={
-            "seed": args.seed,
-            "repetitions": args.repetitions,
-            "label": args.label,
-        },
+        label="trace",
+        config={"seed": args.seed, "repetitions": args.repetitions},
     )
     sink = obs.JsonlSink(args.out)
     tracer = obs.Tracer(sink=sink)
@@ -960,92 +933,34 @@ def _cmd_trace(args: argparse.Namespace, console: Console) -> int:
         _traced_scenario_suite(args)
     sink.close()
 
+    hotspots = (
+        obs.aggregate_hotspots(tracer.spans)
+        if args.top is None
+        else obs.top_hotspots(tracer.spans, args.top)
+    )
     console.out(obs.render_span_tree(tracer.spans, max_spans=args.max_spans))
     console.out()
-    console.out(obs.render_phase_table(obs.aggregate_spans(tracer.spans)))
-    if args.top:
-        console.out()
-        console.out(
-            obs.render_hotspot_table(
-                obs.top_hotspots(tracer.spans, args.top),
-                title=f"Hotspots (top {args.top} by self time)",
-            )
-        )
-
-    snapshot = obs.build_snapshot(
-        tracer,
-        label=args.label,
-        meta={"command": "trace", "seed": args.seed},
-    )
-    snap_file = obs.write_snapshot(
-        obs.snapshot_path(args.snapshot_dir, args.label), snapshot
-    )
+    console.out(obs.render_hotspot_table(hotspots))
     console.note(
         f"\ntrace written to {args.out} ({len(tracer.spans)} spans, "
         f"{len(tracer.metrics.counters)} counters)"
     )
-    console.note(f"perf snapshot written to {snap_file}")
     console.result(
         {
             "trace_path": str(args.out),
-            "snapshot_path": str(snap_file),
             "span_count": len(tracer.spans),
             "phases": sorted({span.name for span in tracer.spans}),
             "counters": tracer.metrics.counters,
+            "hotspots": [dataclasses.asdict(h) for h in hotspots],
         }
     )
-    if args.top:
-        console.result(
-            {
-                "hotspots": [
-                    {
-                        "name": h.name,
-                        "self_seconds": h.self_seconds,
-                        "share": h.share,
-                    }
-                    for h in obs.top_hotspots(tracer.spans, args.top)
-                ]
-            }
-        )
     if session is not None:
         session.add_counters(
             spans=len(tracer.spans),
             counters=len(tracer.metrics.counters),
         )
         session.add_artifact("trace", str(args.out))
-        session.add_artifact("snapshot", str(snap_file))
         _finish_ledger(session, console)
-    return 0
-
-
-def _cmd_trends(args: argparse.Namespace, console: Console) -> int:
-    from repro.obs.trends import collect_trends, render_trend_dashboard
-
-    ledger = RunLedger(args.ledger) if args.ledger is not None else None
-    report = collect_trends(
-        args.bench_dir, ledger=ledger, threshold=args.threshold
-    )
-    dashboard = render_trend_dashboard(report)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(dashboard, encoding="utf-8")
-        console.note(f"trend dashboard written to {args.out}")
-    else:
-        console.out(dashboard)
-    drifting = report.drifting()
-    console.result(
-        {
-            "sources": list(report.sources),
-            "skipped": list(report.skipped),
-            "verdicts": report.verdicts(),
-            "drifting": drifting,
-        }
-    )
-    if drifting and args.fail_on_drift:
-        console.error(
-            f"trend drift detected in: {', '.join(drifting)}"
-        )
-        return 1
     return 0
 
 
@@ -1069,7 +984,8 @@ def _cmd_profile(args: argparse.Namespace, console: Console) -> int:
         f"\nprofiled {args.repeat} run(s) of {mechanism.name} on "
         f"{scenario.num_phones} phones / {scenario.num_tasks} tasks\n"
     )
-    console.out(obs.render_phase_table(obs.aggregate_spans(tracer.spans)))
+    hotspots = obs.aggregate_hotspots(tracer.spans)
+    console.out(obs.render_hotspot_table(hotspots))
     console.out()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -1080,10 +996,7 @@ def _cmd_profile(args: argparse.Namespace, console: Console) -> int:
             "mechanism": mechanism.name,
             "repeats": args.repeat,
             "span_count": len(tracer.spans),
-            "phases": [
-                phase.to_dict()
-                for phase in obs.aggregate_spans(tracer.spans)
-            ],
+            "phases": [dataclasses.asdict(h) for h in hotspots],
         }
     )
     return 0
@@ -1168,6 +1081,21 @@ def _cmd_report(args: argparse.Namespace, console: Console) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= low``, checked at parse time."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1368,7 +1296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="run an instrumented scenario suite; export JSONL + snapshot",
+        help="run an instrumented scenario suite; export JSONL + summary",
         parents=[common],
     )
     trace.add_argument(
@@ -1376,15 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL trace output path (default trace.jsonl)",
     )
     trace.add_argument(
-        "--snapshot-dir", type=pathlib.Path, default=pathlib.Path("."),
-        help="directory for the BENCH_<label>.json perf snapshot",
-    )
-    trace.add_argument(
-        "--label", default="trace",
-        help="snapshot label (default 'trace')",
-    )
-    trace.add_argument(
-        "--max-spans", type=int, default=60,
+        "--max-spans", type=_int_at_least(0), default=60,
         help="truncate the printed span tree after this many spans",
     )
     trace.add_argument("--seed", type=int, default=0, help="sweep seed")
@@ -1393,41 +1313,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="repetitions per sweep point in the demo sweep (default 2)",
     )
     trace.add_argument(
-        "--top", type=int, default=0, metavar="N",
-        help="also print the top-N phases by self time (hotspots)",
+        "--top", type=_int_at_least(1), default=None, metavar="N",
+        help="print only the top-N phases by self time (default all)",
     )
     trace.add_argument(
         "--ledger", type=pathlib.Path, default=None,
         help="append a structured run record to this RUNS.jsonl ledger",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    trends = subparsers.add_parser(
-        "trends",
-        help="render the bench-trend dashboard with drift detection",
-        parents=[common],
-    )
-    trends.add_argument(
-        "--bench-dir", type=pathlib.Path, default=pathlib.Path("."),
-        help="directory holding the BENCH_*.json series (default .)",
-    )
-    trends.add_argument(
-        "--ledger", type=pathlib.Path, default=None,
-        help="also chart per-command wall times from this RUNS.jsonl",
-    )
-    trends.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative per-step slope that flags drift (default 0.05)",
-    )
-    trends.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="write the markdown dashboard here instead of stdout",
-    )
-    trends.add_argument(
-        "--fail-on-drift", action="store_true",
-        help="exit 1 when any series is flagged as drifting",
-    )
-    trends.set_defaults(func=_cmd_trends)
 
     profile = subparsers.add_parser(
         "profile",

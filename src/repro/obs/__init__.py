@@ -1,4 +1,4 @@
-"""Telemetry for the auction stack: spans, metrics, export, snapshots.
+"""Telemetry for the auction stack: spans, metrics, export, summaries.
 
 The package has two faces:
 
@@ -21,7 +21,7 @@ The package has two faces:
       tracer = Tracer(clock=ManualClock(tick=1.0), sink=JsonlSink(path))
       with obs.activate(tracer):
           run_whatever()
-      print(render_phase_table(aggregate_spans(tracer.spans)))
+      print(render_hotspot_table(aggregate_hotspots(tracer.spans)))
 
 See ``docs/ARCHITECTURE.md`` ("Observability") for the span taxonomy
 and metric names.
@@ -79,6 +79,7 @@ from repro.obs.report import (
     HotspotStats,
     aggregate_hotspots,
     render_hotspot_table,
+    render_span_tree,
     span_self_times,
     top_hotspots,
 )
@@ -90,37 +91,14 @@ from repro.obs.sinks import (
     TraceSink,
     read_jsonl,
 )
-from repro.obs.snapshot import (
-    SNAPSHOT_SCHEMA,
-    PhaseStats,
-    aggregate_spans,
-    build_snapshot,
-    load_snapshot,
-    render_phase_table,
-    render_span_tree,
-    snapshot_path,
-    write_snapshot,
-)
 from repro.obs.spans import Span, Tracer
-from repro.obs.trends import (
-    DEFAULT_DRIFT_THRESHOLD,
-    TrendError,
-    TrendPoint,
-    TrendReport,
-    TrendSeries,
-    collect_trends,
-    render_trend_dashboard,
-    sparkline,
-)
 
 __all__ = [
-    "DEFAULT_DRIFT_THRESHOLD",
     "HEARTBEAT_SCHEMA",
     "LEDGER_FILENAME",
     "LEDGER_SCHEMA",
     "MODE_BOUNDED",
     "MODE_EXACT",
-    "SNAPSHOT_SCHEMA",
     "Clock",
     "Console",
     "Counter",
@@ -139,29 +117,20 @@ __all__ = [
     "MetricsRegistry",
     "MonotonicClock",
     "NullSink",
-    "PhaseStats",
     "RunLedger",
     "RunRecord",
     "Span",
     "TeeSink",
     "TraceSink",
     "Tracer",
-    "TrendError",
-    "TrendPoint",
-    "TrendReport",
-    "TrendSeries",
     "WallClock",
     "activate",
     "aggregate_hotspots",
-    "aggregate_spans",
-    "build_snapshot",
-    "collect_trends",
     "config_digest",
     "counter",
     "current_git_sha",
     "current_tracer",
     "gauge",
-    "load_snapshot",
     "make_run_id",
     "observe",
     "perf_seconds",
@@ -169,17 +138,12 @@ __all__ = [
     "read_jsonl",
     "record_event",
     "render_hotspot_table",
-    "render_phase_table",
     "render_span_tree",
-    "render_trend_dashboard",
     "set_perf_clock",
     "set_wall_clock",
-    "snapshot_path",
     "span",
     "span_self_times",
-    "sparkline",
     "top_hotspots",
     "tracing_enabled",
     "wall_seconds",
-    "write_snapshot",
 ]

@@ -1,10 +1,10 @@
 """The run ledger: a durable per-machine history of instrumented runs.
 
-The committed ``BENCH_*.json`` snapshots record the *gated* perf story
+The committed ``BENCH_*.json`` baselines record the *gated* perf story
 — one file per PR, curated.  The ledger records the *local* story:
 every ``campaign`` / ``figures`` / ``trace`` / bench invocation appends
 one structured :class:`RunRecord` (run id, git SHA, config digest,
-wall time, key counters, snapshot/journal refs) to an append-only
+wall time, key counters, trace/journal refs) to an append-only
 ``RUNS.jsonl`` file, so "has this command been getting slower on my
 machine?" is a query over a file instead of an archaeology session.
 
@@ -116,8 +116,8 @@ class RunRecord:
         Key counters of the run (welfare totals, rounds, span counts —
         whatever the caller considers this command's vitals).
     artifacts:
-        Name → path/reference of produced artifacts (perf snapshot,
-        journal directory, trace file, heartbeat file, ...).
+        Name → path/reference of produced artifacts (journal
+        directory, trace file, heartbeat file, ...).
     """
 
     run_id: str

@@ -8,7 +8,7 @@ dotted taxonomy documented in ``docs/ARCHITECTURE.md`` (e.g.
 
 The registry is deliberately simple — synchronous, no label sets —
 because its job is to account for *one* traced run (a round, a sweep, a
-bench session), after which a perf snapshot serialises it and the
+bench session), after which the trace summary reads it and the
 registry is thrown away.  Histograms default to retaining every
 observation (exact quantiles); long campaigns that observe millions of
 values per instrument opt into the *bounded* mode
@@ -238,7 +238,7 @@ class Histogram:
     def summary(self) -> Dict[str, Any]:
         """Count, total, mean, min/max and the standard quantiles.
 
-        Bounded histograms additionally report their mode (so snapshot
+        Bounded histograms additionally report their mode (so summary
         readers know the quantiles are approximate); exact summaries
         keep the historical keys byte-for-byte.
         """
@@ -266,8 +266,7 @@ class MetricsRegistry:
     created through the one-shot :meth:`observe` path (and
     :meth:`histogram` calls that do not name a mode) — a long-campaign
     driver can flip a whole tracer to bounded memory with one
-    constructor argument while tests and snapshots keep the exact
-    default.
+    constructor argument while tests keep the exact default.
     """
 
     def __init__(self, default_histogram_mode: str = MODE_EXACT) -> None:
@@ -357,7 +356,7 @@ class MetricsRegistry:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dump (used by the perf snapshot)."""
+        """JSON-friendly dump of every instrument."""
         return {
             "counters": self.counters,
             "gauges": self.gauges,

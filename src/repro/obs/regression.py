@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import fnmatch
 import json
+import math
 import pathlib
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence
 
@@ -58,11 +59,29 @@ class MissingBenchmarkError(RegressionError):
 
 @dataclasses.dataclass(frozen=True)
 class BenchStats:
-    """One benchmark's timing statistics, in seconds."""
+    """One benchmark's timing statistics, in seconds.
+
+    A NaN, infinite or zero mean would make every comparison against it
+    vacuous (NaN never exceeds the budget) or crash the ratio, so such
+    values are refused at construction with a :class:`RegressionError`,
+    which both file readers report with the offending entry.
+    """
 
     mean_seconds: float
     min_seconds: float
     rounds: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean_seconds) and self.mean_seconds > 0):
+            raise RegressionError(
+                f"mean_seconds must be finite and > 0, "
+                f"got {self.mean_seconds!r}"
+            )
+        if not (math.isfinite(self.min_seconds) and self.min_seconds >= 0):
+            raise RegressionError(
+                f"min_seconds must be finite and >= 0, "
+                f"got {self.min_seconds!r}"
+            )
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON serialisation."""
@@ -77,9 +96,9 @@ class BenchStats:
                 min_seconds=float(data["min_seconds"]),  # type: ignore[arg-type]
                 rounds=int(data["rounds"]),  # type: ignore[arg-type]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RegressionError) as exc:
             raise RegressionError(
-                f"malformed benchmark stats entry: {dict(data)!r}"
+                f"malformed benchmark stats entry {dict(data)!r}: {exc}"
             ) from exc
 
 
@@ -138,15 +157,18 @@ def load_pytest_benchmark(path: pathlib.Path) -> Dict[str, BenchStats]:
     for entry in benchmarks:
         name = entry.get("name")
         timing = entry.get("stats") or {}
-        if not name or "mean" not in timing:
-            raise RegressionError(
-                f"{path}: malformed benchmark entry {entry.get('name')!r}"
+        if not name:
+            raise RegressionError(f"{path}: benchmark entry without a name")
+        try:
+            stats[str(name)] = BenchStats(
+                mean_seconds=float(timing["mean"]),
+                min_seconds=float(timing["min"]),
+                rounds=int(timing.get("rounds", 0)),
             )
-        stats[str(name)] = BenchStats(
-            mean_seconds=float(timing["mean"]),
-            min_seconds=float(timing["min"]),
-            rounds=int(timing.get("rounds", 0)),
-        )
+        except (KeyError, TypeError, ValueError, RegressionError) as exc:
+            raise RegressionError(
+                f"{path}: malformed benchmark entry {name!r}: {exc}"
+            ) from exc
     return stats
 
 
@@ -249,9 +271,9 @@ def compare(
     ``current`` raises :class:`MissingBenchmarkError` — a
     silently-skipped gate would read as a pass.
     """
-    if tolerance < 0:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
         raise RegressionError(
-            f"tolerance must be >= 0, got {tolerance}"
+            f"tolerance must be finite and >= 0, got {tolerance}"
         )
     names = select_benchmarks(set(baseline), only)
     comparisons = []

@@ -1,13 +1,13 @@
-"""Hotspot profiles: where a trace's time is actually spent.
+"""Trace summaries: the span tree and where a trace's time is spent.
 
-The per-phase table (:func:`repro.obs.snapshot.aggregate_spans`)
-reports *inclusive* time — a parent span carries every child's
-duration, so ``campaign.run`` always "wins" and the table answers
-"what contains the time", not "what consumes it".  This module
-computes **self time** — each span's duration minus its direct
-children's — aggregates it per phase, and renders the top-N ranking
-``repro-crowd trace --top`` prints.  A phase high in *this* table is a
-genuine optimisation target, not a container.
+A parent span's inclusive duration carries every child's, so a plain
+per-phase total always ranks ``campaign.run`` first and answers "what
+contains the time", not "what consumes it".  This module computes
+**self time** — each span's duration minus its direct children's —
+aggregates it per phase next to the inclusive total, and renders the
+one phase table ``repro-crowd trace`` and ``profile`` print.  A phase
+high in that table is a genuine optimisation target, not a container.
+:func:`render_span_tree` prints the spans themselves.
 """
 
 from __future__ import annotations
@@ -129,3 +129,50 @@ def render_hotspot_table(
         rows,
         title=title if title is not None else "Hotspots (self time)",
     )
+
+
+def render_span_tree(
+    spans: Sequence[Span], max_spans: Optional[int] = None
+) -> str:
+    """An indented tree of a trace's spans with durations and attributes.
+
+    Children print under their parent in start order.  ``max_spans``
+    truncates large traces (a trailing line reports how many were
+    elided).
+    """
+    finished = [span for span in spans if span.finished]
+    by_parent: Dict[Optional[int], List[Span]] = {}
+    for span in finished:
+        by_parent.setdefault(span.parent_id, []).append(span)
+    for children in by_parent.values():
+        children.sort(key=lambda span: (span.start, span.span_id))
+
+    lines: List[str] = []
+    elided = 0
+
+    def walk(parent_id: Optional[int], depth: int) -> None:
+        nonlocal elided
+        for span in by_parent.get(parent_id, []):
+            if max_spans is not None and len(lines) >= max_spans:
+                elided += 1 + _count_descendants(span)
+                continue
+            attrs = ", ".join(
+                f"{key}={value}" for key, value in span.attributes.items()
+            )
+            suffix = f"  [{attrs}]" if attrs else ""
+            lines.append(
+                f"{'  ' * depth}{span.name}  "
+                f"{span.duration * 1e3:.3f} ms{suffix}"
+            )
+            walk(span.span_id, depth + 1)
+
+    def _count_descendants(span: Span) -> int:
+        total = 0
+        for child in by_parent.get(span.span_id, []):
+            total += 1 + _count_descendants(child)
+        return total
+
+    walk(None, 0)
+    if elided:
+        lines.append(f"... ({elided} more span(s) elided)")
+    return "\n".join(lines) if lines else "(no spans recorded)"

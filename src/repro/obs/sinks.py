@@ -10,8 +10,8 @@ Three sinks ship:
 
 * :class:`NullSink` — drops everything; the default wherever telemetry
   is wired but nobody asked for a trace.
-* :class:`InMemorySink` — collects records in lists; what tests and the
-  perf-snapshot reporter consume.
+* :class:`InMemorySink` — collects records in lists; what tests
+  consume.
 * :class:`JsonlSink` — appends one JSON object per record to a file;
   the export format of ``repro-crowd trace`` (reload with
   :func:`read_jsonl`).

@@ -5,7 +5,7 @@ platform slot, a sweep point — with a name from the taxonomy documented
 in ``docs/ARCHITECTURE.md``, free-form attributes, and start/end
 readings from the tracer's injectable clock.  Spans nest: entering a
 span while another is open makes it a child, so a traced run yields a
-tree (rendered by :func:`repro.obs.snapshot.render_span_tree`).
+tree (rendered by :func:`repro.obs.report.render_span_tree`).
 
 The tracer itself is *ambient*: instrumented library code never holds a
 tracer reference.  It calls the module-level helpers in
@@ -129,8 +129,7 @@ class Tracer:
         fresh :class:`~repro.obs.metrics.MetricsRegistry`).
 
     Finished spans are also retained on the tracer itself
-    (:attr:`spans`), so summaries and snapshots never depend on the
-    sink choice.
+    (:attr:`spans`), so summaries never depend on the sink choice.
     """
 
     def __init__(

@@ -5,13 +5,15 @@ Equivalence with the textbook oracle lives in
 ``tests/properties/test_oracle_sweep.py``; this module covers the
 engine's surface — parameter validation, the single-pass allocation
 against the oracle, the incremental-payment guard rails, the re-run
-regime, memory discipline of payment re-runs, and the
-``online.stream.*`` counters.
+regime, memory discipline of payment re-runs, the
+``online.stream.*`` counters, and sampled city-scale payments against
+the oracle's re-run.
 """
 
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -252,3 +254,38 @@ class TestProberMemory:
             tracemalloc.stop()
         assert run.allocation
         assert peak < 16 * 1024 * 1024
+
+
+class TestCityScaleOracle:
+    def test_city_scale_sampled_winners_match_the_rerun(self):
+        """~2·10³ phones over the city campaign's 50 slots.
+
+        The streaming counterpart of the offline
+        ``test_city_scale_sampled_winners_match_the_repair``: 20 sampled
+        winners' Algorithm-2 payments, answered from the engine's
+        per-slot records, equal the oracle's literal re-run without the
+        winner, bit for bit.
+        """
+        scenario = WorkloadConfig(num_slots=50, phone_rate=40.0).generate(
+            seed=11
+        )
+        bids = scenario.truthful_bids()
+        assert 1_500 < len(bids) < 2_500
+        outcome = OnlineGreedyMechanism().run(bids, scenario.schedule)
+        win_slot = {
+            phone_id: scenario.schedule.task(task_id).slot
+            for task_id, phone_id in outcome.allocation.items()
+        }
+        bid_by_phone = {bid.phone_id: bid for bid in bids}
+        sample = np.random.default_rng(0).choice(
+            sorted(win_slot), 20, replace=False
+        )
+        for phone_id in sample.tolist():
+            expected = oracles.algorithm2_payment(
+                bids,
+                scenario.schedule,
+                bid_by_phone[phone_id],
+                win_slot[phone_id],
+            )
+            paid = outcome.payments[phone_id]
+            assert paid == expected  # repro: noqa-REP002 -- bitwise payments

@@ -190,3 +190,95 @@ class TestMain:
             ["check", str(results), "--baseline", str(baseline)]
         ) == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """A gate fed NaN, zero or infinite numbers must refuse, not pass."""
+
+    def _baseline_file(self, tmp_path, mean):
+        path = tmp_path / "BASE.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro-bench/1",
+                    "benchmarks": {
+                        "test_bench[80]": {
+                            "mean_seconds": mean,
+                            "min_seconds": 0.01,
+                            "rounds": 3,
+                        }
+                    },
+                }
+            )
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "mean", [float("nan"), 0.0, -0.1, float("inf")]
+    )
+    def test_baseline_mean_must_be_finite_and_positive(self, tmp_path, mean):
+        with pytest.raises(RegressionError, match="mean_seconds"):
+            load_baseline(self._baseline_file(tmp_path, mean))
+
+    @pytest.mark.parametrize("mean", [float("nan"), 0.0])
+    def test_check_exits_2_on_a_bad_baseline(self, tmp_path, capsys, mean):
+        results = _pytest_benchmark_file(tmp_path, mean=99.0)
+        baseline = self._baseline_file(tmp_path, mean)
+        assert main(
+            ["check", str(results), "--baseline", str(baseline)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "[ok]" not in captured.out
+        assert "mean_seconds" in captured.err
+
+    @pytest.mark.parametrize("mean", [float("nan"), 0.0, float("inf")])
+    def test_fresh_mean_must_be_finite_and_positive(self, tmp_path, mean):
+        with pytest.raises(RegressionError, match="test_bench"):
+            load_pytest_benchmark(_pytest_benchmark_file(tmp_path, mean))
+
+    def test_fresh_min_must_be_finite_and_non_negative(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "benchmarks": [
+                        {
+                            "name": "b",
+                            "stats": {"mean": 0.1, "min": -1.0},
+                        }
+                    ]
+                }
+            )
+        )
+        with pytest.raises(RegressionError, match="min_seconds"):
+            load_pytest_benchmark(path)
+
+    def test_fresh_entry_without_min_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(
+            json.dumps({"benchmarks": [{"name": "b", "stats": {"mean": 1}}]})
+        )
+        with pytest.raises(RegressionError, match="malformed"):
+            load_pytest_benchmark(path)
+
+    @pytest.mark.parametrize(
+        "tolerance", [float("nan"), float("inf"), -0.1]
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        stats = BenchStats(mean_seconds=0.1, min_seconds=0.1, rounds=3)
+        with pytest.raises(RegressionError, match="tolerance"):
+            compare({"b": stats}, {"b": stats}, tolerance)
+
+    def test_check_rejects_a_nan_tolerance(self, tmp_path, capsys):
+        results = _pytest_benchmark_file(tmp_path)
+        baseline = tmp_path / "BASE.json"
+        assert main(["record", str(results), "--out", str(baseline)]) == 0
+        assert main(
+            [
+                "check", str(results), "--baseline", str(baseline),
+                "--tolerance", "nan",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert "tolerance" in captured.err

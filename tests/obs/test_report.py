@@ -1,4 +1,4 @@
-"""Hotspot profiles: self-time attribution and the top-N ranking."""
+"""Trace summaries: self-time attribution, the top-N ranking, the span tree."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.obs import (
     Tracer,
     aggregate_hotspots,
     render_hotspot_table,
+    render_span_tree,
     span_self_times,
     top_hotspots,
 )
@@ -131,3 +132,34 @@ class TestRendering:
     def test_title_override(self):
         table = render_hotspot_table([], title="Hotspots (top 3)")
         assert "Hotspots (top 3)" in table
+
+
+def _solve_trace():
+    """Deterministic trace: two 'solve' spans (1s, 3s) under one root."""
+    tracer = Tracer(clock=ManualClock(tick=1.0))
+    # Readings: root.start=0, s1.start=1, s1.end=2, s2.start=3,
+    # (advance 2) s2.end=6, root.end=7.
+    with tracer.span("round"):
+        with tracer.span("solve", rows=2):
+            pass
+        with tracer.span("solve", rows=5) as span:
+            tracer.clock.advance(2.0)
+            span.set_attribute("pivots", 4)
+    return tracer
+
+
+class TestSpanTree:
+    def test_span_tree_indents_children_and_shows_attributes(self):
+        tree = render_span_tree(_solve_trace().spans)
+        lines = tree.splitlines()
+        assert lines[0].startswith("round")
+        assert lines[1].startswith("  solve")
+        assert "rows=5" in tree and "pivots=4" in tree
+
+    def test_span_tree_truncates_and_reports_elisions(self):
+        tree = render_span_tree(_solve_trace().spans, max_spans=1)
+        assert tree.splitlines()[0].startswith("round")
+        assert "2 more span(s) elided" in tree
+
+    def test_empty_trace_renders_placeholder(self):
+        assert render_span_tree([]) == "(no spans recorded)"

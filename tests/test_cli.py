@@ -359,7 +359,6 @@ class TestTrace:
             capsys,
             "trace",
             "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
             "--repetitions", "1",
         )
         assert code == 0
@@ -373,17 +372,16 @@ class TestTrace:
         ):
             assert phase in out, phase
 
-    def test_trace_writes_jsonl_and_snapshot(self, capsys, tmp_path):
+    def test_trace_writes_jsonl(self, capsys, tmp_path, monkeypatch):
         from repro.auction.events import event_from_dict
-        from repro.obs import load_snapshot, read_jsonl
+        from repro.obs import read_jsonl
 
+        monkeypatch.chdir(tmp_path)
         trace_path = tmp_path / "trace.jsonl"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
-            "trace",
+            "trace", "--json",
             "--out", str(trace_path),
-            "--snapshot-dir", str(tmp_path),
-            "--label", "cli-test",
             "--repetitions", "1",
         )
         assert code == 0
@@ -396,10 +394,10 @@ class TestTrace:
         for record in events:
             event_from_dict(record["event"])
 
-        snapshot = load_snapshot(tmp_path / "BENCH_cli-test.json")
-        assert snapshot["schema"] == "repro-perf-snapshot/v1"
-        assert snapshot["span_count"] == len(spans)
-        assert "greedy.candidate_evals" in snapshot["metrics"]["counters"]
+        payload = json.loads(out)
+        assert payload["span_count"] == len(spans)
+        assert "greedy.candidate_evals" in payload["counters"]
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
 
     def test_trace_json_mode_emits_machine_payload(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -407,7 +405,6 @@ class TestTrace:
             "trace",
             "--json",
             "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
             "--repetitions", "1",
         )
         assert code == 0
@@ -426,110 +423,25 @@ class TestProfile:
             "--repeat", "1",
         )
         assert code == 0
-        assert "Per-phase timings" in out
+        assert "Hotspots (self time)" in out
         assert "mechanism.run" in out
         assert "cumulative" in out  # the cProfile hotspot listing
 
-
-def _write_bench_series(directory, name, means):
-    """One BENCH_*.json baseline per mean, indexed in name order."""
-    for index, mean in enumerate(means):
-        (directory / f"BENCH_{index:04d}.json").write_text(
-            json.dumps(
-                {
-                    "schema": "repro-bench/1",
-                    "benchmarks": {
-                        name: {
-                            "mean_seconds": mean,
-                            "min_seconds": mean,
-                            "rounds": 3,
-                        }
-                    },
-                }
-            ),
-            encoding="utf-8",
-        )
-
-
-class TestTrends:
-    def test_dashboard_to_stdout(self, capsys, tmp_path):
-        _write_bench_series(tmp_path, "t_solve", [0.10, 0.101, 0.099])
-        code, out, _ = run_cli(
-            capsys, "trends", "--bench-dir", str(tmp_path)
-        )
-        assert code == 0
-        assert "# Bench trend dashboard" in out
-        assert "`t_solve`" in out
-        assert "stable" in out
-
-    def test_committed_history_renders(self, capsys):
-        # The real BENCH_0004..6 mix: two baseline schemas plus a
-        # phase-snapshot file with a disjoint benchmark set.
-        code, out, _ = run_cli(capsys, "trends", "--bench-dir", ".")
-        assert code == 0
-        assert "`BENCH_0004`" in out
-        assert "`BENCH_0005`" in out
-        assert "`BENCH_0006`" in out
-
-    def test_dashboard_to_file(self, capsys, tmp_path):
-        _write_bench_series(tmp_path, "t", [0.1])
-        target = tmp_path / "TRENDS.md"
+    def test_profile_json_reports_the_hotspot_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "trends", "--bench-dir", str(tmp_path), "--out", str(target),
+            "profile", "--json",
+            "--slots", "6",
+            "--seed", "2",
+            "--repeat", "1",
         )
         assert code == 0
-        assert "written to" in out
-        assert target.read_text().startswith("# Bench trend dashboard")
-
-    def test_fail_on_drift_gates(self, capsys, tmp_path):
-        _write_bench_series(tmp_path, "creeper", [0.10, 0.112, 0.126, 0.142])
-        code, out, err = run_cli(
-            capsys, "trends", "--bench-dir", str(tmp_path)
-        )
-        assert code == 0  # reporting alone never fails
-        assert "**DRIFTING**" in out
-        code, _, err = run_cli(
-            capsys,
-            "trends", "--bench-dir", str(tmp_path), "--fail-on-drift",
-        )
-        assert code == 1
-        assert "creeper" in err
-
-    def test_json_payload(self, capsys, tmp_path):
-        _write_bench_series(tmp_path, "creeper", [0.10, 0.112, 0.126, 0.142])
-        code, out, _ = run_cli(
-            capsys, "trends", "--bench-dir", str(tmp_path), "--json"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["verdicts"]["creeper"] == "drifting"
-        assert payload["drifting"] == ["creeper"]
-
-    def test_missing_directory_errors(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "trends", "--bench-dir", str(tmp_path / "nope")
-        )
-        assert code == 2
-        assert "does not exist" in err
-
-    def test_ledger_series_joins_the_dashboard(self, capsys, tmp_path):
-        _write_bench_series(tmp_path, "t", [0.1])
-        ledger = tmp_path / "RUNS.jsonl"
-        code, _, _ = run_cli(
-            capsys,
-            "campaign", "--slots", "6", "--rounds", "2",
-            "--ledger", str(ledger),
-        )
-        assert code == 0
-        code, out, _ = run_cli(
-            capsys,
-            "trends", "--bench-dir", str(tmp_path),
-            "--ledger", str(ledger),
-        )
-        assert code == 0
-        assert "Ledgered runs" in out
-        assert "run:campaign:online-greedy" in out
+        phases = json.loads(out)["phases"]
+        assert "mechanism.run" in {phase["name"] for phase in phases}
+        for phase in phases:
+            assert phase["self_seconds"] <= phase["total_seconds"]
+        selfs = [phase["self_seconds"] for phase in phases]
+        assert selfs == sorted(selfs, reverse=True)
 
 
 class TestLedgerFlag:
@@ -566,13 +478,13 @@ class TestLedgerFlag:
             capsys,
             "trace",
             "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
             "--repetitions", "1",
             "--ledger", str(ledger),
         )
         assert code == 0
         view = RunLedger(ledger).read()
         assert [r.command for r in view.records] == ["figures", "trace"]
+        assert view.records[1].label == "trace"
         assert view.records[1].counters["spans"] > 0
         assert "trace" in view.records[1].artifacts
 
@@ -637,26 +549,30 @@ class TestHeartbeatFlag:
         assert result_lines(plain) == result_lines(pulsed)
 
 
+def _hotspot_rows(out):
+    """The phase rows of the trace's hotspot table (below its header)."""
+    lines = out[out.index("Hotspots (self time)"):].splitlines()[4:]
+    return lines[: lines.index("")] if "" in lines else lines
+
+
 class TestTraceTop:
     def test_top_renders_the_hotspot_table(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
             "trace",
             "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
             "--repetitions", "1",
             "--top", "3",
         )
         assert code == 0
-        assert "Hotspots (top 3 by self time)" in out
         assert "self ms" in out
+        assert len(_hotspot_rows(out)) == 3
 
     def test_top_json_payload_names_hotspots(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
             "trace", "--json",
             "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
             "--repetitions", "1",
             "--top", "2",
         )
@@ -664,16 +580,49 @@ class TestTraceTop:
         payload = json.loads(out)
         assert len(payload["hotspots"]) == 2
 
-    def test_without_top_no_hotspot_table(self, capsys, tmp_path):
+    def test_without_top_every_phase_is_listed(self, capsys, tmp_path):
+        from repro.obs import read_jsonl
+
+        trace_path = tmp_path / "trace.jsonl"
         code, out, _ = run_cli(
             capsys,
-            "trace",
-            "--out", str(tmp_path / "trace.jsonl"),
-            "--snapshot-dir", str(tmp_path),
-            "--repetitions", "1",
+            "trace", "--out", str(trace_path), "--repetitions", "1",
         )
         assert code == 0
-        assert "Hotspots" not in out
+        names = {
+            r["name"] for r in read_jsonl(trace_path) if r["record"] == "span"
+        }
+        assert {row.split()[0] for row in _hotspot_rows(out)} == names
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_top_below_one_is_rejected_before_the_run(
+        self, capsys, tmp_path, top
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, "trace", "--out", str(trace_path), "--top", top)
+        assert info.value.code == 2
+        assert "--top" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_negative_max_spans_is_rejected_before_the_run(
+        self, capsys, tmp_path
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as info:
+            run_cli(
+                capsys, "trace", "--out", str(trace_path),
+                "--max-spans", "-1",
+            )
+        assert info.value.code == 2
+        assert "--max-spans" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_trends_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, "trends")
+        assert info.value.code == 2
+        assert "invalid choice: 'trends'" in capsys.readouterr().err
 
 
 class TestOutputModes:
