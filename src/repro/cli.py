@@ -1309,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--seed", type=int, default=0, help="sweep seed")
     trace.add_argument(
-        "--repetitions", type=int, default=2,
+        "--repetitions", type=_int_at_least(1), default=2,
         help="repetitions per sweep point in the demo sweep (default 2)",
     )
     trace.add_argument(
@@ -1330,11 +1330,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(profile)
     _add_mechanism_argument(profile)
     profile.add_argument(
-        "--repeat", type=int, default=3,
+        "--repeat", type=_int_at_least(1), default=3,
         help="number of profiled runs (default 3)",
     )
     profile.add_argument(
-        "--top", type=int, default=15,
+        "--top", type=_int_at_least(1), default=15,
         help="profile rows to print (default 15)",
     )
     profile.set_defaults(func=_cmd_profile)

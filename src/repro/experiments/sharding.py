@@ -21,11 +21,16 @@ out at *shard* granularity instead, over the same
   crosses a pickle boundary on the way in.  With ``workers=1`` the pool
   runs in-process and encodes each shard only after the previous one
   was collected, so one segment is alive at a time.
-* Workers attach by name, rebuild each round zero-copy through the
-  codec's trusted fast path, run the mechanism, and stream one durable
-  checkpoint record per round from a background writer thread
-  (:class:`ShardCheckpointWriter`) concurrently with compute — so a
-  killed 10⁴-round campaign resumes mid-shard.  Checkpoint files are
+* Workers attach by name and run each round from its zero-copy columns:
+  :func:`~repro.model.columnar.unpack_rounds` validates every round's
+  values once, with numpy, the online mechanism's allocation pass reads
+  the columns, and the round metrics read real costs straight from them
+  (:class:`~repro.metrics.welfare.RoundCosts`) — no profile list and no
+  :class:`~repro.simulation.scenario.Scenario` is built.  Each worker
+  streams one durable checkpoint record per round from a background
+  writer thread (:class:`ShardCheckpointWriter`) concurrently with
+  compute — so a killed 10⁴-round campaign resumes mid-shard.
+  Checkpoint files are
   :mod:`repro.utils.recordlog` logs: sealed lines, the shared torn-tail
   rule, and an fsync every
   :data:`~repro.utils.recordlog.FSYNC_EVERY` records and on close.
@@ -35,6 +40,13 @@ out at *shard* granularity instead, over the same
   checkpoint — so the assembled result's pickle bytes are identical
   across worker counts, shard submission orders, and resume points (the
   determinism contract ``check_parallel_determinism`` enforces).
+* Round result graphs are acyclic, so the cyclic garbage collector finds
+  nothing in them, yet while a worker builds rounds and the parent
+  unpickles them it would run a generation-0 pass every few hundred
+  allocations and older-generation passes over everything alive.  Both
+  loops run with the collector paused (:func:`_cyclic_gc_paused`);
+  refcounting still frees everything, and the collector's prior state
+  is restored on every exit path.
 
 Determinism
 -----------
@@ -51,7 +63,9 @@ the output.
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
+import gc
 import os
 import pathlib
 import pickle
@@ -59,13 +73,15 @@ import queue
 import re
 import secrets
 import threading
+import traceback
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.multi_round import CampaignResult, aggregate_rounds
 from repro.errors import CheckpointError, ShardingError
 from repro.experiments.config import MechanismSpec
+from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.model.columnar import (
     RoundColumns,
     pack_rounds_into,
@@ -74,9 +90,7 @@ from repro.model.columnar import (
 )
 from repro.obs.clock import perf_seconds
 from repro.obs.live import Heartbeat, HeartbeatConfig, append_worker_beats
-from repro.simulation.costs import UniformCosts
 from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.simulation.scenario import Scenario
 from repro.simulation.workload import WorkloadConfig
 from repro.utils.pool import Envelope, WorkerPool
 from repro.utils.recordlog import (
@@ -163,8 +177,6 @@ class ShardTask:
     segment: str
     header: Dict[str, Any]
     round_indices: Tuple[int, ...]
-    round_seeds: Tuple[int, ...]
-    metadata_base: Tuple[Tuple[str, Any], ...]
     mechanism: MechanismSpec
     skip_rounds: Tuple[int, ...] = ()
     checkpoint_path: Optional[str] = None
@@ -464,43 +476,35 @@ def _run_shard(
     task: ShardTask,
     crash_hook: Optional[Any] = None,
 ) -> ShardOutcome:
-    """Execute one shard: attach, decode, run, stream checkpoints.
+    """Execute one shard: attach, validate, run, stream checkpoints.
 
-    Decoded column views alias the shared segment, so every view dies
-    before the segment is closed (the ``BufferError`` contract of
+    Column views alias the shared segment, so every view dies before
+    the segment is closed (the ``BufferError`` contract of
     :func:`repro.model.columnar.unpack_rounds`).
     """
     segment = _attach_segment(task.segment)
     writer: Optional[ShardCheckpointWriter] = None
     try:
-        rounds = unpack_rounds(segment.buf, task.header)
-        mechanism = task.mechanism.build()
-        if task.checkpoint_path is not None:
-            writer = ShardCheckpointWriter(
-                task.checkpoint_path, crash_hook=crash_hook
-            )
-        skip = frozenset(task.skip_rounds)
-        computed: List[Tuple[int, bytes]] = []
-        round_seconds: List[float] = []
-        base_metadata = dict(task.metadata_base)
-        for position, round_index in enumerate(task.round_indices):
-            if round_index in skip:
-                continue
-            round_start = perf_seconds()
-            blob = _run_shard_round(
-                mechanism,
-                rounds[position],
-                {
-                    **base_metadata,
-                    "seed": task.round_seeds[position],
-                    "round": round_index,
-                },
-            )
-            if writer is not None:
-                writer.append(round_index, blob)
-            computed.append((round_index, blob))
-            round_seconds.append(perf_seconds() - round_start)
-        del rounds  # release the column views before closing the segment
+        with _cyclic_gc_paused():
+            rounds = unpack_rounds(segment.buf, task.header)
+            mechanism = task.mechanism.build()
+            if task.checkpoint_path is not None:
+                writer = ShardCheckpointWriter(
+                    task.checkpoint_path, crash_hook=crash_hook
+                )
+            skip = frozenset(task.skip_rounds)
+            computed: List[Tuple[int, bytes]] = []
+            round_seconds: List[float] = []
+            for position, round_index in enumerate(task.round_indices):
+                if round_index in skip:
+                    continue
+                round_start = perf_seconds()
+                blob = _run_shard_round(mechanism, rounds[position])
+                if writer is not None:
+                    writer.append(round_index, blob)
+                computed.append((round_index, blob))
+                round_seconds.append(perf_seconds() - round_start)
+            del rounds  # release the column views before closing the segment
         checkpointed = 0
         if writer is not None:
             writer.close()
@@ -512,10 +516,12 @@ def _run_shard(
             round_seconds=tuple(round_seconds),
             checkpointed=checkpointed,
         )
-    except BaseException:
-        # The propagating traceback keeps this frame alive; drop the
-        # column views now so the segment can close cleanly.
+    except BaseException as exc:
+        # The propagating traceback keeps this frame and the failed
+        # round's frames alive; drop their column views now so the
+        # segment can close cleanly.
         rounds = None  # noqa: F841
+        traceback.clear_frames(exc.__traceback__)
         if writer is not None:
             writer.abort()
         raise
@@ -523,31 +529,43 @@ def _run_shard(
         _release_segment(segment, unlink=False)
 
 
-def _run_shard_round(
-    mechanism: Any,
-    columns: RoundColumns,
-    metadata: Dict[str, Any],
-) -> bytes:
-    """One round through the codec fast path; returns the result blob.
+def _run_shard_round(mechanism: Any, columns: RoundColumns) -> bytes:
+    """One round from its columns; returns the pickled result.
 
-    Mirrors ``SimulationEngine.run`` over a freshly generated scenario:
-    the decoded bids equal the scenario's truthful bids verbatim, so the
-    packaged :class:`SimulationResult` pickles byte-identically to the
-    serial campaign's.
+    Equals ``SimulationEngine.run`` over the scenario the serial
+    campaign generates for the same seed: the online mechanism reads the
+    columns directly (other mechanisms get the decoded bids, which equal
+    that scenario's truthful bids verbatim), and the one packager reads
+    real costs from the columns.  The :class:`SimulationResult`
+    therefore pickles byte-identically to the serial campaign's.
     """
-    bids = columns.decode_bids()
-    scenario = Scenario.from_trusted(
-        columns.decode_profiles(), columns.decode_schedule(), metadata
+    bids = (
+        columns
+        if isinstance(mechanism, OnlineGreedyMechanism)
+        else columns.decode_bids()
     )
-    # The decoded objects are copies; release the view container so an
-    # exception traceback through this frame cannot pin the segment.
-    del columns
     with obs.span(
-        "mechanism.run", mechanism=mechanism.name, bids=len(bids)
+        "mechanism.run", mechanism=mechanism.name, bids=columns.num_phones
     ):
-        outcome = mechanism.run(bids, scenario.schedule)
-    result = SimulationEngine.package(mechanism.name, outcome, scenario)
+        outcome = mechanism.run(bids, columns.schedule)
+    result = SimulationEngine.package(mechanism.name, outcome, columns)
     return pickle.dumps(result, protocol=4)
+
+
+@contextlib.contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector; restore its prior state on exit.
+
+    Re-enables it only if it was enabled on entry, so a caller that
+    disabled the collector itself still finds it disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -705,13 +723,9 @@ def _prepare_shard(
     """Encode one shard's rounds into a fresh segment; build its task."""
     city = cities[plan.city_index]
     city_streams = RngStreams(plan.city_seed)
-    round_seeds = tuple(
-        city_streams.child(round_index).seed
-        for round_index in plan.round_indices
-    )
     rounds = [
-        city.workload.generate_columns(round_seed)
-        for round_seed in round_seeds
+        city.workload.generate_columns(city_streams.child(round_index).seed)
+        for round_index in plan.round_indices
     ]
     nbytes = packed_size(rounds)
     segment = _create_segment(nbytes)
@@ -734,25 +748,12 @@ def _prepare_shard(
         checkpoint_path = str(target)
         if done:
             obs.counter("campaign.shard.resumed_rounds", len(done))
-    # Scenario metadata parity with the serial campaign loop: the exact
-    # dict generate() attaches (workload parameters, seed placeholder,
-    # default cost-distribution repr, in that key order — the worker
-    # overrides "seed" in place and appends "round", reproducing the
-    # serial loop's insertion order).  Overridable distributions are a
-    # generate()-level feature; the sharded runner draws the defaults.
-    metadata_base = tuple(
-        city.workload.metadata_for(
-            0, repr(UniformCosts.with_mean(city.workload.mean_cost))
-        ).items()
-    )
     return ShardTask(
         shard_id=plan.shard_id,
         city_name=plan.city_name,
         segment=segment.name,
         header=header,
         round_indices=plan.round_indices,
-        round_seeds=round_seeds,
-        metadata_base=metadata_base,
         mechanism=mechanism,
         skip_rounds=skip,
         checkpoint_path=checkpoint_path,
@@ -820,13 +821,14 @@ def _assemble(
         blobs_by_city[plan.city_index].update(merged)
 
     city_results: List[Tuple[str, CampaignResult]] = []
-    for city_index, city in enumerate(cities):
-        blobs = blobs_by_city[city_index]
-        results: List[SimulationResult] = [
-            pickle.loads(blobs[round_index])
-            for round_index in range(city.num_rounds)
-        ]
-        city_results.append((city.name, aggregate_rounds(results)))
+    with _cyclic_gc_paused():
+        for city_index, city in enumerate(cities):
+            blobs = blobs_by_city[city_index]
+            results: List[SimulationResult] = [
+                pickle.loads(blobs[round_index])
+                for round_index in range(city.num_rounds)
+            ]
+            city_results.append((city.name, aggregate_rounds(results)))
     return ShardedCampaignResult(
         cities=tuple(city_results),
         total_welfare=sum(

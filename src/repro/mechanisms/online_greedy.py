@@ -10,7 +10,7 @@ runs in polynomial time (Theorem 7).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import MechanismError
@@ -21,6 +21,7 @@ from repro.mechanisms.critical_payment import (
 )
 from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
+from repro.model.columnar import RoundColumns
 from repro.model.outcome import AuctionOutcome
 from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
@@ -95,18 +96,43 @@ class OnlineGreedyMechanism(Mechanism):
 
     def run(
         self,
-        bids: Sequence[Bid],
+        bids: Union[Sequence[Bid], RoundColumns],
         schedule: TaskSchedule,
         config: Optional[RoundConfig] = None,
     ) -> AuctionOutcome:
-        self._resolve_config(bids, schedule, config)
+        """Run one round over ``bids``.
+
+        ``bids`` may also be a :class:`~repro.model.columnar.RoundColumns`
+        (a shard worker's round): its values were validated when it was
+        constructed, so the per-bid checks are skipped, the allocation
+        pass reads the columns, and the outcome holds
+        :meth:`~repro.model.columnar.RoundColumns.decode_bids`.
+        """
+        columns: Optional[RoundColumns] = None
+        round_bids: Sequence[Bid]
+        if isinstance(bids, RoundColumns):
+            columns = bids
+            effective = config or RoundConfig.for_schedule(schedule)
+            effective.validate_schedule(schedule)
+            if columns.num_slots != effective.num_slots:
+                raise MechanismError(
+                    f"bid columns span {columns.num_slots} slots, the "
+                    f"round {effective.num_slots}"
+                )
+            round_bids = columns.decode_bids()
+        else:
+            self._resolve_config(bids, schedule, config)
+            round_bids = bids
         # One event-driven pass produces the allocation and the per-slot
         # records payments are read from; no re-runs unless the engine
         # declares its records inapplicable (reserve price over
         # heterogeneous task values), where each payment re-runs the
         # allocation on a fresh engine.
         engine = StreamingGreedyEngine(
-            bids, schedule, reserve_price=self._reserve_price
+            round_bids,
+            schedule,
+            reserve_price=self._reserve_price,
+            columns=columns,
         )
         greedy = engine.base_run
         if greedy.win_slots and not engine.supports_incremental_payments:
@@ -121,7 +147,7 @@ class OnlineGreedyMechanism(Mechanism):
             winner = bid_by_phone[phone_id]
             if self._payment_rule == "paper":
                 payments[phone_id] = algorithm2_payment(
-                    bids,
+                    round_bids,
                     schedule,
                     winner,
                     win_slot,
@@ -130,7 +156,7 @@ class OnlineGreedyMechanism(Mechanism):
                 )
             else:
                 payments[phone_id] = exact_critical_payment(
-                    bids,
+                    round_bids,
                     schedule,
                     winner,
                     reserve_price=self._reserve_price,
@@ -145,7 +171,7 @@ class OnlineGreedyMechanism(Mechanism):
         obs.counter("online.stream.cascade_steps", engine.cascade_steps)
 
         return AuctionOutcome(
-            bids=bids,
+            bids=round_bids,
             schedule=schedule,
             allocation=greedy.allocation,
             payments=payments,

@@ -72,6 +72,7 @@ from repro import obs
 from repro.errors import MechanismError
 from repro.mechanisms.greedy_core import GreedyRun, SlotOutcome
 from repro.model.bid import Bid
+from repro.model.columnar import RoundColumns
 from repro.model.task import TaskSchedule
 from repro.obs.clock import perf_seconds
 
@@ -134,13 +135,30 @@ class StreamingGreedyEngine:
         bids: Sequence[Bid],
         schedule: TaskSchedule,
         reserve_price: bool = False,
+        columns: Optional[RoundColumns] = None,
     ) -> None:
+        """``columns``, when given, are the columns ``bids`` were decoded
+        from (:meth:`RoundColumns.decode_bids
+        <repro.model.columnar.RoundColumns.decode_bids>`); the pass then
+        reads the bid fields from them instead of from the objects."""
         self._source = bids
         self._bids: Tuple[Bid, ...] = tuple(bids)
         self._schedule = schedule
         self._reserve_price = bool(reserve_price)
         self._num_slots = schedule.num_slots
-        self._bid_by_phone = {bid.phone_id: bid for bid in self._bids}
+        if columns is None:
+            phone_id = [bid.phone_id for bid in self._bids]
+            arrival = [bid.arrival for bid in self._bids]
+            departure = [bid.departure for bid in self._bids]
+            cost = [bid.cost for bid in self._bids]
+        else:
+            # ``tolist`` round-trips exactly: the same Python ints and
+            # floats the decoded bids hold.
+            phone_id = columns.phone_id.tolist()
+            arrival = columns.arrival.tolist()
+            departure = columns.departure.tolist()
+            cost = columns.cost.tolist()
+        self._bid_by_phone = dict(zip(phone_id, self._bids))
         self._cascade_steps = 0
         uniform = schedule.uniform_value
         self._supports_incremental = (
@@ -154,7 +172,7 @@ class StreamingGreedyEngine:
             uniform if self._reserve_price and uniform is not None else _INF
         )
         started = perf_seconds()
-        self._base_run = self._stream()
+        self._base_run = self._stream(phone_id, arrival, departure, cost)
         elapsed = perf_seconds() - started
         rate = self._events / elapsed if elapsed > 0 else 0.0
         obs.counter("online.stream.events", self._events)
@@ -167,7 +185,19 @@ class StreamingGreedyEngine:
     # ------------------------------------------------------------------
     # The single event-driven pass
     # ------------------------------------------------------------------
-    def _stream(self) -> GreedyRun:
+    def _stream(
+        self,
+        pid: List[int],
+        arr: List[int],
+        dep: List[int],
+        cost: List[float],
+    ) -> GreedyRun:
+        """The pass over the bids' fields, one plain list per field.
+
+        Plain Python lists for the hot loop: scalar indexing into numpy
+        arrays allocates a boxed scalar per access, which dominates at
+        10⁶ bids.
+        """
         bids = self._bids
         count = len(bids)
         num_slots = self._num_slots
@@ -177,21 +207,12 @@ class StreamingGreedyEngine:
         # arrival column, then a searchsorted boundary table, so slot
         # ``s`` reads ``order[bounds[s-1]:bounds[s]]`` — the same
         # interval trick ``matching/graph.py`` uses for window masks.
-        arrival = np.fromiter(
-            (bid.arrival for bid in bids), dtype=np.int64, count=count
-        )
+        arrival = np.array(arr, dtype=np.int64)
         order = np.argsort(arrival, kind="stable")
         bounds = np.searchsorted(
             arrival[order], np.arange(1, num_slots + 2)
         ).tolist()
         order_list: List[int] = order.tolist()
-        # Plain Python lists for the hot loop: scalar indexing into
-        # numpy arrays allocates a boxed scalar per access, which
-        # dominates at 10⁶ bids.  ``tolist`` round-trips exactly.
-        cost: List[float] = [bid.cost for bid in bids]
-        arr: List[int] = arrival.tolist()
-        dep: List[int] = [bid.departure for bid in bids]
-        pid: List[int] = [bid.phone_id for bid in bids]
 
         pool: List[_Entry] = []
         allocation: Dict[int, int] = {}

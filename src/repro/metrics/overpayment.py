@@ -16,23 +16,21 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.metrics.welfare import RoundCosts, real_cost
 from repro.model.outcome import AuctionOutcome
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # imported for type hints only; avoids a
-    # metrics <-> simulation import cycle at runtime
-    from repro.simulation.scenario import Scenario
 
 
-def total_real_cost(outcome: AuctionOutcome, scenario: "Scenario") -> float:
+def total_real_cost(
+    outcome: AuctionOutcome, round_costs: RoundCosts
+) -> float:
     """Sum of real costs over allocated smartphones."""
     return sum(
-        scenario.profile(phone_id).cost for phone_id in outcome.winners
+        real_cost(round_costs, phone_id) for phone_id in outcome.winners
     )
 
 
 def total_overpayment(
-    outcome: AuctionOutcome, scenario: "Scenario"
+    outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> float:
     """Total payments minus total real costs, over allocated phones.
 
@@ -42,21 +40,23 @@ def total_overpayment(
     winner_ids = set(outcome.winners)
     overpayment = 0.0
     for phone_id, payment in outcome.payments.items():
-        real_cost = (
-            scenario.profile(phone_id).cost if phone_id in winner_ids else 0.0
+        cost = (
+            real_cost(round_costs, phone_id)
+            if phone_id in winner_ids
+            else 0.0
         )
-        overpayment += payment - real_cost
+        overpayment += payment - cost
     # Winners that somehow received no payment entry still incur cost.
     # Sorted: float addition is order-sensitive, and set hash order
     # would make the total differ in the last bit across processes.
     for phone_id in sorted(winner_ids):
         if phone_id not in outcome.payments:
-            overpayment -= scenario.profile(phone_id).cost
+            overpayment -= real_cost(round_costs, phone_id)
     return overpayment
 
 
 def overpayment_ratio(
-    outcome: AuctionOutcome, scenario: "Scenario"
+    outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> Optional[float]:
     """Definition 11's ratio ``σ``; ``None`` when nothing was allocated.
 
@@ -64,7 +64,7 @@ def overpayment_ratio(
     forces callers to handle the degenerate case explicitly; the sweep
     aggregator skips such rounds.
     """
-    denominator = total_real_cost(outcome, scenario)
+    denominator = total_real_cost(outcome, round_costs)
     if denominator <= 0.0:
         return None
-    return total_overpayment(outcome, scenario) / denominator
+    return total_overpayment(outcome, round_costs) / denominator

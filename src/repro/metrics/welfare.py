@@ -2,75 +2,96 @@
 
 An outcome knows the claimed costs it allocated against
 (:attr:`~repro.model.AuctionOutcome.claimed_welfare`); the true welfare
-needs the private profiles, which live in the scenario.  Under a truthful
+needs the private costs, which live with the round.  Under a truthful
 mechanism with truthful agents the two coincide — a fact the integration
 tests assert.
+
+The round metrics here and in :mod:`repro.metrics.overpayment` read a
+round through :class:`RoundCosts`: its task schedule and its real cost
+per phone.  A :class:`~repro.simulation.scenario.Scenario` provides it
+from its profiles, a :class:`~repro.model.columnar.RoundColumns` straight
+from its columns.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Protocol
 
 from repro.errors import SimulationError
 from repro.model.outcome import AuctionOutcome
-from typing import TYPE_CHECKING
+from repro.model.task import TaskSchedule
 
-if TYPE_CHECKING:  # imported for type hints only; avoids a
-    # metrics <-> simulation import cycle at runtime
-    from repro.simulation.scenario import Scenario
+
+class RoundCosts(Protocol):
+    """What the round metrics read about a round."""
+
+    @property
+    def schedule(self) -> TaskSchedule:
+        """The round's task schedule."""
+
+    @property
+    def real_costs(self) -> Mapping[int, float]:
+        """``phone_id -> real cost``, iterating in ascending phone id."""
+
+
+def real_cost(round_costs: RoundCosts, phone_id: int) -> float:
+    """One phone's real cost; :class:`SimulationError` if it is unknown."""
+    try:
+        return round_costs.real_costs[phone_id]
+    except KeyError as exc:
+        raise SimulationError(f"unknown phone_id {phone_id}") from exc
 
 
 def true_social_welfare(
-    outcome: AuctionOutcome, scenario: "Scenario"
+    outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> float:
     """Definition 3: ``ω = Σ_{allocated τ} (ν − c_i)`` with real costs."""
+    schedule = round_costs.schedule
     total = 0.0
     for task_id, phone_id in outcome.allocation.items():
-        task = scenario.schedule.task(task_id)
-        total += task.value - scenario.profile(phone_id).cost
+        task = schedule.task(task_id)
+        total += task.value - real_cost(round_costs, phone_id)
     return total
 
 
 def welfare_per_task(
-    outcome: AuctionOutcome, scenario: "Scenario"
+    outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> Dict[int, float]:
     """Definition 2 per task: ``u(τ) = ν − c_i`` for each allocated task."""
+    schedule = round_costs.schedule
     utilities: Dict[int, float] = {}
     for task_id, phone_id in outcome.allocation.items():
-        task = scenario.schedule.task(task_id)
-        utilities[task_id] = task.value - scenario.profile(phone_id).cost
+        task = schedule.task(task_id)
+        utilities[task_id] = task.value - real_cost(round_costs, phone_id)
     return utilities
 
 
 def phone_utilities(
-    outcome: AuctionOutcome, scenario: "Scenario"
+    outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> Dict[int, float]:
     """Definition 1 per phone: ``u_i = p_i − c_i·I(allocated)``.
 
-    Covers every phone in the scenario; phones that submitted no bid (or
+    Covers every phone of the round; phones that submitted no bid (or
     lost) have utility equal to their payment, which is zero under all
     sane mechanisms.
     """
-    utilities: Dict[int, float] = {}
-    bid_phone_ids = outcome.bid_phone_ids
-    # Hoisted lookups: per-phone outcome.payment()/is_winner() calls
-    # re-validate the phone id each time, which dominates at 2·10⁴
-    # phones per round.  payments omits losers, so .get matches
-    # outcome.payment exactly for every phone that bid.
-    payment_of = outcome.payments.get
+    costs = round_costs.real_costs
+    unknown = outcome.bid_phone_ids - costs.keys()
+    if unknown:
+        raise SimulationError(
+            f"outcome contains a bid from phone {min(unknown)} that is "
+            f"not in the round"
+        )
+    # Every phone starts at the loser's ``0.0 - 0.0``; only paid phones
+    # and winners differ.  Keys keep ascending phone-id order, and each
+    # value is SmartphoneProfile.utility's expression, operation for
+    # operation.
+    utilities: Dict[int, float] = dict.fromkeys(costs, 0.0)
     winner_set = set(outcome.winners)
-    for profile in scenario.profiles:
-        phone_id = profile.phone_id
-        if phone_id in bid_phone_ids:
-            payment = payment_of(phone_id, 0.0)
-            allocated = phone_id in winner_set
-        else:
-            payment, allocated = 0.0, False
-        utilities[phone_id] = profile.utility(payment, allocated)
-    for phone_id in bid_phone_ids:
-        if phone_id not in utilities:
-            raise SimulationError(
-                f"outcome contains a bid from phone {phone_id} that is "
-                f"not in the scenario"
-            )
+    for phone_id, payment in outcome.payments.items():
+        utilities[phone_id] = payment - (
+            costs[phone_id] if phone_id in winner_set else 0.0
+        )
+    for phone_id in sorted(winner_set.difference(outcome.payments)):
+        utilities[phone_id] = 0.0 - costs[phone_id]
     return utilities

@@ -27,19 +27,34 @@ zero-copy ``numpy`` views into the buffer — callers must drop the returned
 :class:`RoundColumns` (and anything holding their arrays) before closing
 the shared-memory segment backing the buffer.
 
-Decoding to model objects (:meth:`RoundColumns.decode_bids` /
-:meth:`RoundColumns.decode_profiles`) uses a trusted fast path that skips
-``__post_init__`` validation: the columns are produced by the workload
-generator, which already validated every field.  The constructed objects
-are attribute-for-attribute identical to validated construction (same
-``__dict__`` insertion order, same value types), so downstream pickles are
-byte-identical.
+Validation
+----------
+A :class:`RoundColumns` checks every value once, with numpy, when it is
+constructed — by the workload generator, by :func:`unpack_rounds` over a
+shared-memory segment, or by hand: integer id/window columns and a float
+cost column, non-negative phone ids in strictly ascending order (hence
+unique), ``1 <= arrival <= departure <= num_slots``, and finite
+non-negative costs.  Any failure raises
+:class:`~repro.errors.ValidationError`.  That is every check ``Bid`` /
+``SmartphoneProfile`` construction and ``RoundConfig.validate_bids`` make
+per object, so decoding to model objects (:meth:`RoundColumns.decode_bids`
+/ :meth:`RoundColumns.decode_profiles`) skips ``__post_init__``.  The
+constructed objects are attribute-for-attribute identical to validated
+construction (same ``__dict__`` insertion order, same value types), so
+downstream pickles are byte-identical.
+
+A :class:`RoundColumns` also serves the round metrics directly: like a
+:class:`~repro.simulation.scenario.Scenario` it exposes the round's
+``schedule`` and its ``real_costs`` (see :mod:`repro.metrics.welfare`),
+so a shard worker packages results without materialising profiles.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Sequence, Tuple
+import functools
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +82,7 @@ class RoundColumns:
     task_value:
         The platform's uniform per-task value ``ν``.
     phone_id / arrival / departure / cost:
-        Per-phone columns, all of length ``num_phones``, ordered by
+        Per-phone columns, all of length ``num_phones``, in ascending
         phone id (the generator's order).
     task_counts:
         Task arrivals per slot, length ``num_slots``.
@@ -97,6 +112,47 @@ class RoundColumns:
             raise ValidationError(
                 f"task_counts has length {len(self.task_counts)}, "
                 f"expected num_slots={self.num_slots}"
+            )
+        for name in ("phone_id", "arrival", "departure", "task_counts"):
+            if np.asarray(getattr(self, name)).dtype.kind not in "iu":
+                raise ValidationError(f"column {name!r} must hold integers")
+        if np.asarray(self.cost).dtype.kind != "f":
+            raise ValidationError("column 'cost' must hold floats")
+        if n:
+            self._check_phones()
+
+    def _check_phones(self) -> None:
+        """Reject any phone a validated ``Bid`` could not hold."""
+        phone_id = np.asarray(self.phone_id)
+        arrival = np.asarray(self.arrival)
+        departure = np.asarray(self.departure)
+        cost = np.asarray(self.cost)
+        for bad, rule in (
+            (phone_id < 0, "phone id must be >= 0"),
+            (arrival < 1, "arrival must be >= 1"),
+            (departure < arrival, "departure must be >= arrival"),
+            (
+                departure > self.num_slots,
+                f"departure must be <= num_slots={self.num_slots}",
+            ),
+            (~np.isfinite(cost) | (cost < 0), "cost must be finite and >= 0"),
+        ):
+            if bad.any():
+                index = int(np.argmax(bad))
+                raise ValidationError(
+                    f"{rule}: phone {int(phone_id[index])} has arrival "
+                    f"{int(arrival[index])}, departure "
+                    f"{int(departure[index])}, cost {float(cost[index])!r}"
+                )
+        # Ascending, which also makes them unique: the serial path's
+        # Scenario orders phones by id, and bid order is pickled.
+        step = np.diff(phone_id)
+        if (step <= 0).any():
+            index = int(np.argmax(step <= 0)) + 1
+            problem = "duplicate" if step[index - 1] == 0 else "out-of-order"
+            raise ValidationError(
+                f"phone ids must ascend: {problem} phone id "
+                f"{int(phone_id[index])} at position {index}"
             )
 
     @property
@@ -146,16 +202,15 @@ class RoundColumns:
         )
 
     # ------------------------------------------------------------------
-    # Decoding (trusted fast path)
+    # Decoding (values were validated at construction)
     # ------------------------------------------------------------------
     def decode_profiles(self) -> List[SmartphoneProfile]:
         """Materialise :class:`SmartphoneProfile` objects from the columns.
 
         Constructs instances through ``object.__new__`` with fields set in
-        declaration order, skipping ``__post_init__`` — the generator
-        validated these values when the columns were produced.  The result
-        is indistinguishable (including pickle bytes) from validated
-        construction.
+        declaration order, skipping ``__post_init__`` — the constructor
+        already validated these values.  The result is indistinguishable
+        (including pickle bytes) from validated construction.
         """
         return _decode(SmartphoneProfile, self)
 
@@ -174,9 +229,29 @@ class RoundColumns:
             [int(c) for c in self.task_counts], value=self.task_value
         )
 
+    # ------------------------------------------------------------------
+    # What the round metrics read (shared with Scenario)
+    # ------------------------------------------------------------------
+    @functools.cached_property
+    def schedule(self) -> TaskSchedule:
+        """The round's task schedule, decoded once."""
+        return self.decode_schedule()
+
+    @functools.cached_property
+    def real_costs(self) -> Mapping[int, float]:
+        """``phone_id -> cost``, in ascending phone id (read-only).
+
+        Under truthful bidding the columns' costs are the phones' real
+        costs.  Built from Python lists, so it holds no view into the
+        buffer backing the columns.
+        """
+        return MappingProxyType(
+            dict(zip(self.phone_id.tolist(), self.cost.tolist()))
+        )
+
 
 def _decode(cls: type, columns: RoundColumns) -> List[Any]:
-    """Build ``cls`` instances from columns via the trusted fast path."""
+    """Build ``cls`` instances from validated columns, skipping ``__init__``."""
     new = object.__new__
     out: List[Any] = []
     append = out.append
@@ -244,9 +319,12 @@ def unpack_rounds(
 ) -> List[RoundColumns]:
     """Zero-copy inverse of :func:`pack_rounds_into`.
 
-    The returned columns are views into ``buffer`` — no bytes are copied.
-    Callers must drop every returned object before releasing the buffer
-    (closing its shared-memory segment), or the release will fail with a
+    The returned columns are read-only views into ``buffer`` — no bytes
+    are copied — and each round is validated as it is constructed, so a
+    segment corrupted after packing raises
+    :class:`~repro.errors.ValidationError` here.  Callers must drop every
+    returned object before releasing the buffer (closing its
+    shared-memory segment), or the release will fail with a
     ``BufferError``.
     """
     if header.get("schema") != COLUMNAR_SCHEMA:
@@ -276,11 +354,12 @@ def unpack_rounds(
             (num_phones, _FLOAT),
             (num_slots, _INT),
         ):
-            views.append(
-                np.frombuffer(
-                    buffer, dtype=dtype, count=count, offset=offset
-                )
+            view = np.frombuffer(
+                buffer, dtype=dtype, count=count, offset=offset
             )
+            # Validated once below, so nothing may write through it.
+            view.flags.writeable = False
+            views.append(view)
             offset += count * _ELEMENT_BYTES
         rounds.append(
             RoundColumns(

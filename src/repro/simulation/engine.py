@@ -17,7 +17,11 @@ from repro import obs
 from repro.agents.base import BiddingStrategy
 from repro.mechanisms.base import Mechanism
 from repro.metrics.overpayment import overpayment_ratio, total_overpayment
-from repro.metrics.welfare import phone_utilities, true_social_welfare
+from repro.metrics.welfare import (
+    RoundCosts,
+    phone_utilities,
+    true_social_welfare,
+)
 from repro.model.outcome import AuctionOutcome
 from repro.simulation.scenario import Scenario
 
@@ -106,16 +110,21 @@ class SimulationEngine:
     def package(
         mechanism_name: str,
         outcome: AuctionOutcome,
-        scenario: Scenario,
+        round_costs: RoundCosts,
     ) -> SimulationResult:
-        """Compute the metric bundle for an already-produced outcome."""
+        """Compute the metric bundle for an already-produced outcome.
+
+        ``round_costs`` is the round the outcome was produced for: a
+        :class:`~repro.simulation.scenario.Scenario`, or the
+        :class:`~repro.model.columnar.RoundColumns` a shard worker ran.
+        """
         return SimulationResult(
             mechanism_name=mechanism_name,
             outcome=outcome,
-            true_welfare=true_social_welfare(outcome, scenario),
+            true_welfare=true_social_welfare(outcome, round_costs),
             claimed_welfare=outcome.claimed_welfare,
-            overpayment=total_overpayment(outcome, scenario),
-            overpayment_ratio=overpayment_ratio(outcome, scenario),
-            utilities=phone_utilities(outcome, scenario),
+            overpayment=total_overpayment(outcome, round_costs),
+            overpayment_ratio=overpayment_ratio(outcome, round_costs),
+            utilities=phone_utilities(outcome, round_costs),
             tasks_served=len(outcome.allocation),
         )

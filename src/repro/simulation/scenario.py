@@ -9,6 +9,7 @@ into bids).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,31 +55,11 @@ class Scenario:
             by_id[pid] for pid in sorted(by_id)
         )
         self._by_id = by_id
+        self._real_costs: Mapping[int, float] = MappingProxyType(
+            {profile.phone_id: profile.cost for profile in self._profiles}
+        )
         self._schedule = schedule
         self._metadata: Dict[str, object] = dict(metadata or {})
-
-    @classmethod
-    def from_trusted(
-        cls,
-        profiles: Sequence[SmartphoneProfile],
-        schedule: TaskSchedule,
-        metadata: Optional[Mapping[str, object]] = None,
-    ) -> "Scenario":
-        """Build a scenario from pre-validated inputs, skipping checks.
-
-        Fast path for the columnar codec: ``profiles`` must already be
-        unique, sorted by phone id, and within the schedule horizon —
-        exactly what :meth:`RoundColumns.decode_profiles
-        <repro.model.columnar.RoundColumns.decode_profiles>` produces
-        from generator output.  The result is indistinguishable from
-        ``Scenario(profiles, schedule, metadata)``.
-        """
-        scenario = object.__new__(cls)
-        scenario._profiles = tuple(profiles)
-        scenario._by_id = {p.phone_id: p for p in scenario._profiles}
-        scenario._schedule = schedule
-        scenario._metadata = dict(metadata or {})
-        return scenario
 
     @property
     def profiles(self) -> Tuple[SmartphoneProfile, ...]:
@@ -89,6 +70,15 @@ class Scenario:
     def schedule(self) -> TaskSchedule:
         """The round's task arrivals."""
         return self._schedule
+
+    @property
+    def real_costs(self) -> Mapping[int, float]:
+        """``phone_id -> real cost``, in ascending phone id (read-only).
+
+        What the round metrics read (:class:`repro.metrics.welfare
+        .RoundCosts`).
+        """
+        return self._real_costs
 
     @property
     def metadata(self) -> Dict[str, object]:

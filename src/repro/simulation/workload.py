@@ -165,17 +165,6 @@ class WorkloadConfig:
             cost_distribution or UniformCosts.with_mean(self.mean_cost),
         )
 
-    def metadata_for(self, seed: int, costs_repr: str) -> Dict[str, Any]:
-        """The scenario metadata :meth:`generate` attaches for ``seed``.
-
-        Lets columnar consumers (shard workers) rebuild the exact
-        metadata dict without re-running generation.
-        """
-        metadata = self.to_dict()
-        metadata["seed"] = seed
-        metadata["cost_distribution"] = costs_repr
-        return metadata
-
     def _columns(
         self,
         seed: int,

@@ -150,11 +150,10 @@ class TestPaymentByteStability:
         # every one goes through the sorted correction loop.
         outcome = SimpleNamespace(winners=(5, 3, 1, 4, 2), payments={})
 
-        class FakeScenario:
-            def profile(self, phone_id):
-                return SimpleNamespace(cost=costs[phone_id])
+        class FakeRound:
+            real_costs = costs
 
         expected = 0.0
         for phone_id in sorted(costs):
             expected -= costs[phone_id]
-        assert total_overpayment(outcome, FakeScenario()) == expected
+        assert total_overpayment(outcome, FakeRound()) == expected

@@ -14,15 +14,22 @@ The acceptance contract under test:
 
 from __future__ import annotations
 
+import gc
 import glob
 import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.auction.multi_round import run_campaign
-from repro.errors import CheckpointError, ReproError, ShardingError
+from repro.errors import (
+    CheckpointError,
+    ReproError,
+    ShardingError,
+    ValidationError,
+)
 from repro.experiments.config import MechanismSpec
 from repro.experiments.sharding import (
     CityConfig,
@@ -536,6 +543,33 @@ class TestSharedMemoryLifecycle:
             )
         assert_segments_gone(spy.names)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupted_segment_fails_typed_and_unlinks(
+        self, spy, monkeypatch, workers
+    ):
+        """A segment corrupted after packing (a NaN cost) fails the
+        shard with the codec's ValidationError, and is still unlinked."""
+        import repro.experiments.sharding as sharding_mod
+
+        real_pack = sharding_mod.pack_rounds_into
+
+        def pack_then_corrupt(rounds, buffer):
+            header = real_pack(rounds, buffer)
+            offset = 3 * 8 * rounds[0].num_phones  # first cost entry
+            np.frombuffer(buffer, dtype=np.float64, count=1, offset=offset)[
+                0
+            ] = np.nan
+            return header
+
+        monkeypatch.setattr(
+            sharding_mod, "pack_rounds_into", pack_then_corrupt
+        )
+        with pytest.raises(ValidationError, match="cost must be finite"):
+            run_sharded_campaign(
+                SPEC, two_cities(), seed=1, workers=workers
+            )
+        assert_segments_gone(spy.names)
+
     def test_twenty_seed_lifecycle_property(self, spy):
         """No segment survives any of 20 seeded campaigns, and no
         repro-shard segment is left in /dev/shm afterwards."""
@@ -577,3 +611,78 @@ class TestSharedMemoryLifecycle:
         assert "done" in completed.stdout
         assert "resource_tracker" not in completed.stderr
         assert "leaked" not in completed.stderr
+
+
+class TestCyclicGcPause:
+    """The collector is paused while the worker builds rounds and while
+    the parent unpickles them, and is left as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_rounds_and_unpickling(self, monkeypatch):
+        import repro.experiments.sharding as sharding_mod
+
+        seen = []
+        real_round = sharding_mod._run_shard_round
+
+        def recording_round(*args):
+            seen.append(("round", gc.isenabled()))
+            return real_round(*args)
+
+        class RecordingPickle:
+            dumps = staticmethod(pickle.dumps)
+
+            @staticmethod
+            def loads(blob):
+                seen.append(("loads", gc.isenabled()))
+                return pickle.loads(blob)
+
+        monkeypatch.setattr(sharding_mod, "_run_shard_round", recording_round)
+        monkeypatch.setattr(sharding_mod, "pickle", RecordingPickle)
+        gc.enable()
+        run_sharded_campaign(SPEC, two_cities(), seed=3, workers=1)
+        assert gc.isenabled()
+        assert sorted(set(seen)) == [("loads", False), ("round", False)]
+        assert len(seen) == 10  # five rounds computed, five unpickled
+
+    def test_restored_after_a_worker_exception(self):
+        bad = MechanismSpec.of("online-greedy", engine="no-such-engine")
+        gc.enable()
+        with pytest.raises(ReproError):
+            run_sharded_campaign(bad, two_cities(), seed=1, workers=1)
+        assert gc.isenabled()
+
+    def test_restored_after_a_simulated_crash(self, tmp_path):
+        gc.enable()
+        with pytest.raises(SimulatedCrash):
+            run_sharded_campaign(
+                SPEC,
+                two_cities(),
+                seed=1,
+                workers=1,
+                checkpoint_dir=tmp_path,
+                checkpoint_crash_hook=CrashController(CrashPlan(2)),
+            )
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_finds_it_disabled(self, tmp_path):
+        gc.disable()
+        run_sharded_campaign(SPEC, two_cities(), seed=2, workers=1)
+        assert not gc.isenabled()
+        with pytest.raises(SimulatedCrash):
+            run_sharded_campaign(
+                SPEC,
+                two_cities(),
+                seed=2,
+                workers=1,
+                checkpoint_dir=tmp_path,
+                checkpoint_crash_hook=CrashController(CrashPlan(1)),
+            )
+        assert not gc.isenabled()

@@ -1,10 +1,12 @@
-"""Columnar round codec: layout, round-trips, and the trusted fast path.
+"""Columnar round codec: layout, round-trips, validation, round metrics.
 
 The codec is the wire format of the sharded campaign runner, so two
 properties carry the byte-identity contract: decoding must reproduce
 validated construction *exactly* (equality and pickle bytes), and
 pack/unpack must round-trip any number of rounds through one flat
-buffer with zero-copy views on the way out.
+buffer with zero-copy views on the way out.  The columns are also an
+untrusted boundary: every value a ``Bid`` would refuse is refused at
+construction, including inside a segment corrupted after packing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import MechanismError, ValidationError
+from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.model.columnar import (
     COLUMNAR_SCHEMA,
     RoundColumns,
@@ -22,6 +25,7 @@ from repro.model.columnar import (
     packed_size,
     unpack_rounds,
 )
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.workload import WorkloadConfig
 
 
@@ -125,6 +129,120 @@ class TestValidation:
                 cost=np.array([], dtype=np.float64),
                 task_counts=np.array([1], dtype=np.int64),
             )
+
+
+def small_columns(**overrides):
+    """A valid three-phone round; ``overrides`` replace whole columns."""
+    fields = dict(
+        num_slots=4,
+        task_value=10.0,
+        phone_id=np.array([0, 1, 2], dtype=np.int64),
+        arrival=np.array([1, 2, 3], dtype=np.int64),
+        departure=np.array([2, 4, 3], dtype=np.int64),
+        cost=np.array([1.0, 2.0, 3.0]),
+        task_counts=np.array([1, 0, 1, 0], dtype=np.int64),
+    )
+    fields.update(overrides)
+    return RoundColumns(**fields)
+
+
+#: (column, phone index, corrupt value, expected message) — every value a
+#: validated ``Bid`` in a 4-slot round would refuse.
+BAD_VALUES = [
+    ("cost", 1, float("nan"), "cost must be finite"),
+    ("cost", 1, float("inf"), "cost must be finite"),
+    ("cost", 1, -0.5, "cost must be finite and >= 0"),
+    ("arrival", 0, 0, "arrival must be >= 1"),
+    ("departure", 2, 2, "departure must be >= arrival"),
+    ("departure", 1, 5, "departure must be <= num_slots=4"),
+    ("phone_id", 2, 1, "duplicate phone id 1 at position 2"),
+    ("phone_id", 0, -3, "phone id must be >= 0"),
+]
+
+#: Column order in the packed layout (see the codec's module docstring).
+LAYOUT = ("phone_id", "arrival", "departure", "cost")
+
+
+class TestValueValidation:
+    @pytest.mark.parametrize("column, index, value, message", BAD_VALUES)
+    def test_rejected_at_construction(self, column, index, value, message):
+        values = getattr(small_columns(), column).copy()
+        values[index] = value
+        with pytest.raises(ValidationError, match=message):
+            small_columns(**{column: values})
+
+    @pytest.mark.parametrize("column, index, value, message", BAD_VALUES)
+    def test_rejected_when_unpacking_a_corrupted_segment(
+        self, column, index, value, message
+    ):
+        rounds = [small_columns(), small_columns()]
+        buffer = bytearray(packed_size(rounds))
+        header = pack_rounds_into(rounds, buffer)
+        assert len(unpack_rounds(buffer, header)) == 2
+        # Corrupt the second round after packing, as a stray writer to
+        # the shared segment would.
+        n = rounds[0].num_phones
+        offset = rounds[0].nbytes + 8 * (LAYOUT.index(column) * n + index)
+        dtype = np.float64 if column == "cost" else np.int64
+        np.frombuffer(buffer, dtype=dtype, count=1, offset=offset)[0] = value
+        with pytest.raises(ValidationError, match=message):
+            unpack_rounds(buffer, header)
+
+    def test_non_integer_window_column_rejected(self):
+        with pytest.raises(ValidationError, match="'arrival' must hold"):
+            small_columns(arrival=np.array([1.0, 2.0, 3.0]))
+
+    def test_ids_out_of_order_rejected(self):
+        """Bid order is pickled, so columns must already be in the
+        serial path's phone-id order."""
+        with pytest.raises(ValidationError, match="out-of-order phone id 0"):
+            small_columns(phone_id=np.array([7, 0, 3]))
+
+    def test_unpacked_views_are_read_only(self):
+        rounds = [small_columns()]
+        buffer = bytearray(packed_size(rounds))
+        (view,) = unpack_rounds(buffer, pack_rounds_into(rounds, buffer))
+        with pytest.raises(ValueError):
+            view.cost[0] = -1.0
+
+
+class TestRoundMetricsFromColumns:
+    """A round runs and packages identically from columns and from the
+    scenario the serial path generates for the same seed."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_result_pickles_like_the_scenario_path(self, workload, seed):
+        scenario = workload.generate(seed=seed)
+        columns = workload.generate_columns(seed=seed)
+        mechanism = OnlineGreedyMechanism()
+        serial = SimulationEngine.package(
+            mechanism.name,
+            mechanism.run(scenario.truthful_bids(), scenario.schedule),
+            scenario,
+        )
+        columnar = SimulationEngine.package(
+            mechanism.name,
+            mechanism.run(columns, columns.schedule),
+            columns,
+        )
+        assert pickle.dumps(columnar, protocol=4) == pickle.dumps(
+            serial, protocol=4
+        )
+
+    def test_real_costs_match_the_scenario(self, workload):
+        scenario = workload.generate(seed=5)
+        columns = workload.generate_columns(seed=5)
+        assert list(columns.real_costs.items()) == list(
+            scenario.real_costs.items()
+        )
+        assert columns.schedule is columns.schedule  # decoded once
+
+    def test_horizon_mismatch_rejected(self, workload):
+        columns = workload.generate_columns(seed=1)
+        other = workload.replace(num_slots=workload.num_slots + 1)
+        schedule = other.generate_columns(seed=1).schedule
+        with pytest.raises(MechanismError, match="span"):
+            OnlineGreedyMechanism().run(columns, schedule)
 
 
 class TestPackUnpack:

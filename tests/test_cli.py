@@ -427,6 +427,13 @@ class TestProfile:
         assert "mechanism.run" in out
         assert "cumulative" in out  # the cProfile hotspot listing
 
+    @pytest.mark.parametrize("flag", ["--repeat", "--top"])
+    def test_count_below_one_is_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, "profile", "--slots", "6", flag, "0")
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_profile_json_reports_the_hotspot_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -616,6 +623,20 @@ class TestTraceTop:
             )
         assert info.value.code == 2
         assert "--max-spans" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("repetitions", ["0", "-1"])
+    def test_repetitions_below_one_is_rejected_before_the_run(
+        self, capsys, tmp_path, repetitions
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as info:
+            run_cli(
+                capsys, "trace", "--out", str(trace_path),
+                "--repetitions", repetitions,
+            )
+        assert info.value.code == 2
+        assert "--repetitions" in capsys.readouterr().err
         assert not trace_path.exists()
 
     def test_trends_is_an_unknown_command(self, capsys):
