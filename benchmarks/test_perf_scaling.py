@@ -5,10 +5,13 @@ Times the computational kernels against instance size:
 * the Hungarian solve (offline winning-bid determination, O((n+γ)^3)),
 * the full offline VCG run (solve + one repair per winner),
 * the full online run (greedy + Algorithm-2 payments),
-* the city-scale tier: CSR graph construction and the sparse backend's
+* the city-scale tier: CSR graph construction and the sparse engine's
   solve + VCG at ``num_slots`` in {200, 500, 1000}, far beyond what the
   dense matrix path is benchmarked at (the 1000-slot cases are marked
-  ``slow`` and deselected in CI's perf smoke).
+  ``slow`` and deselected in CI's perf smoke).  The graph picks the
+  sparse engine for every one of these instances and the dense engine
+  for the 30–80-slot ones
+  (``tests/matching/test_graph_backends.py`` pins the gated shapes).
 
 These use pytest-benchmark's statistical timing (several rounds), since
 here the time itself — not a reproduction table — is the product.
@@ -103,25 +106,22 @@ def test_graph_build_scaling(benchmark, num_slots):
     bids = scenario.truthful_bids()
 
     def build():
-        return TaskAssignmentGraph(
-            scenario.schedule, bids, backend="sparse"
-        )
+        return TaskAssignmentGraph(scenario.schedule, bids)
 
     graph = benchmark(build)
     assert graph.num_edges > 0
     assert graph.edge_density < 0.25
+    assert graph.engine == "sparse"
 
 
 @pytest.mark.parametrize("num_slots", SPARSE_TIER)
 def test_sparse_solve_scaling(benchmark, num_slots):
-    """Winning-bid determination alone on the CSR backend."""
+    """Winning-bid determination alone on the CSR engine."""
     scenario = _scenario(num_slots)
     bids = scenario.truthful_bids()
 
     def solve():
-        return TaskAssignmentGraph(
-            scenario.schedule, bids, backend="sparse"
-        ).solve()
+        return TaskAssignmentGraph(scenario.schedule, bids).solve()
 
     allocation, welfare = benchmark(solve)
     assert welfare > 0.0
@@ -130,14 +130,14 @@ def test_sparse_solve_scaling(benchmark, num_slots):
 
 @pytest.mark.parametrize("num_slots", SPARSE_TIER)
 def test_offline_vcg_scaling_sparse(benchmark, num_slots):
-    """Full offline VCG (solve + per-winner repairs), sparse backend.
+    """Full offline VCG (solve + replacement payments), sparse engine.
 
-    The committed baseline records the dense backend's time on the same
-    instances under ``before_mean_seconds`` — the tentpole speedup.
+    The committed baseline records the dense engine's time on the same
+    instances under ``before_mean_seconds``.
     """
     scenario = _scenario(num_slots)
     bids = scenario.truthful_bids()
-    mechanism = OfflineVCGMechanism(backend="sparse")
+    mechanism = OfflineVCGMechanism()
 
     outcome = benchmark(mechanism.run, bids, scenario.schedule)
     assert outcome.total_payment > 0.0

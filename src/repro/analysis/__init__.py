@@ -21,8 +21,8 @@ unenforced.  This package enforces them mechanically, in two layers:
   paper's structural feasibility, individual-rationality, and
   welfare-accounting invariants (Theorems 1-5), plus the schedule-fuzzing
   :func:`check_parallel_determinism` that executes a sweep point under
-  permuted worker counts / chunk orders / matching backends and asserts
-  byte-identical outcomes.
+  permuted worker counts and chunk orders (plus campaign rounds and
+  sharded campaigns) and asserts byte-identical outcomes.
 
 Both layers report structured records (:class:`LintViolation`,
 :class:`Violation`) rather than strings, so tooling and tests can assert

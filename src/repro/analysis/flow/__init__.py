@@ -19,7 +19,7 @@ Layering::
     driver.py     run_flow(): orchestrate, cache, noqa + baseline
 
 The runtime counterpart — schedule-fuzzing over worker counts, chunk
-orders, and matching backends — lives in
+orders, and shard pools — lives in
 :func:`repro.analysis.sanitizer.check_parallel_determinism`.
 """
 

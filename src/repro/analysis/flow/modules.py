@@ -29,7 +29,7 @@ class SyntaxFailure:
 def module_name_for(path: pathlib.Path, root: pathlib.Path) -> Optional[str]:
     """Dotted module name of ``path`` relative to source ``root``.
 
-    ``src/repro/matching/backend.py`` → ``repro.matching.backend``;
+    ``src/repro/matching/graph.py`` → ``repro.matching.graph``;
     package ``__init__.py`` files name the package itself.  Returns
     ``None`` for files outside ``root``.
     """

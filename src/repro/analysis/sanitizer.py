@@ -477,7 +477,6 @@ def check_parallel_determinism(
     workload: Optional[object] = None,
     seeds: Sequence[int] = (0, 1, 2, 3),
     worker_counts: Sequence[int] = (1, 2, 3),
-    backends: Sequence[str] = ("numpy", "sparse", "python"),
     shard_worker_counts: Sequence[int] = (1, 2),
 ) -> int:
     """Schedule-fuzz every user of the worker pool; assert byte identity.
@@ -490,19 +489,18 @@ def check_parallel_determinism(
     * unit order — the units handed to the pool are permuted and the
       results reassembled by unit identity, so completion/submission
       order is exercised,
-    * matching backend — the mechanism is rebuilt per backend inside
-      each worker via its spec kwargs, the way a sweep config would,
 
     and raises :class:`~repro.errors.SanitizationError` unless every
     run's results ``pickle`` to the *same bytes* as the serial
-    single-backend reference.  Byte equality is deliberately stricter
+    reference.  Byte equality is deliberately stricter
     than ``==``: it also pins dict insertion order (payments!) and
     float bit patterns, the two things hash-order bugs corrupt first.
 
     Three halves run in turn:
 
-    * sweep repetitions (:func:`~repro.experiments.runner.run_repetition`)
-      over ``seeds`` × ``worker_counts`` × permuted orders × ``backends``;
+    * sweep repetitions (:func:`~repro.experiments.runner.run_repetition`
+      of ``offline-vcg``) over ``seeds`` × ``worker_counts`` × permuted
+      orders;
     * campaign rounds: a ``retry_policy="none"`` campaign, with and
       without a :class:`~repro.faults.FaultConfig`, whose rounds run on
       ``worker_counts`` × permuted orders and must match the serial
@@ -552,46 +550,34 @@ def check_parallel_determinism(
             pickle.dumps(result.row, protocol=4) for result in ordered
         )
 
-    reference: Optional[Tuple[bytes, ...]] = None
-    checked = 0
-    for backend in backends:
-        # The label stays backend-independent on purpose: the reference
-        # bytes must match across backends, and the label is payload.
-        specs = (MechanismSpec.of("offline-vcg", backend=backend),)
-        serial = [
+    specs = (MechanismSpec.of("offline-vcg"),)
+    reference = rows_bytes(
+        [
             run_repetition(workload, specs, seed, 0, 0.0, "raise")
             for seed in seeds
         ]
-        serial_bytes = rows_bytes(serial)
-        if reference is None:
-            reference = serial_bytes
-        elif serial_bytes != reference:
-            raise SanitizationError(
-                f"backend {backend!r} serial outcome bytes differ from "
-                f"the reference backend {backends[0]!r}; cross-backend "
-                "bit-identity is broken"
-            )
-        for workers in worker_counts:
-            for order in _orders(seeds):
-                with WorkerPool(workers) as pool:
-                    results = [
-                        envelope.result
-                        for envelope in pool.run(
-                            run_repetition,
-                            [
-                                (workload, specs, seed, 0, 0.0, "raise")
-                                for seed in order
-                            ],
-                        )
-                    ]
-                if rows_bytes(results) != reference:
-                    raise SanitizationError(
-                        f"nondeterministic sweep point: backend="
-                        f"{backend!r} workers={workers} submission "
-                        f"order={list(order)} produced different "
-                        "outcome bytes than the serial reference"
+    )
+    checked = 0
+    for workers in worker_counts:
+        for order in _orders(seeds):
+            with WorkerPool(workers) as pool:
+                results = [
+                    envelope.result
+                    for envelope in pool.run(
+                        run_repetition,
+                        [
+                            (workload, specs, seed, 0, 0.0, "raise")
+                            for seed in order
+                        ],
                     )
-                checked += 1
+                ]
+            if rows_bytes(results) != reference:
+                raise SanitizationError(
+                    f"nondeterministic sweep point: workers={workers} "
+                    f"submission order={list(order)} produced different "
+                    "outcome bytes than the serial reference"
+                )
+            checked += 1
     checked += _check_campaign_determinism(workload, worker_counts)
     checked += _check_shard_determinism(workload, shard_worker_counts)
     return checked

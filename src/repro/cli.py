@@ -651,8 +651,6 @@ def _cmd_campaign_sharded(args: argparse.Namespace, console: Console) -> int:
             "(fault-aware campaigns run the serial path)"
         )
     num_cities = args.cities if args.cities is not None else 1
-    if num_cities < 1:
-        raise ReproError(f"--cities must be >= 1, got {num_cities}")
     workload = _workload_from_args(args)
     cities = [
         CityConfig(f"city-{index}", workload, num_rounds=args.rounds)
@@ -1202,14 +1200,14 @@ def build_parser() -> argparse.ArgumentParser:
         "requires the default no-retry policy",
     )
     campaign.add_argument(
-        "--cities", type=int, default=None, metavar="N",
+        "--cities", type=_int_at_least(1), default=None, metavar="N",
         help="run the sharded multi-city campaign over N identically "
         "configured cities (city-0..city-(N-1)) through the "
         "shared-memory engine; incompatible with --retry-losers, "
         "--journal-dir, and fault injection",
     )
     campaign.add_argument(
-        "--shards", type=int, default=1, metavar="K",
+        "--shards", type=_int_at_least(1), default=1, metavar="K",
         help="contiguous round-range shards per city (default 1); "
         "implies the sharded engine when K > 1, even single-city",
     )

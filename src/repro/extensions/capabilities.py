@@ -133,23 +133,13 @@ class TypedOfflineVCGMechanism(Mechanism):
     is_truthful = True
     is_online = False
 
-    def __init__(
-        self,
-        model: CapabilityModel,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, model: CapabilityModel) -> None:
         self._model = model
-        self._backend = backend
 
     @property
     def model(self) -> CapabilityModel:
         """The (public) capability model in force."""
         return self._model
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The matching-backend override in force (``None`` = default)."""
-        return self._backend
 
     def run(
         self,
@@ -159,10 +149,7 @@ class TypedOfflineVCGMechanism(Mechanism):
     ) -> AuctionOutcome:
         self._resolve_config(bids, schedule, config)
         graph = TaskAssignmentGraph(
-            schedule,
-            bids,
-            compatible=self._model.compatible,
-            backend=self._backend,
+            schedule, bids, compatible=self._model.compatible
         )
         allocation, optimal_welfare = graph.solve()
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MechanismError, ValidationError
-from repro.matching.solver import AssignmentSolver
+from repro.matching.solver import max_weight_matching
 from repro.model.bid import Bid
 from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
@@ -144,25 +144,15 @@ class CapacitatedOfflineVCGMechanism:
             for col, bid in enumerate(unit_bids):
                 if bid.is_active(task.slot):
                     weights[row, col] = task.value - bid.cost
-        clamped = np.maximum(weights, 0.0)
-        max_entry = float(clamped.max()) if clamped.size else 0.0
-        num_rows, num_cols = clamped.shape
-        cost = np.full((num_rows, num_cols + num_rows), max_entry)
-        cost[:, :num_cols] = max_entry - clamped
-        solver = AssignmentSolver(cost)
-        row_to_col, _ = solver.solve()
+        matching = max_weight_matching(weights)
+        welfare = matching.total_weight
 
         allocation: Dict[int, int] = {}
-        welfare = 0.0
         units_won: Dict[int, int] = {}
-        for row, col in enumerate(row_to_col):
-            col = int(col)
-            if col < 0 or col >= num_cols or weights[row, col] <= 0.0:
-                continue
+        for row, col in matching.pairs:
             phone_id = unit_owner[col]
             allocation[tasks[row].task_id] = phone_id
             units_won[phone_id] = units_won.get(phone_id, 0) + 1
-            welfare += float(weights[row, col])
 
         bid_by_phone = {bid.phone_id: bid for bid in bids}
         payments: Dict[int, float] = {}
@@ -193,21 +183,7 @@ class CapacitatedOfflineVCGMechanism:
             for col, owner in enumerate(unit_owner)
             if owner != phone_id
         ]
-        if not keep or weights.size == 0:
-            return 0.0
-        reduced = weights[:, keep]
-        clamped = np.maximum(reduced, 0.0)
-        max_entry = float(clamped.max()) if clamped.size else 0.0
-        num_rows, num_cols = clamped.shape
-        cost = np.full((num_rows, num_cols + num_rows), max_entry)
-        cost[:, :num_cols] = max_entry - clamped
-        row_to_col, _ = AssignmentSolver(cost).solve()
-        welfare = 0.0
-        for row, col in enumerate(row_to_col):
-            col = int(col)
-            if 0 <= col < num_cols and reduced[row, col] > 0.0:
-                welfare += float(reduced[row, col])
-        return welfare
+        return max_weight_matching(weights[:, keep]).total_weight
 
 
 def check_capacitated_outcome(

@@ -4,17 +4,17 @@ The offline mechanism reduces winning-bid determination to maximum-weight
 bipartite matching (Section IV-B of the paper).  This package provides:
 
 * :mod:`repro.matching.graph` — building the task x smartphone weighted
-  bipartite graph from bids and a task schedule,
-* :mod:`repro.matching.hungarian` — a from-scratch ``O(n^3)`` Hungarian
-  algorithm (potentials + slack arrays) for maximum-weight matching,
+  bipartite graph from bids and a task schedule, and solving it on the
+  engine the instance calls for (dense or CSR),
 * :mod:`repro.matching.solver` — the vectorised dense assignment solver
-  with warm-started sensitivity queries,
+  with warm-started sensitivity queries, and
+  :func:`~repro.matching.solver.max_weight_matching`, the entry point for
+  dense weight matrices,
 * :mod:`repro.matching.sparse` — the CSR heap-Dijkstra assignment solver
   for large sparse (interval-structured) instances, same warm-start API,
-* :mod:`repro.matching.scipy_backend` — optional
-  ``scipy.sparse.csgraph`` cross-check backend (the ``[perf]`` extra),
-* :mod:`repro.matching.backend` — backend registry and dispatch
-  (``"auto"``/``"numpy"``/``"sparse"``/``"scipy"``/``"python"``),
+* :mod:`repro.matching.hungarian` — a from-scratch ``O(n^3)`` Hungarian
+  algorithm (potentials + slack arrays), the reference the solvers are
+  audited against,
 * :mod:`repro.matching.maxcard` — Hopcroft-Karp maximum-cardinality
   matching (feasibility analysis: how many tasks are serviceable at all),
 * :mod:`repro.matching.bruteforce` — exponential exact matcher used to
@@ -22,43 +22,22 @@ bipartite matching (Section IV-B of the paper).  This package provides:
 * :mod:`repro.matching.validate` — structural validity checks.
 """
 
-from repro.matching.backend import (
-    AVAILABLE_BACKENDS,
-    get_default_backend,
-    require_backend_available,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.matching.bruteforce import brute_force_max_weight_matching
 from repro.matching.graph import TaskAssignmentGraph
-from repro.matching.hungarian import (
-    MatchingResult,
-    max_weight_matching,
-    solve_assignment_min,
-)
+from repro.matching.hungarian import MatchingResult, solve_assignment_min
 from repro.matching.maxcard import hopcroft_karp
-from repro.matching.scipy_backend import scipy_available
-from repro.matching.solver import AssignmentSolver
-from repro.matching.sparse import SparseAssignmentSolver, csr_from_dense
+from repro.matching.solver import AssignmentSolver, max_weight_matching
+from repro.matching.sparse import SparseAssignmentSolver
 from repro.matching.validate import check_matching
 
 __all__ = [
-    "AVAILABLE_BACKENDS",
     "AssignmentSolver",
     "SparseAssignmentSolver",
     "TaskAssignmentGraph",
     "MatchingResult",
-    "csr_from_dense",
     "max_weight_matching",
     "solve_assignment_min",
     "hopcroft_karp",
     "brute_force_max_weight_matching",
     "check_matching",
-    "get_default_backend",
-    "require_backend_available",
-    "resolve_backend",
-    "scipy_available",
-    "set_default_backend",
-    "use_backend",
 ]

@@ -21,7 +21,7 @@ def brute_force_max_weight_matching(
 ) -> MatchingResult:
     """Exact maximum-weight matching by exhaustive search.
 
-    Semantics match :func:`repro.matching.hungarian.max_weight_matching`:
+    Semantics match :func:`repro.matching.solver.max_weight_matching`:
     entries ``<= 0`` are never matched and every vertex may stay
     unmatched.  Raises :class:`~repro.errors.MatchingError` for instances
     with more than 12 rows (the search is exponential).

@@ -12,14 +12,14 @@ sparse.  Construction therefore never materialises the dense
 ``(arrival, departure, slot)`` arrays into CSR form, one vectorised
 active-bids scan per distinct slot, and any ``compatible`` callback is
 evaluated on interval-active pairs only.  A dense matrix is materialised
-lazily, and only for the backends (``"numpy"``, ``"python"``) and
-accessors (:attr:`weights`) that genuinely need one.
+lazily, and only for the dense engine and the :attr:`weights` accessor.
 
-The graph owns the weight-to-cost transformation shared by all solves:
-negative weights are clamped to zero (equivalent to leaving the pair
-unmatched), a zero-weight dummy column per task guarantees a feasible
-perfect row assignment, and maximisation becomes minimisation against the
-maximum entry.
+Both engines solve the same min-cost form: negative weights are clamped
+to zero (equivalent to leaving the pair unmatched), a zero-weight dummy
+column per task guarantees a feasible perfect row assignment, and
+maximisation becomes minimisation against the maximum entry
+(:func:`~repro.matching.solver.padded_cost` builds it for the dense
+engine; the CSR engine keeps the dummies implicit).
 
 VCG needs ``ω*(B₋ᵢ)`` for every winner.  When every task has the same
 value ``ν`` (the paper's model) and no compatibility filter applies, an
@@ -30,20 +30,20 @@ winner in one replacement pass over the solved allocation
 (``docs/THEORY.md`` §2).  Heterogeneous task values and filtered graphs
 keep the general path: on top of the cached full optimum each
 ``ω*(B₋ᵢ)`` is the solver's one-augmentation repair instead of a full
-re-solve.  Both warm backends return the *repaired matching* and the
-graph re-prices it from raw edge weights, so the dense and sparse engines
-produce bit-identical reduced welfare (and hence VCG payments) whenever
-they agree on the matching.  Both paths total gains as :func:`_sum_gains`
-does, so they agree bit for bit where both apply.
+re-solve.  Both paths total gains as :func:`_sum_gains` does, so they
+agree bit for bit where both apply.
 
-Backend dispatch: ``backend=None`` defers to the session default of
-:mod:`repro.matching.backend` (``"auto"`` out of the box).  ``"auto"``
-measures the instance and picks the CSR ``"sparse"`` engine when the
-graph is both large (``tasks x bids >= AUTO_SPARSE_MIN_CELLS``) and
-sparse (edge density ``<= AUTO_SPARSE_MAX_DENSITY``), falling back to the
-vectorised dense ``"numpy"`` engine otherwise — small instances solve in
-milliseconds dense, and the constants keep every paper-scale workload
-(``num_slots <= ~100``) on the historically-benchmarked dense path.
+Engine choice is a rule of the instance, not an option: the graph solves
+on the CSR :class:`~repro.matching.sparse.SparseAssignmentSolver` when it
+is both large (``tasks x bids >= SPARSE_MIN_CELLS``) and sparse (edge
+density ``<= SPARSE_MAX_DENSITY``), and on the vectorised dense
+:class:`~repro.matching.solver.AssignmentSolver` otherwise, so every
+paper-scale round (``num_slots <= ~100``) solves dense.  On tied optima
+the two engines may serve different tasks with the same phones: the
+winner set, the claimed welfare (a sorted sum over the gain multiset)
+and every VCG payment agree bit for bit, but the ``task -> phone`` map,
+and so a real-cost welfare summed over it in allocation order, may not.
+The rule is therefore part of every output digest.
 """
 
 from __future__ import annotations
@@ -53,42 +53,33 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MatchingError
-from repro.matching.backend import (
-    require_backend_available,
-    resolve_backend,
-)
-from repro.matching.solver import AssignmentSolver
+from repro.matching.solver import AssignmentSolver, padded_cost
 from repro.matching.sparse import SparseAssignmentSolver
 from repro.model.bid import Bid
 from repro.model.task import SensingTask, TaskSchedule
 
-#: ``auto`` picks the sparse engine only above this many dense cells
-#: (tasks x bids); below it the vectorised dense solver is already fast
-#: and keeps the long-benchmarked paper-scale path byte-stable.
-AUTO_SPARSE_MIN_CELLS = 200_000
+#: The CSR engine solves only graphs of at least this many dense cells
+#: (tasks x bids); below it the vectorised dense solver is already fast.
+SPARSE_MIN_CELLS = 200_000
 
 #: ... and only when the fraction of interval-active pairs is at most
 #: this dense.  Above it the CSR adjacency stops paying for itself.
-AUTO_SPARSE_MAX_DENSITY = 0.25
+SPARSE_MAX_DENSITY = 0.25
 
 #: Row blocks of the replacement pass's exchanged-gain sums stay under
 #: this many cells (8 MB of float64).
 _EXCHANGE_BLOCK_CELLS = 1 << 20
-
-#: Backends whose solver supports warm-started repair queries.
-_WARM_BACKENDS = ("numpy", "sparse")
 
 
 def _sum_gains(gains: np.ndarray) -> float:
     """Canonical welfare total: the positive gains summed in sorted order.
 
     The optimum of a round is often degenerate (equal task values make
-    task-permutation ties), so different backends may legitimately
-    return different optimal matchings whose gain *multisets* coincide.
-    Summing the gains in sorted order makes the reported welfare — and
-    therefore every VCG payment — a bit-identical function of that
-    multiset, independent of which tied optimum a backend happened to
-    find.
+    task-permutation ties), so the two engines may return different
+    optimal matchings whose gain *multisets* coincide.  Summing the
+    gains in sorted order makes the reported welfare — and therefore
+    every VCG payment — a bit-identical function of that multiset,
+    independent of which tied optimum an engine happened to find.
     """
     if not gains.size:
         return 0.0
@@ -142,17 +133,13 @@ class TaskAssignmentGraph:
         schedule: TaskSchedule,
         bids: Sequence[Bid],
         compatible: Optional[Callable[[SensingTask, Bid], bool]] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """Build the graph.
 
         ``compatible`` optionally restricts edges beyond the time
         windows — e.g. sensing-capability constraints (the typed-task
         extension in :mod:`repro.extensions.capabilities`); it is
-        evaluated only on interval-active pairs.  ``backend`` picks the
-        matching engine (see :mod:`repro.matching.backend`); ``None``
-        defers to the session default, and ``"auto"`` dispatches on
-        instance size and edge density.
+        evaluated only on interval-active pairs.
         """
         self._schedule = schedule
         ordered_bids = sorted(bids, key=lambda bid: bid.phone_id)
@@ -164,7 +151,6 @@ class TaskAssignmentGraph:
         self._bids: Tuple[Bid, ...] = tuple(ordered_bids)
         self._tasks: Tuple[SensingTask, ...] = schedule.tasks
         self._compatible = compatible
-        self._backend_request = backend
         self._col_by_phone: Dict[int, int] = {
             bid.phone_id: col for col, bid in enumerate(self._bids)
         }
@@ -173,10 +159,15 @@ class TaskAssignmentGraph:
         }
 
         self._build_edges()
-        self._resolved_backend: Optional[str] = None
+        cells = len(self._tasks) * len(self._bids)
+        self._engine = (
+            "sparse"
+            if cells >= SPARSE_MIN_CELLS
+            and self.edge_density <= SPARSE_MAX_DENSITY
+            else "dense"
+        )
         self._solver: Optional[object] = None
         self._dense_raw_cache: Optional[np.ndarray] = None
-        self._cold_assignment_cache: Optional[np.ndarray] = None
         self._gain_vector: Optional[np.ndarray] = None
         self._base_assignment: Optional[np.ndarray] = None
 
@@ -333,78 +324,36 @@ class TaskAssignmentGraph:
         return indptr, self._edge_cols[positive], self._edge_weights[positive]
 
     # ------------------------------------------------------------------
-    # Backend dispatch
+    # Engine
     # ------------------------------------------------------------------
     @property
-    def solver_backend(self) -> str:
-        """The concrete engine this graph solves with (resolves ``auto``)."""
-        if self._resolved_backend is None:
-            chosen = resolve_backend(self._backend_request)
-            if chosen == "auto":
-                cells = len(self._tasks) * len(self._bids)
-                is_sparse = (
-                    cells >= AUTO_SPARSE_MIN_CELLS
-                    and self.edge_density <= AUTO_SPARSE_MAX_DENSITY
-                )
-                chosen = "sparse" if is_sparse else "numpy"
-            self._resolved_backend = require_backend_available(chosen)
-        return self._resolved_backend
+    def engine(self) -> str:
+        """``"sparse"`` or ``"dense"``: the solver this graph runs on.
+
+        Fixed at construction from the instance alone (see the module
+        docstring); tests force either engine by patching
+        :data:`SPARSE_MIN_CELLS` and :data:`SPARSE_MAX_DENSITY`.
+        """
+        return self._engine
 
     def _ensure_solver(self):
         """The warm solver (dense or CSR) for this graph, built lazily."""
         if self._solver is None:
-            num_rows, num_cols = len(self._tasks), len(self._bids)
-            if self.solver_backend == "sparse":
+            if self._engine == "sparse":
                 indptr, cols, weights = self._positive_csr()
                 self._solver = SparseAssignmentSolver(
-                    num_rows,
-                    num_cols,
+                    len(self._tasks),
+                    len(self._bids),
                     indptr,
                     cols,
                     self._max_entry - weights,
                     dummy_cost=self._max_entry,
                 )
             else:
-                clamped = np.maximum(self._dense_raw(), 0.0)
-                # One dummy column per row: rows may stay effectively
-                # unmatched at weight zero.
-                cost = np.full(
-                    (num_rows, num_cols + num_rows), self._max_entry
+                self._solver = AssignmentSolver(
+                    padded_cost(self._dense_raw())
                 )
-                cost[:, :num_cols] = self._max_entry - clamped
-                self._solver = AssignmentSolver(cost)
         return self._solver
-
-    def _cold_assignment(self) -> np.ndarray:
-        """``row -> col`` from the repair-less backends, cached."""
-        if self._cold_assignment_cache is None:
-            num_rows, num_cols = len(self._tasks), len(self._bids)
-            if self.solver_backend == "scipy":
-                from repro.matching.scipy_backend import (
-                    solve_csr_min_weight,
-                )
-
-                indptr, cols, weights = self._positive_csr()
-                assignment = solve_csr_min_weight(
-                    num_rows,
-                    num_cols,
-                    indptr,
-                    cols,
-                    self._max_entry - weights,
-                    dummy_cost=self._max_entry,
-                )
-            else:
-                from repro.matching.hungarian import solve_assignment_min
-
-                clamped = np.maximum(self._dense_raw(), 0.0)
-                cost = np.full(
-                    (num_rows, num_cols + num_rows), self._max_entry
-                )
-                cost[:, :num_cols] = self._max_entry - clamped
-                assignment_list, _ = solve_assignment_min(cost.tolist())
-                assignment = np.asarray(assignment_list, dtype=np.int64)
-            self._cold_assignment_cache = assignment
-        return self._cold_assignment_cache
 
     # ------------------------------------------------------------------
     # Solving
@@ -423,10 +372,7 @@ class TaskAssignmentGraph:
         if not self._tasks.__len__() or not self._bids:
             return {}, 0.0
         if exclude_phone is None:
-            if self.solver_backend in _WARM_BACKENDS:
-                row_to_col, _ = self._ensure_solver().solve()
-            else:
-                row_to_col = self._cold_assignment()
+            row_to_col, _ = self._ensure_solver().solve()
             return self._extract_allocation(row_to_col, list(self._bids))
 
         if exclude_phone not in self._col_by_phone:
@@ -438,10 +384,7 @@ class TaskAssignmentGraph:
             bid for bid in self._bids if bid.phone_id != exclude_phone
         ]
         reduced = TaskAssignmentGraph(
-            self._schedule,
-            kept_bids,
-            compatible=self._compatible,
-            backend=self._backend_request,
+            self._schedule, kept_bids, compatible=self._compatible
         )
         return reduced.solve()
 
@@ -450,11 +393,11 @@ class TaskAssignmentGraph:
 
         Returns only the welfare (the VCG payment needs nothing more);
         equal to ``self.solve(exclude_phone=phone_id)[1]`` but roughly a
-        factor ``n`` faster on the warm backends.  The repaired matching
-        is re-priced from raw edge weights (not from dual arithmetic),
-        so dense and sparse engines agree bit-for-bit whenever they
-        agree on the matching.  Tests cross-check against the cold
-        exclusion solve.
+        factor ``n`` faster.  The repaired matching is re-priced from
+        raw edge weights (not from dual arithmetic) and summed by
+        :func:`_sum_gains`, so the dense and sparse engines return the
+        same bits whenever their repaired matchings share a gain
+        multiset.  Tests cross-check against the cold exclusion solve.
         """
         try:
             column = self._col_by_phone[phone_id]
@@ -464,8 +407,6 @@ class TaskAssignmentGraph:
             ) from None
         if not self._tasks:
             return 0.0
-        if self.solver_backend not in _WARM_BACKENDS:
-            return self.solve(exclude_phone=phone_id)[1]
         solver = self._ensure_solver()
         solver.solve()
         repaired = solver.matching_without_column(column)

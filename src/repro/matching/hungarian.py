@@ -1,41 +1,38 @@
-"""Maximum-weight bipartite matching via the Hungarian algorithm.
+"""The Hungarian algorithm: the reference assignment solver.
 
 This is a from-scratch implementation of the ``O(n^3)`` Hungarian
 (Kuhn-Munkres) algorithm in its potentials-and-slack form (Edmonds-Karp /
 Tomizawa improvement — the same complexity the paper cites for its offline
 winning-bid determination, Theorem 3).
 
-Two layers are exposed:
-
-* :func:`solve_assignment_min` — the classic primitive: given an ``n x m``
-  cost matrix with ``n <= m``, find a minimum-cost assignment matching
-  every row to a distinct column.
-* :func:`max_weight_matching` — what mechanisms actually need: given a
-  rectangular weight matrix where entries ``<= 0`` mean "no useful edge",
-  find a matching maximising total weight, with unmatched rows/columns
-  allowed.  Internally pads with zero-weight dummy columns so that leaving
-  a row unmatched is always feasible, then calls the primitive.
+It is the reference that can be audited against the paper, not a
+production path: :func:`solve_assignment_min` is the classic primitive —
+given an ``n x m`` cost matrix with ``n <= m``, find a minimum-cost
+assignment matching every row to a distinct column — and the
+cross-engine suites hold the vectorised
+:class:`~repro.matching.solver.AssignmentSolver` to it, ties included.
+The module imports no production solver.  :class:`MatchingResult` is the
+result type of the max-weight entry points
+(:func:`~repro.matching.solver.max_weight_matching` and the brute-force
+oracle).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.errors import MatchingError
-from repro.matching.backend import (
-    require_backend_available,
-    resolve_backend,
-)
-from repro.matching.solver import AssignmentSolver
 
 _INF = float("inf")
 
 
-def _validate_matrix(matrix: Sequence[Sequence[float]]) -> Tuple[int, int]:
+def _validate_matrix(
+    matrix: Union[Sequence[Sequence[float]], np.ndarray],
+) -> Tuple[int, int]:
     """Check rectangularity and finiteness; return ``(rows, cols)``.
 
     The length scan is a cheap ``O(rows)`` Python loop; the finiteness
@@ -168,91 +165,3 @@ class MatchingResult:
     def col_to_row(self) -> dict:
         """The matching as a ``{col: row}`` dict."""
         return {col: row for row, col in self.pairs}
-
-
-def max_weight_matching(
-    weights: Sequence[Sequence[float]],
-    backend: Optional[str] = None,
-) -> MatchingResult:
-    """Maximum-weight bipartite matching with optional participation.
-
-    ``weights[i][j]`` is the gain from matching row ``i`` to column ``j``.
-    Entries ``<= 0`` are treated as "matching is never beneficial" and are
-    never part of the returned matching — equivalently, every vertex may
-    stay unmatched at gain zero.  This matches the paper's graph where an
-    edge between task ``τ_{j,k}`` and an *inactive* smartphone has weight
-    zero and a winning assignment contributes ``ν − b_i``.
-
-    The implementation clamps negative entries to zero, pads the matrix
-    with one zero-weight dummy column per row (so a perfect row assignment
-    always exists), converts to a minimisation problem against the maximum
-    entry, solves it, and finally discards matches whose original weight
-    is not strictly positive.  ``backend`` picks the solver (see
-    :mod:`repro.matching.backend`): ``"numpy"`` runs the vectorised
-    :class:`~repro.matching.solver.AssignmentSolver`; ``"sparse"`` routes
-    the profitable entries through the CSR
-    :class:`~repro.matching.sparse.SparseAssignmentSolver`; ``"scipy"``
-    cross-checks via ``scipy.sparse.csgraph``; ``"python"`` runs the
-    pure-Python reference :func:`solve_assignment_min`.  ``"auto"``
-    resolves to ``"numpy"`` here — the input matrix is already dense.
-    The in-house backends produce the same matching, ties included
-    (cross-checked by the matching property suites).
-    """
-    chosen = require_backend_available(resolve_backend(backend))
-    if chosen == "auto":
-        chosen = "numpy"
-    num_rows, num_cols = _validate_matrix(weights)
-    if num_rows == 0 or num_cols == 0:
-        return MatchingResult(pairs=(), total_weight=0.0)
-
-    clamped = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    max_entry = float(clamped.max())
-    if chosen in ("sparse", "scipy"):
-        from repro.matching.sparse import (
-            SparseAssignmentSolver,
-            csr_from_dense,
-        )
-
-        indptr, indices, data = csr_from_dense(
-            max_entry - clamped, keep=clamped > 0.0
-        )
-        if chosen == "sparse":
-            solver = SparseAssignmentSolver(
-                num_rows,
-                num_cols,
-                indptr,
-                indices,
-                data,
-                dummy_cost=max_entry,
-            )
-            assignment, _ = solver.solve()
-        else:
-            from repro.matching.scipy_backend import solve_csr_min_weight
-
-            assignment = solve_csr_min_weight(
-                num_rows,
-                num_cols,
-                indptr,
-                indices,
-                data,
-                dummy_cost=max_entry,
-            )
-    else:
-        # One zero-weight dummy column per row guarantees a feasible
-        # perfect row assignment even when every real edge is useless.
-        cost = np.full((num_rows, num_cols + num_rows), max_entry)
-        cost[:, :num_cols] = max_entry - clamped
-        if chosen == "python":
-            assignment_list, _ = solve_assignment_min(cost.tolist())
-            assignment = np.asarray(assignment_list, dtype=np.int64)
-        else:
-            assignment, _ = AssignmentSolver(cost).solve()
-
-    pairs = []
-    total = 0.0
-    for row, col in enumerate(assignment):
-        col = int(col)
-        if 0 <= col < num_cols and weights[row][col] > 0.0:
-            pairs.append((row, col))
-            total += weights[row][col]
-    return MatchingResult(pairs=tuple(pairs), total_weight=total)

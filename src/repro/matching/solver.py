@@ -44,12 +44,13 @@ the property tests in ``tests/matching/`` and
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.errors import MatchingError
+from repro.matching.hungarian import MatchingResult, _validate_matrix
 
 _INF = float("inf")
 
@@ -542,3 +543,52 @@ class AssignmentSolver:
         self._row_deleted[row] = True
         self._num_active_rows -= 1
         return self.total_cost()
+
+
+def padded_cost(weights: np.ndarray) -> np.ndarray:
+    """The min-cost form of a max-weight matrix, with one dummy per row.
+
+    Negative weights are clamped to zero (leaving the pair unmatched is
+    never worse), each row gets a private zero-weight dummy column so a
+    perfect row assignment always exists, and maximisation becomes
+    minimisation against the largest clamped entry.
+    """
+    clamped = np.maximum(weights, 0.0)
+    max_entry = float(clamped.max())
+    num_rows, num_cols = clamped.shape
+    cost = np.full((num_rows, num_cols + num_rows), max_entry)
+    cost[:, :num_cols] = max_entry - clamped
+    return cost
+
+
+def max_weight_matching(
+    weights: Union[Sequence[Sequence[float]], np.ndarray],
+) -> MatchingResult:
+    """Maximum-weight bipartite matching with optional participation.
+
+    ``weights[i][j]`` (a nested sequence or a 2-D array) is the gain from
+    matching row ``i`` to column ``j``.  Entries ``<= 0`` are treated as
+    "matching is never beneficial" and are never part of the returned
+    matching — equivalently, every vertex may stay unmatched at gain
+    zero.  This matches the paper's graph where an
+    edge between task ``τ_{j,k}`` and an *inactive* smartphone has weight
+    zero and a winning assignment contributes ``ν − b_i``.
+
+    The matrix goes through :func:`padded_cost` and one dense
+    :class:`AssignmentSolver` solve; matches whose weight is not strictly
+    positive are then discarded.  The total sums the kept weights in row
+    order.  :func:`~repro.matching.hungarian.solve_assignment_min` on the
+    same padded matrix returns the same matching, ties included.
+    """
+    num_rows, num_cols = _validate_matrix(weights)
+    if num_rows == 0 or num_cols == 0:
+        return MatchingResult(pairs=(), total_weight=0.0)
+    dense = np.asarray(weights, dtype=float)
+    assignment, _ = AssignmentSolver(padded_cost(dense)).solve()
+    pairs = []
+    total = 0.0
+    for row, col in enumerate(assignment.tolist()):
+        if col < num_cols and dense[row, col] > 0.0:
+            pairs.append((row, col))
+            total += float(dense[row, col])
+    return MatchingResult(pairs=tuple(pairs), total_weight=total)

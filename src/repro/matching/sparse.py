@@ -19,7 +19,7 @@ The public API mirrors :class:`AssignmentSolver` — ``solve``,
 ``total_cost_without_column`` / ``matching_without_column``, and the
 row-removal family ``total_cost_without_row`` / ``resolve_without_row``
 / ``delete_row`` — so :class:`~repro.matching.graph.TaskAssignmentGraph`
-can swap solvers per backend without touching the payment paths.
+runs its payment paths unchanged on whichever engine it picked.
 
 Optional rows are modelled natively: when ``dummy_cost`` is given,
 every row ``r`` owns a private *implicit* dummy column ``num_cols + r``
@@ -30,10 +30,12 @@ With ``dummy_cost=None`` the solver behaves exactly like the dense one
 on the stored edges and raises :class:`MatchingError` when no perfect
 row assignment exists.
 
-Tie-breaking matches the dense solver: rows are inserted in index
-order and the heap orders frontier columns by ``(distance, column)``,
-which is the same lowest-index-first rule the dense ``argmin`` applies.
-The property suites in ``tests/matching/test_sparse.py`` and
+Rows are inserted in index order and the heap orders frontier columns
+by ``(distance, column)``, a lowest-index-first rule like the dense
+``argmin``.  Even so, the two solvers may settle a degenerate optimum on
+different optimal matchings: the optimal cost always agrees, the
+matching itself only when the optimum is unique.  The property suites in
+``tests/matching/test_sparse.py`` and
 ``tests/properties/test_backend_properties.py`` cross-check every query
 against the dense solver and against cold re-solves.
 """
@@ -233,8 +235,8 @@ class SparseAssignmentSolver:
         lowest-index-first ``argmin`` tie-break, without scanning
         columns the search never reaches.  Absolute reduced distances
         mirror the dense solver's expression ``(cost - v) - (u -
-        path_len)`` so the two backends agree on ties whenever the
-        arithmetic is exact.  Returns the same tuple as the dense
+        path_len)`` so the two solvers compute the same distances
+        whenever the arithmetic is exact.  Returns the same tuple as the dense
         ``_dijkstra``: ``(distance, free_col, pivots, retired_cols,
         retired_dist)``.
         """
@@ -672,32 +674,3 @@ class SparseAssignmentSolver:
         self._row_deleted[row] = True
         self._num_active_rows -= 1
         return self.total_cost()
-
-
-def csr_from_dense(
-    matrix: np.ndarray,
-    keep: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays ``(indptr, indices, data)`` from a dense matrix.
-
-    ``keep`` optionally masks which entries become edges (default: all
-    of them).  Convenience for tests and for routing dense-input
-    callers (``max_weight_matching``) through the sparse backends.
-    """
-    dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2:
-        raise MatchingError(
-            f"matrix must be 2-D, got ndim={dense.ndim}"
-        )
-    mask = (
-        np.ones(dense.shape, dtype=bool)
-        if keep is None
-        else np.asarray(keep, dtype=bool)
-    )
-    if mask.shape != dense.shape:
-        raise MatchingError("keep mask must match the matrix shape")
-    rows, cols = np.nonzero(mask)
-    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    return indptr, cols.astype(np.int64), dense[rows, cols]

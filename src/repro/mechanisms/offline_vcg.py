@@ -52,23 +52,14 @@ class OfflineVCGMechanism(Mechanism):
     same settlement convention the online mechanism uses, so overpayment
     and cash-flow metrics are comparable across the two.
 
-    ``backend`` selects the matching engine (see
-    :mod:`repro.matching.backend`); the default ``None`` defers to the
-    session default, whose ``"auto"`` mode picks the dense solver for
-    paper-scale rounds and the CSR sparse solver for city-scale ones.
+    The graph picks its matching engine from the instance: the dense
+    solver for paper-scale rounds, the CSR sparse solver for city-scale
+    ones (:mod:`repro.matching.graph`).
     """
 
     name = "offline-vcg"
     is_truthful = True
     is_online = False
-
-    def __init__(self, backend: Optional[str] = None) -> None:
-        self._backend = backend
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The matching-backend override in force (``None`` = default)."""
-        return self._backend
 
     def run(
         self,
@@ -78,7 +69,7 @@ class OfflineVCGMechanism(Mechanism):
     ) -> AuctionOutcome:
         self._resolve_config(bids, schedule, config)
 
-        graph = TaskAssignmentGraph(schedule, bids, backend=self._backend)
+        graph = TaskAssignmentGraph(schedule, bids)
         allocation, optimal_welfare = graph.solve()
 
         bid_by_phone = {bid.phone_id: bid for bid in bids}
@@ -123,7 +114,5 @@ class OfflineVCGMechanism(Mechanism):
         :meth:`run`.
         """
         self._resolve_config(bids, schedule, config)
-        _, welfare = TaskAssignmentGraph(
-            schedule, bids, backend=self._backend
-        ).solve()
+        _, welfare = TaskAssignmentGraph(schedule, bids).solve()
         return welfare

@@ -74,13 +74,18 @@ class SensingTask:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SensingTask":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Values are taken as they are, not coerced: the id, slot and
+        index must be integers (not bools, not floats) and the value a
+        number, or the constructor raises :class:`ValidationError`.
+        """
         try:
             return cls(
-                task_id=int(payload["task_id"]),
-                slot=int(payload["slot"]),
-                index=int(payload["index"]),
-                value=float(payload["value"]),
+                task_id=payload["task_id"],
+                slot=payload["slot"],
+                index=payload["index"],
+                value=payload["value"],
             )
         except KeyError as exc:
             raise ValidationError(f"task payload missing key: {exc}") from exc

@@ -42,6 +42,10 @@ def scenario_from_dict(payload: Dict[str, Any]) -> Scenario:
     SimulationError
         On a missing or unsupported format version, or structurally
         invalid content.
+    ValidationError
+        On a value of the wrong JSON type or out of range — e.g. a
+        string or fractional slot, a bool id, a string cost — since
+        values are validated as read, never coerced.
     """
     version = payload.get("format_version")
     if version != TRACE_FORMAT_VERSION:
@@ -50,15 +54,20 @@ def scenario_from_dict(payload: Dict[str, Any]) -> Scenario:
             f"reads version {TRACE_FORMAT_VERSION}"
         )
     try:
-        num_slots = int(payload["num_slots"])
+        num_slots = payload["num_slots"]
         profiles = [
             SmartphoneProfile.from_dict(entry)
             for entry in payload["profiles"]
         ]
         tasks = [SensingTask.from_dict(entry) for entry in payload["tasks"]]
-        metadata = dict(payload.get("metadata") or {})
+        metadata = payload.get("metadata") or {}
     except (KeyError, TypeError) as exc:
         raise SimulationError(f"malformed trace payload: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise SimulationError(
+            f"trace metadata must be a JSON object, got "
+            f"{type(metadata).__name__}"
+        )
     schedule = TaskSchedule(num_slots=num_slots, tasks=tasks)
     return Scenario(profiles=profiles, schedule=schedule, metadata=metadata)
 

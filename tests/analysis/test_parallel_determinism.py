@@ -1,12 +1,12 @@
 """Schedule-fuzzing determinism: the runtime twin of REP010–REP015.
 
 ``check_parallel_determinism`` executes one sweep point under permuted
-worker counts, submission (chunk) orders, and matching backends, and
-asserts every run's result rows pickle to the same bytes as the serial
-reference.  The full acceptance matrix — ≥ 3 worker counts × the three
-in-house backends × 3 submission orders, plus the campaign-round matrix
-against ``run_campaign`` and the shard-permutation matrix against
-``run_sharded_campaign`` — runs here unconditionally;
+worker counts and submission (chunk) orders, and asserts every run's
+result rows pickle to the same bytes as the serial reference.  The full
+acceptance matrix — ≥ 3 worker counts × 3 submission orders, plus the
+campaign-round matrix against ``run_campaign`` and the
+shard-permutation matrix against ``run_sharded_campaign`` — runs here
+unconditionally;
 ``pytest --schedule-fuzz`` additionally gates the whole suite on a
 wider matrix at session start (see ``tests/conftest.py``).
 """
@@ -36,7 +36,7 @@ def fuzz_workload():
 
 class TestScheduleFuzz:
     def test_full_matrix_is_byte_identical(self, fuzz_workload):
-        """3 worker counts × 3 backends × 3 chunk orders, all identical.
+        """3 worker counts × 3 chunk orders, all identical.
 
         Plus the campaign-round half (with and without faults: the
         serial reference, ``run_campaign`` at workers 2 and 3, and 3
@@ -48,10 +48,9 @@ class TestScheduleFuzz:
             workload=fuzz_workload,
             seeds=(0, 1, 2, 3),
             worker_counts=(1, 2, 3),
-            backends=("numpy", "sparse", "python"),
             shard_worker_counts=(1, 2),
         )
-        assert checked == 27 + 2 * (1 + 2 + 9) + 6
+        assert checked == 9 + 2 * (1 + 2 + 9) + 6
 
     def test_shard_matrix_alone(self, fuzz_workload):
         """The shard half runs (and passes) with the sweep half minimal."""
@@ -59,7 +58,6 @@ class TestScheduleFuzz:
             workload=fuzz_workload,
             seeds=(0,),
             worker_counts=(1,),
-            backends=("numpy",),
             shard_worker_counts=(2,),
         )
         assert checked == 3 + 2 * (1 + 3) + 1 + 3
@@ -70,7 +68,6 @@ class TestScheduleFuzz:
             workload=fuzz_workload,
             seeds=(0,),
             worker_counts=(1,),
-            backends=("numpy",),
             shard_worker_counts=(),
         )
         assert checked == 3 + 2 * (1 + 3)
@@ -90,8 +87,7 @@ class TestScheduleFuzz:
                 workload=fuzz_workload,
                 seeds=(0, 1),
                 worker_counts=(2,),
-                backends=("numpy",),
-            )
+                )
 
 
 class TestPaymentByteStability:
@@ -100,7 +96,7 @@ class TestPaymentByteStability:
     The offline payment loops iterated ``set(allocation.values())``
     while filling the payments dict, so the dict's insertion order —
     and therefore the outcome's serialised bytes — depended on set hash
-    order, which differs across backends (each inserts winners in its
+    order, which differs across engines (each inserts winners in its
     own discovery order) and across processes.  The loops now iterate
     ``sorted(...)``; these tests pin the observable consequences.
     """
@@ -119,18 +115,18 @@ class TestPaymentByteStability:
         assert keys and keys == sorted(keys)
 
     def test_outcome_bytes_identical_across_backends(self, fuzz_workload):
-        from repro.matching.backend import use_backend
-        from repro.mechanisms import OfflineVCGMechanism
-        from repro.simulation import SimulationEngine
+        """Payments pickle alike on every matching engine."""
+        from tests.matching.engines import ENGINES, offline_vcg
 
         scenario = fuzz_workload.generate(seed=11)
-        blobs = set()
-        for backend in ("numpy", "sparse", "python"):
-            with use_backend(backend):
-                result = SimulationEngine().run(
-                    OfflineVCGMechanism(), scenario
-                )
-            blobs.add(pickle.dumps(result.outcome.payments, protocol=4))
+        bids = scenario.truthful_bids()
+        blobs = {
+            pickle.dumps(
+                offline_vcg(bids, scenario.schedule, engine).payments,
+                protocol=4,
+            )
+            for engine in ENGINES
+        }
         assert len(blobs) == 1
 
     def test_total_overpayment_sums_in_sorted_order(self):

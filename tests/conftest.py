@@ -41,7 +41,7 @@ def pytest_addoption(parser):
         default=False,
         help=(
             "run the full schedule-fuzzing determinism matrix "
-            "(worker counts x chunk orders x matching backends) "
+            "(worker counts x chunk orders, campaign rounds, shard pools) "
             "before the suite; a nondeterministic sweep point fails "
             "the session at collection"
         ),
@@ -81,8 +81,8 @@ def _schedule_fuzz_determinism(request):
     """Optionally gate the whole suite on schedule-fuzzed determinism.
 
     With ``--schedule-fuzz``, the session first re-runs one sweep point
-    under permuted worker counts, submission orders, and matching
-    backends — plus a sharded campaign under permuted shard submission
+    under permuted worker counts and submission orders — plus a
+    sharded campaign under permuted shard submission
     orders and shard-pool sizes (see
     :func:`repro.analysis.sanitizer.check_parallel_determinism`) — and
     fails immediately if any combination's outcome bytes differ from
@@ -96,7 +96,6 @@ def _schedule_fuzz_determinism(request):
 
         check_parallel_determinism(
             worker_counts=(1, 2, 3, 4),
-            backends=("numpy", "sparse", "python"),
             shard_worker_counts=(1, 2, 4),
         )
     yield

@@ -1,31 +1,25 @@
-"""Backend dispatch and gating tests for the assignment graph.
+"""Engine choice of the assignment graph, and the scipy oracle.
 
-Covers the ``auto`` density rule, explicit overrides, the scipy
-cross-check backend (gracefully gated when scipy is absent), and the
-``compatible`` callback on the sparse path.
+The graph picks the CSR engine for large sparse instances and the dense
+engine otherwise; the rule is part of every output digest, so the
+instances the perf gates and the paper's figures run are pinned to their
+engines here.  Also covers the scipy welfare oracle (skipped when scipy
+is absent) and the ``compatible`` callback on the sparse path.
 """
 
 import numpy as np
 import pytest
 
 import repro.matching.graph as graph_module
-from repro.errors import MatchingError
-from repro.matching import (
-    AVAILABLE_BACKENDS,
-    max_weight_matching,
-    require_backend_available,
-    scipy_available,
-    set_default_backend,
-    use_backend,
-)
+from repro.experiments.config import apply_workload_override
+from repro.experiments.figures import figure_spec
+from repro.matching import SparseAssignmentSolver, max_weight_matching
 from repro.matching.graph import TaskAssignmentGraph
 from repro.model.bid import Bid
 from repro.model.task import TaskSchedule
 from repro.simulation.workload import WorkloadConfig
-
-needs_scipy = pytest.mark.skipif(
-    not scipy_available(), reason="scipy not installed ([perf] extra)"
-)
+from tests.matching.engines import forced_engine, solve
+from tests.matching.scipy_oracle import min_cost_csr, solve_csr_min_weight
 
 
 def _small_instance():
@@ -33,74 +27,38 @@ def _small_instance():
     return scenario.truthful_bids(), scenario.schedule
 
 
-class TestRegistry:
-    def test_available_backends(self):
-        assert AVAILABLE_BACKENDS == (
-            "auto",
-            "numpy",
-            "sparse",
-            "scipy",
-            "python",
-        )
-
-    def test_default_backend_is_auto(self):
-        assert graph_module.resolve_backend(None) == "auto"
-
-    def test_unknown_backend_rejected(self):
-        bids, schedule = _small_instance()
-        with pytest.raises(MatchingError, match="unknown matching backend"):
-            TaskAssignmentGraph(
-                schedule, bids, backend="fortran"
-            ).solver_backend
-        with pytest.raises(MatchingError, match="unknown matching backend"):
-            set_default_backend("fortran")
-        with pytest.raises(MatchingError, match="unknown matching backend"):
-            require_backend_available("fortran")
-
-
 class TestAutoDispatch:
     def test_small_instance_resolves_dense(self):
         bids, schedule = _small_instance()
         graph = TaskAssignmentGraph(schedule, bids)
-        assert graph.solver_backend == "numpy"
+        assert graph.engine == "dense"
 
     def test_explicit_override_wins(self):
+        """Patched thresholds force either engine, then the rule returns."""
         bids, schedule = _small_instance()
-        assert (
-            TaskAssignmentGraph(
-                schedule, bids, backend="sparse"
-            ).solver_backend
-            == "sparse"
-        )
-        assert (
-            TaskAssignmentGraph(
-                schedule, bids, backend="python"
-            ).solver_backend
-            == "python"
-        )
-
-    def test_session_default_applies_when_unset(self):
-        bids, schedule = _small_instance()
-        with use_backend("sparse"):
-            assert (
-                TaskAssignmentGraph(schedule, bids).solver_backend
-                == "sparse"
+        with forced_engine("sparse"):
+            assert TaskAssignmentGraph(schedule, bids).engine == "sparse"
+        assert TaskAssignmentGraph(schedule, bids).engine == "dense"
+        scenario = WorkloadConfig(num_slots=300).generate(seed=3)
+        with forced_engine("dense"):
+            graph = TaskAssignmentGraph(
+                scenario.schedule, scenario.truthful_bids()
             )
-        assert TaskAssignmentGraph(schedule, bids).solver_backend == "numpy"
+        assert graph.engine == "dense"
 
     def test_large_sparse_instance_resolves_sparse(self, monkeypatch):
         # Shrink the size threshold so a 30-slot instance counts as
-        # city-scale; the dispatch rule itself is what's under test.
+        # city-scale; the density half of the rule is what's under test.
         scenario = WorkloadConfig(num_slots=30).generate(seed=3)
         bids, schedule = scenario.truthful_bids(), scenario.schedule
         probe = TaskAssignmentGraph(schedule, bids)
-        monkeypatch.setattr(graph_module, "AUTO_SPARSE_MIN_CELLS", 1)
-        assert probe.edge_density <= graph_module.AUTO_SPARSE_MAX_DENSITY
+        monkeypatch.setattr(graph_module, "SPARSE_MIN_CELLS", 1)
+        assert probe.edge_density <= graph_module.SPARSE_MAX_DENSITY
         graph = TaskAssignmentGraph(schedule, bids)
-        assert graph.solver_backend == "sparse"
+        assert graph.engine == "sparse"
 
     def test_dense_instance_stays_dense_despite_size(self, monkeypatch):
-        monkeypatch.setattr(graph_module, "AUTO_SPARSE_MIN_CELLS", 1)
+        monkeypatch.setattr(graph_module, "SPARSE_MIN_CELLS", 1)
         schedule = TaskSchedule.from_counts([2, 2], value=30.0)
         bids = [
             Bid(phone_id=i, arrival=1, departure=2, cost=10.0 + i)
@@ -108,64 +66,88 @@ class TestAutoDispatch:
         ]
         graph = TaskAssignmentGraph(schedule, bids)
         assert graph.edge_density == 1.0
-        assert graph.solver_backend == "numpy"
+        assert graph.engine == "dense"
 
     def test_auto_thresholds_hold_paper_scale_on_dense(self):
         scenario = WorkloadConfig(num_slots=80).generate(seed=11)
         graph = TaskAssignmentGraph(
             scenario.schedule, scenario.truthful_bids()
         )
-        assert graph.solver_backend == "numpy"
+        assert graph.engine == "dense"
+
+    def test_perf_gate_shapes_keep_their_engines(self):
+        """The CI perf gates time the same engine as their baselines.
+
+        ``test_offline_vcg_scaling[80]`` (dense) and
+        ``test_offline_vcg_scaling_sparse[500]`` (sparse) in
+        ``benchmarks/test_perf_scaling.py`` gate against committed
+        timings of those engines; the benchmark builds its instances
+        this way.
+        """
+        engines = {}
+        for num_slots in (80, 500):
+            scenario = WorkloadConfig.paper_default().replace(
+                num_slots=num_slots
+            ).generate(seed=1)
+            engines[num_slots] = TaskAssignmentGraph(
+                scenario.schedule, scenario.truthful_bids()
+            ).engine
+        assert engines == {80: "dense", 500: "sparse"}
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8"])
+    def test_every_figure_round_solves_dense(self, name):
+        """Figs. 6–11 at seed 2014 never reach the sparse engine.
+
+        The engines may serve different tasks on tied optima, which
+        moves the real-cost welfare and so the figure digests; a
+        threshold change that sent any of these rounds to the sparse
+        engine has to fail here first.
+        """
+        spec = figure_spec(name, base_seed=2014)
+        for value in spec.values:
+            workload = apply_workload_override(
+                spec.config.workload, spec.param, value
+            )
+            for seed in spec.config.seeds():
+                scenario = workload.generate(seed)
+                graph = TaskAssignmentGraph(
+                    scenario.schedule, scenario.truthful_bids()
+                )
+                assert graph.engine == "dense", (name, value, seed)
 
 
 class TestScipyGating:
-    def test_missing_scipy_raises_matching_error(self, monkeypatch):
-        import repro.matching.scipy_backend as scipy_backend
-
-        def broken_load():
-            raise MatchingError(
-                "matching backend 'scipy' requires scipy, which is not "
-                "installed; install the perf extra"
-            )
-
-        monkeypatch.setattr(scipy_backend, "_load_scipy", broken_load)
-        bids, schedule = _small_instance()
-        with pytest.raises(MatchingError, match="perf extra"):
-            TaskAssignmentGraph(
-                schedule, bids, backend="scipy"
-            ).solver_backend
-
-    @needs_scipy
     def test_scipy_backend_matches_welfare(self):
         bids, schedule = _small_instance()
-        _, expected = TaskAssignmentGraph(
-            schedule, bids, backend="numpy"
-        ).solve()
-        allocation, welfare = TaskAssignmentGraph(
-            schedule, bids, backend="scipy"
-        ).solve()
+        _, expected = TaskAssignmentGraph(schedule, bids).solve()
+        allocation, welfare = solve(schedule, bids, "scipy")
         assert welfare == pytest.approx(expected, abs=1e-9)
         assert allocation  # something was actually matched
 
-    @needs_scipy
     def test_scipy_welfare_without_phone_matches_cold(self):
         bids, schedule = _small_instance()
-        graph = TaskAssignmentGraph(schedule, bids, backend="scipy")
+        graph = TaskAssignmentGraph(schedule, bids)
         allocation, _ = graph.solve()
         phone = next(iter(allocation.values()))
         assert graph.welfare_without_phone(phone) == pytest.approx(
-            graph.solve(exclude_phone=phone)[1], abs=1e-9
+            solve(schedule, bids, "scipy", exclude_phone=phone)[1],
+            abs=1e-9,
         )
 
-    @needs_scipy
     def test_max_weight_matching_scipy_total(self):
         rng = np.random.default_rng(5)
-        weights = rng.uniform(-5.0, 20.0, size=(6, 9)).tolist()
-        expected = max_weight_matching(weights, backend="numpy")
-        via_scipy = max_weight_matching(weights, backend="scipy")
-        assert via_scipy.total_weight == pytest.approx(
-            expected.total_weight, abs=1e-9
+        weights = rng.uniform(-5.0, 20.0, size=(6, 9))
+        expected = max_weight_matching(weights.tolist())
+        indptr, indices, data, dummy_cost = min_cost_csr(weights)
+        assignment = solve_csr_min_weight(
+            6, 9, indptr, indices, data, dummy_cost=dummy_cost
         )
+        total = sum(
+            weights[row, col]
+            for row, col in enumerate(assignment.tolist())
+            if col < 9 and weights[row, col] > 0.0
+        )
+        assert total == pytest.approx(expected.total_weight, abs=1e-9)
 
 
 class TestSparseGraphPath:
@@ -181,9 +163,11 @@ class TestSparseGraphPath:
             evaluated.append((task.task_id, bid.phone_id))
             return bid.phone_id == 0
 
-        graph = TaskAssignmentGraph(
-            schedule, bids, compatible=compatible, backend="sparse"
-        )
+        with forced_engine("sparse"):
+            graph = TaskAssignmentGraph(
+                schedule, bids, compatible=compatible
+            )
+        assert graph.engine == "sparse"
         allocation, _ = graph.solve()
         assert set(allocation.values()) == {0}
         # Evaluated only on interval-active pairs — here all four.
@@ -208,15 +192,17 @@ class TestSparseGraphPath:
 
     def test_exclude_phone_inherits_backend(self):
         bids, schedule = _small_instance()
-        graph = TaskAssignmentGraph(schedule, bids, backend="sparse")
-        allocation, _ = graph.solve()
-        phone = next(iter(allocation.values()))
-        _, reduced_welfare = graph.solve(exclude_phone=phone)
+        with forced_engine("sparse"):
+            graph = TaskAssignmentGraph(schedule, bids)
+            allocation, _ = graph.solve()
+            phone = next(iter(allocation.values()))
+            _, reduced_welfare = graph.solve(exclude_phone=phone)
         assert reduced_welfare == graph.welfare_without_phone(phone)  # repro: noqa-REP002 -- warm repair vs cold exclusion, bitwise
 
     def test_weight_accessor_agrees_with_dense_matrix(self):
         bids, schedule = _small_instance()
-        graph = TaskAssignmentGraph(schedule, bids, backend="sparse")
+        with forced_engine("sparse"):
+            graph = TaskAssignmentGraph(schedule, bids)
         dense = np.asarray(graph.weights)
         for row, task in enumerate(graph.tasks[:10]):
             for col, bid in enumerate(graph.bids):
@@ -241,25 +227,31 @@ class TestSparseGraphPath:
         bids = scenario.truthful_bids()
         tracemalloc.start()
         try:
-            graph = TaskAssignmentGraph(
-                scenario.schedule, bids, backend="sparse"
-            )
+            graph = TaskAssignmentGraph(scenario.schedule, bids)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         dense_bytes = len(graph.tasks) * len(graph.bids) * 8
         assert dense_bytes > 100_000_000  # genuinely city-scale
         assert peak < dense_bytes / 4
-        # ... and auto dispatch sends an instance this size to sparse.
-        auto = TaskAssignmentGraph(scenario.schedule, bids)
-        assert auto.solver_backend == "sparse"
+        # ... and the engine rule sends an instance this size to sparse.
+        assert graph.engine == "sparse"
 
     def test_max_weight_matching_sparse_backend_identical(self):
+        """The CSR solver on a dense input picks the dense entry's pairs."""
         rng = np.random.default_rng(9)
-        weights = rng.uniform(-5.0, 20.0, size=(7, 11)).tolist()
-        dense = max_weight_matching(weights, backend="numpy")
-        sparse = max_weight_matching(weights, backend="sparse")
-        assert sparse.pairs == dense.pairs
-        assert sparse.total_weight == pytest.approx(
+        weights = rng.uniform(-5.0, 20.0, size=(7, 11))
+        dense = max_weight_matching(weights.tolist())
+        indptr, indices, data, dummy_cost = min_cost_csr(weights)
+        assignment, _ = SparseAssignmentSolver(
+            7, 11, indptr, indices, data, dummy_cost=dummy_cost
+        ).solve()
+        pairs = tuple(
+            (row, col)
+            for row, col in enumerate(assignment.tolist())
+            if col < 11 and weights[row, col] > 0.0
+        )
+        assert pairs == dense.pairs
+        assert sum(weights[row, col] for row, col in pairs) == pytest.approx(
             dense.total_weight, abs=1e-12
         )

@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import MatchingError
 from repro.matching.solver import AssignmentSolver
-from repro.matching.sparse import SparseAssignmentSolver, csr_from_dense
+from repro.matching.sparse import SparseAssignmentSolver
+from tests.matching.scipy_oracle import csr_from_dense
 
 
 def _random_dense(rng, rows, cols, low=1.0, high=50.0):

@@ -11,7 +11,6 @@ hand-built rounds, and check that a non-optimal allocation is refused.
 
 from __future__ import annotations
 
-import importlib.util
 import pickle
 
 import numpy as np
@@ -23,27 +22,35 @@ from repro.matching.graph import (
     _sum_exchanged_gains,
     _sum_gains,
 )
-from repro.mechanisms import OfflineVCGMechanism
 from repro.model import AuctionOutcome, Bid, SensingTask, TaskSchedule
 from repro.simulation import WorkloadConfig
-
-HAS_SCIPY = importlib.util.find_spec("scipy") is not None
+from tests.matching.engines import COLD_ENGINES, forced_engine, offline_vcg, solve
 
 VALUE = 10.0
 
 
-def _repair_outcome(bids, schedule, backend):
-    """The offline VCG outcome priced by one matching repair per winner."""
-    graph = TaskAssignmentGraph(schedule, bids, backend=backend)
-    allocation, welfare = graph.solve()
+def _repair_outcome(bids, schedule, engine):
+    """The offline VCG outcome priced by one matching repair per winner.
+
+    A cold reference has no repair; it re-solves without each winner.
+    """
+    if engine in COLD_ENGINES:
+        allocation, welfare = solve(schedule, bids, engine)
+
+        def welfare_without(phone_id):
+            return solve(schedule, bids, engine, exclude_phone=phone_id)[1]
+
+    else:
+        with forced_engine(engine):
+            graph = TaskAssignmentGraph(schedule, bids)
+        allocation, welfare = graph.solve()
+        welfare_without = graph.welfare_without_phone
     bid_by_phone = {bid.phone_id: bid for bid in bids}
     payments = {}
     payment_slots = {}
     for phone_id in sorted(set(allocation.values())):
         bid = bid_by_phone[phone_id]
-        payments[phone_id] = (
-            welfare + bid.cost - graph.welfare_without_phone(phone_id)
-        )
+        payments[phone_id] = welfare + bid.cost - welfare_without(phone_id)
         payment_slots[phone_id] = bid.departure
     return AuctionOutcome(
         bids=bids,
@@ -54,9 +61,9 @@ def _repair_outcome(bids, schedule, backend):
     )
 
 
-def _assert_matches_repair(bids, schedule, backend=None):
-    outcome = OfflineVCGMechanism(backend=backend).run(bids, schedule)
-    reference = _repair_outcome(bids, schedule, backend)
+def _assert_matches_repair(bids, schedule, engine=None):
+    outcome = offline_vcg(bids, schedule, engine)
+    reference = _repair_outcome(bids, schedule, engine)
     assert pickle.dumps(outcome) == pickle.dumps(reference)
     return outcome
 
@@ -64,26 +71,17 @@ def _assert_matches_repair(bids, schedule, backend=None):
 # Table I rounds.  The pure-Python and scipy references re-solve from
 # scratch for every winner, so they run Table I's rates over a shorter
 # horizon to keep the suite fast.
-BACKEND_HORIZONS = [
-    ("numpy", 50),
-    ("sparse", 50),
-    ("python", 6),
-    pytest.param(
-        "scipy",
-        15,
-        marks=pytest.mark.skipif(not HAS_SCIPY, reason="scipy not installed"),
-    ),
-]
+ENGINE_HORIZONS = [("dense", 50), ("sparse", 50), ("python", 6), ("scipy", 15)]
 
 
-@pytest.mark.parametrize("backend,num_slots", BACKEND_HORIZONS)
-def test_table_one_rounds_match_the_repair_byte_for_byte(backend, num_slots):
+@pytest.mark.parametrize("engine,num_slots", ENGINE_HORIZONS)
+def test_table_one_rounds_match_the_repair_byte_for_byte(engine, num_slots):
     config = WorkloadConfig(num_slots=num_slots)
     winners = 0
     for seed in range(32):
         scenario = config.generate(seed=seed)
         outcome = _assert_matches_repair(
-            scenario.truthful_bids(), scenario.schedule, backend
+            scenario.truthful_bids(), scenario.schedule, engine
         )
         winners += len(outcome.payments)
     assert winners > 32
@@ -231,11 +229,11 @@ def test_exchanged_gain_sums_equal_one_dimensional_sums():
 
 
 def test_city_scale_sampled_winners_match_the_repair():
-    """~10⁴ phones, where ``auto`` picks the sparse engine."""
+    """~10⁴ phones, where the graph picks the sparse engine."""
     scenario = WorkloadConfig(num_slots=1000, phone_rate=10.0).generate(seed=7)
     bids = scenario.truthful_bids()
     graph = TaskAssignmentGraph(scenario.schedule, bids)
-    assert graph.solver_backend == "sparse"
+    assert graph.engine == "sparse"
     assert len(bids) > 9000
     allocation, welfare = graph.solve()
     without = graph.welfare_without_each_winner(allocation)

@@ -102,3 +102,34 @@ class TestSerialisation:
     def test_missing_key(self):
         with pytest.raises(ValidationError, match="missing key"):
             SmartphoneProfile.from_dict({"phone_id": 1})
+
+
+class TestFromDictTypes:
+    """Trace values are validated as read, never coerced."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("phone_id", True),
+            ("phone_id", 1.0),
+            ("arrival", "x"),
+            ("arrival", 1.9),
+            ("arrival", False),
+            ("departure", 2.5),
+            ("cost", "3"),
+            ("cost", True),
+            ("cost", None),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, field, value):
+        payload = {"phone_id": 1, "arrival": 1, "departure": 2, "cost": 3.0}
+        payload[field] = value
+        with pytest.raises(ValidationError, match=field):
+            SmartphoneProfile.from_dict(payload)
+
+    def test_integer_cost_accepted_as_float(self):
+        profile = SmartphoneProfile.from_dict(
+            {"phone_id": 1, "arrival": 1, "departure": 2, "cost": 3}
+        )
+        assert isinstance(profile.cost, float)
+        assert profile.cost == pytest.approx(3.0)

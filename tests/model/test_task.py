@@ -137,3 +137,24 @@ class TestTaskScheduleAccess:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
+
+
+class TestFromDictTypes:
+    """Trace values are validated as read, never coerced."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("task_id", True),
+            ("slot", "2"),
+            ("slot", 2.5),
+            ("index", 1.0),
+            ("value", "7"),
+            ("value", False),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, field, value):
+        payload = {"task_id": 4, "slot": 2, "index": 1, "value": 7.0}
+        payload[field] = value
+        with pytest.raises(ValidationError, match=field):
+            SensingTask.from_dict(payload)

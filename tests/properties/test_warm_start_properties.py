@@ -6,8 +6,8 @@ The warm paths (:meth:`AssignmentSolver.resolve_without_row`,
 from-scratch solve of the reduced instance — on the optimal value
 always, and on the matching itself whenever the optimum is unique
 (continuous random costs make ties measure-zero).  The pure-Python
-reference solver cross-checks the vectorised one through the backend
-flag on every seed.
+reference solver cross-checks the vectorised one, and the dense-input
+entry point, on every seed.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.matching import (
-    max_weight_matching,
-    use_backend,
-)
+from repro.matching import max_weight_matching
 from repro.matching.graph import TaskAssignmentGraph
 from repro.matching.hungarian import solve_assignment_min
-from repro.matching.solver import AssignmentSolver
+from repro.matching.solver import AssignmentSolver, padded_cost
 from repro.simulation import WorkloadConfig
 
 SEEDS = range(50)
@@ -124,13 +121,20 @@ class TestBackendCrossCheck:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_backend_flag_selects_identical_matchings(self, seed):
+        """The dense entry point and the reference pick the same pairs."""
         rng = np.random.default_rng(seed)
-        weights = (rng.random((4, 6)) * 10.0 - 2.0).tolist()
-        fast = max_weight_matching(weights, backend="numpy")
-        with use_backend("python"):
-            reference = max_weight_matching(weights)
-        assert fast.total_weight == pytest.approx(reference.total_weight)
-        assert fast.pairs == reference.pairs
+        weights = rng.random((4, 6)) * 10.0 - 2.0
+        fast = max_weight_matching(weights.tolist())
+        assignment, _ = solve_assignment_min(padded_cost(weights).tolist())
+        pairs = tuple(
+            (row, col)
+            for row, col in enumerate(assignment)
+            if col < 6 and weights[row, col] > 0.0
+        )
+        assert fast.pairs == pairs
+        assert fast.total_weight == pytest.approx(
+            sum(weights[row, col] for row, col in pairs)
+        )
 
 
 class TestGraphWelfareWithoutPhone:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.simulation import WorkloadConfig, load_scenario, save_scenario
 from repro.simulation.traces import scenario_from_dict, scenario_to_dict
 
@@ -87,3 +87,47 @@ class TestFailureModes:
         path.write_text(json.dumps(payload))
         with pytest.raises(Exception):
             load_scenario(path)
+
+
+class TestValueTypes:
+    """Values are validated as read: nothing is coerced to int or float."""
+
+    @pytest.mark.parametrize("num_slots", ["6", 6.0, 6.5, True])
+    def test_num_slots_must_be_an_integer(self, scenario, num_slots):
+        payload = scenario_to_dict(scenario)
+        payload["num_slots"] = num_slots
+        with pytest.raises(ValidationError, match="num_slots"):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("phone_id", False),
+            ("arrival", "x"),
+            ("arrival", 1.9),
+            ("departure", 3.0),
+            ("cost", "3"),
+            ("cost", True),
+        ],
+    )
+    def test_profile_values_are_not_coerced(self, scenario, field, value):
+        payload = scenario_to_dict(scenario)
+        payload["profiles"][0][field] = value
+        with pytest.raises(ValidationError, match=field):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("task_id", True), ("slot", 1.0), ("index", "1"), ("value", "8")],
+    )
+    def test_task_values_are_not_coerced(self, scenario, field, value):
+        payload = scenario_to_dict(scenario)
+        payload["tasks"][0][field] = value
+        with pytest.raises(ValidationError, match=field):
+            scenario_from_dict(payload)
+
+    def test_metadata_must_be_an_object(self, scenario):
+        payload = scenario_to_dict(scenario)
+        payload["metadata"] = ["not", "an", "object"]
+        with pytest.raises(SimulationError, match="metadata"):
+            scenario_from_dict(payload)

@@ -88,6 +88,27 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("arrival", "x"), ("arrival", 1.9), ("cost", "3"), ("cost", True)],
+    )
+    def test_trace_with_mistyped_profile_value_exits_2(
+        self, capsys, tmp_path, field, value
+    ):
+        trace = tmp_path / "round.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--slots", "8", "--save-trace", str(trace)
+        )
+        assert code == 0
+        payload = json.loads(trace.read_text())
+        payload["profiles"][0][field] = value
+        trace.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "simulate", "--from-trace", str(trace)
+        )
+        assert code == 2
+        assert field in err
+
 
 class TestFigures:
     def test_single_figure(self, capsys):
@@ -209,6 +230,19 @@ class TestShardedCampaign:
         )
         assert code == 2
         assert "retry-losers" in err
+
+    @pytest.mark.parametrize("flag", ["--shards", "--cities"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_below_one_are_rejected_at_parse_time(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as info:
+            run_cli(
+                capsys, "campaign", "--rounds", "1", "--slots", "5",
+                flag, value,
+            )
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_sharded_rejects_journal_dir(self, capsys, tmp_path):
         code, _, err = run_cli(
