@@ -499,8 +499,9 @@ def check_parallel_determinism(
     Three halves run in turn:
 
     * sweep repetitions (:func:`~repro.experiments.runner.run_repetition`
-      of ``offline-vcg``) over ``seeds`` × ``worker_counts`` × permuted
-      orders;
+      of ``offline-vcg``, each run from its round's columns by the round
+      function shard workers share) over ``seeds`` × ``worker_counts`` ×
+      permuted orders;
     * campaign rounds: a ``retry_policy="none"`` campaign, with and
       without a :class:`~repro.faults.FaultConfig`, whose rounds run on
       ``worker_counts`` × permuted orders and must match the serial

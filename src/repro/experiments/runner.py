@@ -2,9 +2,13 @@
 
 :func:`run_point` measures every configured mechanism on one workload
 setting over seeded repetitions; :func:`run_sweep` does that for every
-value of the swept parameter.  All scenarios at a sweep point are shared
-across mechanisms (same seeds → same instances), so mechanism
-comparisons are paired, not independent.
+value of the swept parameter.  Each repetition draws one round's
+validated :class:`~repro.model.columnar.RoundColumns` and every
+mechanism runs on those same columns (same seeds → same instances), so
+mechanism comparisons are paired, not independent.  The round function
+is :meth:`SimulationEngine.run_columns
+<repro.simulation.engine.SimulationEngine.run_columns>`, the one shard
+workers run: no ``Scenario`` and no profile list is built.
 
 Graceful degradation
 --------------------
@@ -21,7 +25,7 @@ Parallel execution
 ------------------
 Each repetition (:func:`run_repetition`) is one unit of a
 :class:`~repro.utils.pool.WorkerPool`: in-process with ``workers=1``,
-on a process pool otherwise.  Every mechanism runs on the same scenario
+on a process pool otherwise.  Every mechanism runs on the same columns
 inside one unit, and units come back in seed order, so a parallel point
 stays paired and aggregates byte-identically to a serial one.
 """
@@ -181,7 +185,6 @@ def run_repetition(
     exhausts its retries re-raises under ``on_failure="raise"`` and
     comes back with ``row=None`` under ``"partial"``.
     """
-    engine = SimulationEngine()
     built = [spec.build() for spec in mechanisms]
     wait = sleep if sleep is not None else time.sleep
     policy = RetryPolicy(retries=retries, backoff=backoff)
@@ -189,9 +192,10 @@ def run_repetition(
     row: Optional[Tuple[SimulationResult, ...]] = None
     for attempt in range(retries + 1):
         try:
-            scenario = workload.generate(seed)
+            columns = workload.generate_columns(seed)
             row = tuple(
-                engine.run(mechanism, scenario) for mechanism in built
+                SimulationEngine.run_columns(mechanism, columns)
+                for mechanism in built
             )
             break
         except Exception:

@@ -21,7 +21,10 @@ out at *shard* granularity instead, over the same
   crosses a pickle boundary on the way in.  With ``workers=1`` the pool
   runs in-process and encodes each shard only after the previous one
   was collected, so one segment is alive at a time.
-* Workers attach by name and run each round from its zero-copy columns:
+* Workers attach by name and run each round from its zero-copy columns
+  through :meth:`SimulationEngine.run_columns
+  <repro.simulation.engine.SimulationEngine.run_columns>`, the round
+  function sweep repetitions share:
   :func:`~repro.model.columnar.unpack_rounds` validates every round's
   values once, with numpy, the online mechanism's allocation pass reads
   the columns, and the round metrics read real costs straight from them
@@ -81,7 +84,6 @@ from repro import obs
 from repro.auction.multi_round import CampaignResult, aggregate_rounds
 from repro.errors import CheckpointError, ShardingError
 from repro.experiments.config import MechanismSpec
-from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.model.columnar import (
     RoundColumns,
     pack_rounds_into,
@@ -495,11 +497,15 @@ def _run_shard(
             skip = frozenset(task.skip_rounds)
             computed: List[Tuple[int, bytes]] = []
             round_seconds: List[float] = []
-            for position, round_index in enumerate(task.round_indices):
+            # Popped in round order, so each round's columns, and the
+            # values decoding caches on them, die once the round has run.
+            rounds.reverse()
+            for round_index in task.round_indices:
                 if round_index in skip:
+                    rounds.pop()
                     continue
                 round_start = perf_seconds()
-                blob = _run_shard_round(mechanism, rounds[position])
+                blob = _run_shard_round(mechanism, rounds.pop())
                 if writer is not None:
                     writer.append(round_index, blob)
                 computed.append((round_index, blob))
@@ -532,23 +538,12 @@ def _run_shard(
 def _run_shard_round(mechanism: Any, columns: RoundColumns) -> bytes:
     """One round from its columns; returns the pickled result.
 
-    Equals ``SimulationEngine.run`` over the scenario the serial
-    campaign generates for the same seed: the online mechanism reads the
-    columns directly (other mechanisms get the decoded bids, which equal
-    that scenario's truthful bids verbatim), and the one packager reads
-    real costs from the columns.  The :class:`SimulationResult`
-    therefore pickles byte-identically to the serial campaign's.
+    :meth:`SimulationEngine.run_columns
+    <repro.simulation.engine.SimulationEngine.run_columns>` is the round
+    function sweep repetitions share, so the blob pickles the same
+    :class:`SimulationResult` the serial campaign builds for the seed.
     """
-    bids = (
-        columns
-        if isinstance(mechanism, OnlineGreedyMechanism)
-        else columns.decode_bids()
-    )
-    with obs.span(
-        "mechanism.run", mechanism=mechanism.name, bids=columns.num_phones
-    ):
-        outcome = mechanism.run(bids, columns.schedule)
-    result = SimulationEngine.package(mechanism.name, outcome, columns)
+    result = SimulationEngine.run_columns(mechanism, columns)
     return pickle.dumps(result, protocol=4)
 
 

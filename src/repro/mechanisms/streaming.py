@@ -146,18 +146,18 @@ class StreamingGreedyEngine:
         self._schedule = schedule
         self._reserve_price = bool(reserve_price)
         self._num_slots = schedule.num_slots
+        phone_id: Sequence[int]
+        arrival: Sequence[int]
+        departure: Sequence[int]
+        cost: Sequence[float]
         if columns is None:
             phone_id = [bid.phone_id for bid in self._bids]
             arrival = [bid.arrival for bid in self._bids]
             departure = [bid.departure for bid in self._bids]
             cost = [bid.cost for bid in self._bids]
         else:
-            # ``tolist`` round-trips exactly: the same Python ints and
-            # floats the decoded bids hold.
-            phone_id = columns.phone_id.tolist()
-            arrival = columns.arrival.tolist()
-            departure = columns.departure.tolist()
-            cost = columns.cost.tolist()
+            # The same Python ints and floats the decoded bids hold.
+            phone_id, arrival, departure, cost = columns.lists
         self._bid_by_phone = dict(zip(phone_id, self._bids))
         self._cascade_steps = 0
         uniform = schedule.uniform_value
@@ -187,14 +187,14 @@ class StreamingGreedyEngine:
     # ------------------------------------------------------------------
     def _stream(
         self,
-        pid: List[int],
-        arr: List[int],
-        dep: List[int],
-        cost: List[float],
+        pid: Sequence[int],
+        arr: Sequence[int],
+        dep: Sequence[int],
+        cost: Sequence[float],
     ) -> GreedyRun:
-        """The pass over the bids' fields, one plain list per field.
+        """The pass over the bids' fields, one plain sequence per field.
 
-        Plain Python lists for the hot loop: scalar indexing into numpy
+        Plain Python lists or tuples for the hot loop: scalar indexing into numpy
         arrays allocates a boxed scalar per access, which dominates at
         10⁶ bids.
         """

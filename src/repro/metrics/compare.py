@@ -92,13 +92,12 @@ def paired_comparison(
     if not seeds:
         raise ValidationError("seeds must not be empty")
 
-    engine = SimulationEngine()
     differences: List[float] = []
     wins = ties = losses = 0
     for seed in seeds:
-        scenario = workload.generate(seed=seed)
-        result_a = engine.run(mechanism_a, scenario)
-        result_b = engine.run(mechanism_b, scenario)
+        columns = workload.generate_columns(seed=seed)
+        result_a = SimulationEngine.run_columns(mechanism_a, columns)
+        result_b = SimulationEngine.run_columns(mechanism_b, columns)
         if metric == "welfare":
             value_a, value_b = result_a.true_welfare, result_b.true_welfare
         elif metric == "total_payment":

@@ -90,13 +90,18 @@ class Bid:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Bid":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Values are taken as they are, not coerced: the id and the slots
+        must be integers (not bools, not floats) and the cost a number,
+        or the constructor raises :class:`ValidationError`.
+        """
         try:
             return cls(
-                phone_id=int(payload["phone_id"]),
-                arrival=int(payload["arrival"]),
-                departure=int(payload["departure"]),
-                cost=float(payload["cost"]),
+                phone_id=payload["phone_id"],
+                arrival=payload["arrival"],
+                departure=payload["departure"],
+                cost=payload["cost"],
             )
         except KeyError as exc:
             raise ValidationError(f"bid payload missing key: {exc}") from exc

@@ -32,16 +32,18 @@ Validation
 A :class:`RoundColumns` checks every value once, with numpy, when it is
 constructed — by the workload generator, by :func:`unpack_rounds` over a
 shared-memory segment, or by hand: integer id/window columns and a float
-cost column, non-negative phone ids in strictly ascending order (hence
-unique), ``1 <= arrival <= departure <= num_slots``, and finite
-non-negative costs.  Any failure raises
-:class:`~repro.errors.ValidationError`.  That is every check ``Bid`` /
-``SmartphoneProfile`` construction and ``RoundConfig.validate_bids`` make
-per object, so decoding to model objects (:meth:`RoundColumns.decode_bids`
-/ :meth:`RoundColumns.decode_profiles`) skips ``__post_init__``.  The
-constructed objects are attribute-for-attribute identical to validated
-construction (same ``__dict__`` insertion order, same value types), so
-downstream pickles are byte-identical.
+cost column, an integer ``num_slots >= 1`` (not a ``bool``), a finite
+non-negative ``task_value``, non-negative task counts, non-negative phone
+ids in strictly ascending order (hence unique),
+``1 <= arrival <= departure <= num_slots``, and finite non-negative
+costs.  Any failure raises :class:`~repro.errors.ValidationError`.  That
+is every check ``Bid`` / ``SmartphoneProfile`` construction and
+``RoundConfig.validate_bids`` make per object, so decoding to model
+objects (:meth:`RoundColumns.decode_bids` /
+:meth:`RoundColumns.decode_profiles`) skips ``__post_init__``.  The
+constructed objects get their fields through ``object.__setattr__`` in
+declaration order, the order validated construction sets them, with the
+same value types, so downstream pickles are byte-identical.
 
 A :class:`RoundColumns` also serves the round metrics directly: like a
 :class:`~repro.simulation.scenario.Scenario` it exposes the round's
@@ -62,6 +64,7 @@ from repro.errors import ValidationError
 from repro.model.bid import Bid
 from repro.model.smartphone import SmartphoneProfile
 from repro.model.task import TaskSchedule
+from repro.utils.validation import check_non_negative, check_type
 
 #: Schema tag embedded in pack headers (bump on layout changes).
 COLUMNAR_SCHEMA = "repro-columnar/1"
@@ -97,10 +100,12 @@ class RoundColumns:
     task_counts: np.ndarray
 
     def __post_init__(self) -> None:
+        check_type("num_slots", self.num_slots, int)
         if self.num_slots < 1:
             raise ValidationError(
                 f"num_slots must be >= 1, got {self.num_slots}"
             )
+        check_non_negative("task_value", self.task_value)
         n = len(self.phone_id)
         for name in ("arrival", "departure", "cost"):
             if len(getattr(self, name)) != n:
@@ -118,6 +123,13 @@ class RoundColumns:
                 raise ValidationError(f"column {name!r} must hold integers")
         if np.asarray(self.cost).dtype.kind != "f":
             raise ValidationError("column 'cost' must hold floats")
+        counts = np.asarray(self.task_counts)
+        if (counts < 0).any():
+            index = int(np.argmax(counts < 0))
+            raise ValidationError(
+                f"task_counts must be >= 0: slot {index + 1} has "
+                f"{int(counts[index])} tasks"
+            )
         if n:
             self._check_phones()
 
@@ -226,7 +238,7 @@ class RoundColumns:
     def decode_schedule(self) -> TaskSchedule:
         """Rebuild the task schedule (same path the generator uses)."""
         return TaskSchedule.from_counts(
-            [int(c) for c in self.task_counts], value=self.task_value
+            self.task_counts.tolist(), value=self.task_value
         )
 
     # ------------------------------------------------------------------
@@ -238,35 +250,53 @@ class RoundColumns:
         return self.decode_schedule()
 
     @functools.cached_property
+    def lists(
+        self,
+    ) -> Tuple[
+        Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[float, ...]
+    ]:
+        """``(phone_id, arrival, departure, cost)`` as Python values.
+
+        Converted once per round, so the decoded bids of every mechanism,
+        the online pass and :attr:`real_costs` share one set of int and
+        float objects instead of each holding its own.
+        """
+        return (
+            tuple(self.phone_id.tolist()),
+            tuple(self.arrival.tolist()),
+            tuple(self.departure.tolist()),
+            tuple(self.cost.tolist()),
+        )
+
+    @functools.cached_property
     def real_costs(self) -> Mapping[int, float]:
         """``phone_id -> cost``, in ascending phone id (read-only).
 
         Under truthful bidding the columns' costs are the phones' real
-        costs.  Built from Python lists, so it holds no view into the
+        costs.  Built from :attr:`lists`, so it holds no view into the
         buffer backing the columns.
         """
-        return MappingProxyType(
-            dict(zip(self.phone_id.tolist(), self.cost.tolist()))
-        )
+        phone_id, _, _, cost = self.lists
+        return MappingProxyType(dict(zip(phone_id, cost)))
 
 
 def _decode(cls: type, columns: RoundColumns) -> List[Any]:
-    """Build ``cls`` instances from validated columns, skipping ``__init__``."""
+    """Build ``cls`` instances from validated columns, skipping ``__init__``.
+
+    Fields go through ``object.__setattr__`` rather than ``obj.__dict__``:
+    touching ``__dict__`` would materialise a per-instance dict, about
+    twice the memory of the inline attribute values.
+    """
     new = object.__new__
+    put = object.__setattr__
     out: List[Any] = []
     append = out.append
-    for pid, arr, dep, cost in zip(
-        columns.phone_id.tolist(),
-        columns.arrival.tolist(),
-        columns.departure.tolist(),
-        columns.cost.tolist(),
-    ):
+    for pid, arr, dep, cost in zip(*columns.lists):
         obj = new(cls)
-        state = obj.__dict__
-        state["phone_id"] = pid
-        state["arrival"] = arr
-        state["departure"] = dep
-        state["cost"] = cost
+        put(obj, "phone_id", pid)
+        put(obj, "arrival", arr)
+        put(obj, "departure", dep)
+        put(obj, "cost", cost)
         append(obj)
     return out
 
@@ -338,8 +368,12 @@ def unpack_rounds(
     rounds: List[RoundColumns] = []
     offset = 0
     for entry in entries:
-        num_phones = int(entry["num_phones"])
-        num_slots = int(entry["num_slots"])
+        # Taken as they are, not coerced: int(2.5) would silently lay
+        # out a different round than the one packed.
+        num_phones = check_type("num_phones", entry["num_phones"], int)
+        num_slots = check_type("num_slots", entry["num_slots"], int)
+        check_non_negative("num_phones", num_phones)
+        check_non_negative("num_slots", num_slots)
         need = _ELEMENT_BYTES * (4 * num_phones + num_slots)
         if offset + need > len(buffer):
             raise ValidationError(
@@ -364,7 +398,7 @@ def unpack_rounds(
         rounds.append(
             RoundColumns(
                 num_slots=num_slots,
-                task_value=float(entry["task_value"]),
+                task_value=entry["task_value"],
                 phone_id=views[0],
                 arrival=views[1],
                 departure=views[2],

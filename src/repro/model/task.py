@@ -153,20 +153,35 @@ class TaskSchedule:
         ``counts[t-1]`` tasks arrive in slot ``t``; every task is worth
         ``value``.  Task ids are assigned sequentially from
         ``first_task_id`` in arrival order.
+
+        ``value`` and ``first_task_id`` are checked once, with the
+        messages :class:`SensingTask` would give; every other task field
+        is a positive ``int`` by construction, so the tasks are built
+        through ``object.__new__`` without ``__post_init__``.
         """
         if not counts:
             raise ValidationError("counts must contain at least one slot")
+        check_type("task_id", first_task_id, int)
+        if first_task_id < 0:
+            raise ValidationError(
+                f"task_id must be >= 0, got {first_task_id}"
+            )
+        check_non_negative("value", value)
+        value = float(value)
+        new = object.__new__
+        put = object.__setattr__
         tasks: List[SensingTask] = []
         next_id = first_task_id
         for slot_index, count in enumerate(counts, start=1):
             check_type(f"counts[{slot_index - 1}]", count, int)
             check_non_negative(f"counts[{slot_index - 1}]", count)
             for k in range(1, count + 1):
-                tasks.append(
-                    SensingTask(
-                        task_id=next_id, slot=slot_index, index=k, value=value
-                    )
-                )
+                task = new(SensingTask)
+                put(task, "task_id", next_id)
+                put(task, "slot", slot_index)
+                put(task, "index", k)
+                put(task, "value", value)
+                tasks.append(task)
                 next_id += 1
         return cls(num_slots=len(counts), tasks=tasks)
 

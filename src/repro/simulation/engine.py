@@ -1,9 +1,14 @@
-"""The simulation engine: run mechanisms over scenarios, collect metrics.
+"""The simulation engine: run mechanisms over rounds, collect metrics.
 
 :class:`SimulationEngine` is the one-stop entry point the examples and
-the experiment harness use: give it a scenario and a mechanism, get back
-a :class:`SimulationResult` with the outcome and every paper metric
-already computed.
+the experiment harness use: give it a round and a mechanism, get back a
+:class:`SimulationResult` with the outcome and every paper metric
+already computed.  A round is either a materialised
+:class:`~repro.simulation.scenario.Scenario` (:meth:`SimulationEngine.run`,
+which also takes bidding strategies) or the validated
+:class:`~repro.model.columnar.RoundColumns` the workload generator draws
+(:meth:`SimulationEngine.run_columns`, the truthful round function of
+sweep repetitions and shard workers).
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ import numpy as np
 from repro import obs
 from repro.agents.base import BiddingStrategy
 from repro.mechanisms.base import Mechanism
+from repro.mechanisms.online_greedy import OnlineGreedyMechanism
 from repro.metrics.overpayment import overpayment_ratio, total_overpayment
 from repro.metrics.welfare import (
     RoundCosts,
     phone_utilities,
     true_social_welfare,
 )
+from repro.model.columnar import RoundColumns
 from repro.model.outcome import AuctionOutcome
 from repro.simulation.scenario import Scenario
 
@@ -105,6 +112,29 @@ class SimulationEngine:
         ):
             outcome = mechanism.run(bids, scenario.schedule)
         return self.package(mechanism.name, outcome, scenario)
+
+    @staticmethod
+    def run_columns(
+        mechanism: Mechanism, columns: RoundColumns
+    ) -> SimulationResult:
+        """Execute one truthful round straight from its columns.
+
+        Equals :meth:`run` over the scenario ``WorkloadConfig.generate``
+        builds for the same seed, without building it: the online
+        mechanism reads the columns directly, any other mechanism gets
+        :meth:`~repro.model.columnar.RoundColumns.decode_bids` (the
+        scenario's truthful bids verbatim), and :meth:`package` reads
+        real costs from the columns.  The result therefore pickles
+        byte-identically to the scenario path's.
+        """
+        with obs.span(
+            "mechanism.run", mechanism=mechanism.name, bids=columns.num_phones
+        ):
+            if isinstance(mechanism, OnlineGreedyMechanism):
+                outcome = mechanism.run(columns, columns.schedule)
+            else:
+                outcome = mechanism.run(columns.decode_bids(), columns.schedule)
+        return SimulationEngine.package(mechanism.name, outcome, columns)
 
     @staticmethod
     def package(

@@ -31,8 +31,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.model.columnar import RoundColumns
-from repro.model.smartphone import SmartphoneProfile
-from repro.model.task import TaskSchedule
 from repro.simulation.arrivals import ArrivalProcess, PoissonArrivals
 from repro.simulation.costs import CostDistribution, UniformCosts
 from repro.simulation.scenario import Scenario
@@ -110,7 +108,8 @@ class WorkloadConfig:
         Randomness comes from three independent named streams derived
         from ``seed`` (phone arrivals, task arrivals, costs/lengths), so
         e.g. sweeping the task rate does not perturb the generated phone
-        population for a fixed seed.
+        population for a fixed seed.  The round is drawn as validated
+        :meth:`generate_columns` and decoded from them.
         """
         costs = cost_distribution or UniformCosts.with_mean(self.mean_cost)
         columns = self._columns(
@@ -119,27 +118,13 @@ class WorkloadConfig:
             task_arrivals or PoissonArrivals(self.task_rate),
             costs,
         )
-
-        profiles: List[SmartphoneProfile] = [
-            SmartphoneProfile(
-                phone_id=pid, arrival=arr, departure=dep, cost=cost
-            )
-            for pid, arr, dep, cost in zip(
-                columns.phone_id.tolist(),
-                columns.arrival.tolist(),
-                columns.departure.tolist(),
-                columns.cost.tolist(),
-            )
-        ]
-        schedule = TaskSchedule.from_counts(
-            [int(c) for c in columns.task_counts], value=self.task_value
-        )
-
         metadata = self.to_dict()
         metadata["seed"] = seed
         metadata["cost_distribution"] = repr(costs)
         return Scenario(
-            profiles=profiles, schedule=schedule, metadata=metadata
+            profiles=columns.decode_profiles(),
+            schedule=columns.decode_schedule(),
+            metadata=metadata,
         )
 
     def generate_columns(
@@ -155,8 +140,8 @@ class WorkloadConfig:
         the batched length draw consumes the generator exactly like the
         former per-phone loop) but returns flat
         :class:`~repro.model.columnar.RoundColumns` ready to pack into a
-        shared-memory segment.  ``generate(seed)`` equals decoding
-        ``generate_columns(seed)`` value-for-value.
+        shared-memory segment.  :meth:`generate` is these columns,
+        decoded.
         """
         return self._columns(
             seed,

@@ -58,11 +58,11 @@ class FlakyWorkload:
         self._base = base
         self._remaining = {seed: fail_times for seed in fail_seeds}
 
-    def generate(self, seed):
+    def generate_columns(self, seed):
         if self._remaining.get(seed, 0) > 0:
             self._remaining[seed] -= 1
             raise RuntimeError(f"transient failure for seed {seed}")
-        return self._base.generate(seed)
+        return self._base.generate_columns(seed)
 
 
 class TestStoreRoundTrip:

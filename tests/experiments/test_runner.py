@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, MechanismSpec, SweepSpec
-from repro.experiments.runner import run_point, run_sweep
-from repro.simulation import WorkloadConfig
+from repro.experiments.runner import run_point, run_repetition, run_sweep
+from repro.model import Bid, SensingTask, SmartphoneProfile
+from repro.simulation import SimulationEngine, WorkloadConfig
 
 
 @pytest.fixture
@@ -125,3 +128,89 @@ class TestRunSweep:
         )
         with pytest.raises(ExperimentError, match="unknown workload"):
             run_sweep(spec)
+
+
+#: Every built-in mechanism the sweeps compare, the online one under both
+#: payment rules with and without the reserve price.
+EVERY_MECHANISM = (
+    MechanismSpec.of("offline-vcg"),
+    MechanismSpec.of("online-greedy"),
+    MechanismSpec.of("online-greedy", label="exact", payment_rule="exact"),
+    MechanismSpec.of("online-greedy", label="reserve", reserve_price=True),
+    MechanismSpec.of(
+        "online-greedy",
+        label="exact-reserve",
+        payment_rule="exact",
+        reserve_price=True,
+    ),
+    MechanismSpec.of("second-price-slot"),
+    MechanismSpec.of("fixed-price", price=12.0),
+    MechanismSpec.of("random-alloc", seed=7),
+    MechanismSpec.of("fifo"),
+)
+
+#: A busy round and one whose task rate leaves most slots without tasks.
+WORKLOADS = {
+    "busy": WorkloadConfig(
+        num_slots=10,
+        phone_rate=4.0,
+        task_rate=2.5,
+        mean_cost=10.0,
+        mean_active_length=3,
+        task_value=15.0,
+    ),
+    "sparse-tasks": WorkloadConfig(
+        num_slots=12,
+        phone_rate=3.0,
+        task_rate=0.4,
+        mean_cost=10.0,
+        mean_active_length=2,
+        task_value=15,
+    ),
+}
+
+
+def repetition(workload, seed, mechanisms=EVERY_MECHANISM):
+    return run_repetition(
+        workload, mechanisms, seed, retries=0, backoff=0.0, on_failure="raise"
+    )
+
+
+class TestRunRepetitionFromColumns:
+    """A repetition runs each mechanism from the round's columns, and the
+    results are the ones the scenario path produces, to the byte."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_pickle_like_the_scenario_path(self, name, seed):
+        workload = WORKLOADS[name]
+        row = repetition(workload, seed).row
+        scenario = workload.generate(seed)
+        engine = SimulationEngine()
+        assert len(row) == len(EVERY_MECHANISM)
+        for spec, result in zip(EVERY_MECHANISM, row):
+            expected = engine.run(spec.build(), scenario)
+            assert pickle.dumps(result, protocol=4) == pickle.dumps(
+                expected, protocol=4
+            ), spec.display_label
+
+    def test_sparse_workload_has_zero_task_slots(self):
+        workload = WORKLOADS["sparse-tasks"]
+        for seed in range(4):
+            counts = workload.generate_columns(seed).task_counts
+            assert (counts == 0).any() and counts.sum() > 0
+
+    def test_no_model_object_is_validated(self, monkeypatch):
+        """The columns were validated once; a repetition that falls back
+        to building validated bids, profiles or tasks fails here."""
+
+        def refuse(self):
+            raise AssertionError(
+                f"validated {type(self).__name__} built during a repetition"
+            )
+
+        for cls in (Bid, SmartphoneProfile, SensingTask):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        for name, workload in sorted(WORKLOADS.items()):
+            result = repetition(workload, seed=1)
+            assert result.row is not None and not result.retried, name

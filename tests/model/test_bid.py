@@ -119,13 +119,17 @@ class TestBidSerialisation:
         with pytest.raises(ValidationError, match="missing key"):
             Bid.from_dict({"phone_id": 1, "arrival": 1, "departure": 2})
 
-    def test_from_dict_coerces_types(self):
-        payload = {
-            "phone_id": "3",
-            "arrival": "1",
-            "departure": "2",
-            "cost": "4.5",
-        }
-        bid = Bid.from_dict(payload)
-        assert bid.phone_id == 3
-        assert bid.cost == pytest.approx(4.5)
+    def test_from_dict_rejects_uncoerced_types(self):
+        """Values are taken as they are: a bool id, a fractional slot or
+        a string cost is refused, not truncated or parsed."""
+        valid = {"phone_id": 1, "arrival": 1, "departure": 2, "cost": 3}
+        assert Bid.from_dict(valid) == Bid(1, 1, 2, 3.0)
+        for key, bad, message in (
+            ("phone_id", True, "phone_id must be a number, got bool"),
+            ("phone_id", "3", "phone_id must be of type int, got str"),
+            ("arrival", 1.9, "arrival must be of type int, got float"),
+            ("departure", "2", "departure must be of type int, got str"),
+            ("cost", "3", "cost must be of type int, float, got str"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                Bid.from_dict({**valid, key: bad})

@@ -12,12 +12,14 @@ construction, including inside a segment corrupted after packing.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.errors import MechanismError, ValidationError
 from repro.mechanisms.online_greedy import OnlineGreedyMechanism
+from repro.model.bid import Bid
 from repro.model.columnar import (
     COLUMNAR_SCHEMA,
     RoundColumns,
@@ -25,6 +27,7 @@ from repro.model.columnar import (
     packed_size,
     unpack_rounds,
 )
+from repro.model.smartphone import SmartphoneProfile
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.workload import WorkloadConfig
 
@@ -52,20 +55,57 @@ class TestGenerateColumns:
 
     def test_decoded_objects_pickle_byte_identically(self, workload):
         """The trusted fast path is invisible in the pickle stream."""
-        scenario = workload.generate(seed=3)
         columns = workload.generate_columns(seed=3)
-        for fast, validated in zip(
-            columns.decode_profiles(), scenario.profiles
-        ):
-            assert pickle.dumps(fast, protocol=4) == pickle.dumps(
-                validated, protocol=4
+        rows = list(
+            zip(
+                columns.phone_id.tolist(),
+                columns.arrival.tolist(),
+                columns.departure.tolist(),
+                columns.cost.tolist(),
             )
-        for fast, validated in zip(
-            columns.decode_bids(), scenario.truthful_bids()
+        )
+        assert rows
+        for cls, decoded in (
+            (SmartphoneProfile, columns.decode_profiles()),
+            (Bid, columns.decode_bids()),
         ):
-            assert pickle.dumps(fast, protocol=4) == pickle.dumps(
-                validated, protocol=4
-            )
+            validated = [cls(*row) for row in rows]
+            assert decoded == validated
+            for fast, slow in zip(decoded, validated):
+                assert pickle.dumps(fast, protocol=4) == pickle.dumps(
+                    slow, protocol=4
+                )
+
+    def test_decoded_bids_take_no_more_memory_than_validated(self):
+        """Decoding sets fields without materialising a per-instance
+        ``__dict__``, so it costs what validated construction costs."""
+        n = 2000
+        columns = RoundColumns(
+            num_slots=4,
+            task_value=1.0,
+            phone_id=np.arange(n, dtype=np.int64),
+            arrival=np.ones(n, dtype=np.int64),
+            departure=np.full(n, 4, dtype=np.int64),
+            cost=np.linspace(0.0, 9.0, n),
+            task_counts=np.ones(4, dtype=np.int64),
+        )
+        # Convert before tracing: both constructions then share the same
+        # int and float objects and differ only in the objects they build.
+        rows = list(zip(*columns.lists))
+
+        def traced_bytes(build):
+            tracemalloc.start()
+            try:
+                kept = build()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(kept) == n
+            return size
+
+        decoded = traced_bytes(columns.decode_bids)
+        validated = traced_bytes(lambda: [Bid(*row) for row in rows])
+        assert decoded <= 1.2 * validated
 
     def test_column_dtypes_and_lengths(self, workload):
         columns = workload.generate_columns(seed=1)
@@ -197,6 +237,53 @@ class TestValueValidation:
         serial path's phone-id order."""
         with pytest.raises(ValidationError, match="out-of-order phone id 0"):
             small_columns(phone_id=np.array([7, 0, 3]))
+
+    @pytest.mark.parametrize("num_slots", [2.5, True, np.int64(4)])
+    def test_non_int_num_slots_rejected(self, num_slots):
+        with pytest.raises(ValidationError, match="num_slots must be"):
+            small_columns(num_slots=num_slots)
+
+    def test_negative_task_count_rejected(self):
+        with pytest.raises(
+            ValidationError, match="task_counts must be >= 0: slot 3"
+        ):
+            small_columns(task_counts=np.array([1, 0, -1, 0]))
+
+    @pytest.mark.parametrize(
+        "task_value", [float("nan"), float("inf"), -0.5, True, "10"]
+    )
+    def test_bad_task_value_rejected(self, task_value):
+        with pytest.raises(ValidationError, match="task_value"):
+            small_columns(task_value=task_value)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_slots", 4.0, "num_slots must be of type int"),
+            ("num_slots", True, "num_slots must be a number, got bool"),
+            ("num_phones", -1, "num_phones must be >= 0"),
+            ("task_value", float("nan"), "task_value must be finite"),
+            ("task_value", -1.0, "task_value must be >= 0"),
+        ],
+    )
+    def test_corrupted_header_rejected(self, field, value, message):
+        rounds = [small_columns()]
+        buffer = bytearray(packed_size(rounds))
+        header = pack_rounds_into(rounds, buffer)
+        header["rounds"][0][field] = value
+        with pytest.raises(ValidationError, match=message):
+            unpack_rounds(buffer, header)
+
+    def test_negative_count_in_a_corrupted_segment_rejected(self):
+        rounds = [small_columns()]
+        buffer = bytearray(packed_size(rounds))
+        header = pack_rounds_into(rounds, buffer)
+        counts_offset = 8 * 4 * rounds[0].num_phones
+        np.frombuffer(buffer, dtype=np.int64, count=1, offset=counts_offset)[
+            0
+        ] = -2
+        with pytest.raises(ValidationError, match="task_counts must be >= 0"):
+            unpack_rounds(buffer, header)
 
     def test_unpacked_views_are_read_only(self):
         rounds = [small_columns()]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import MechanismError
+from repro.errors import MechanismError, ValidationError
 from repro.mechanisms import OfflineVCGMechanism, OnlineGreedyMechanism
 from repro.model import AuctionOutcome
 from repro.simulation import WorkloadConfig
@@ -78,6 +78,15 @@ class TestFailureModes:
             task_id = next(iter(payload["allocation"]))
             payload["allocation"][task_id] = 999_999  # unknown phone
             with pytest.raises(MechanismError):
+                AuctionOutcome.from_dict(payload)
+
+    def test_bid_values_are_not_coerced(self, outcome):
+        """A fractional slot or a string cost in an archived bid is
+        refused, not truncated or parsed."""
+        for key, bad in (("arrival", 1.9), ("cost", "3"), ("phone_id", True)):
+            payload = outcome.to_dict()
+            payload["bids"][0][key] = bad
+            with pytest.raises(ValidationError, match=key):
                 AuctionOutcome.from_dict(payload)
 
     def test_non_mapping_payload(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import ValidationError
@@ -64,6 +66,42 @@ class TestTaskScheduleFromCounts:
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             TaskSchedule.from_counts([1, -1], value=1.0)
+
+    def test_tasks_equal_and_pickle_like_validated_construction(self):
+        """The generated tasks skip ``__post_init__`` invisibly."""
+        schedule = TaskSchedule.from_counts([2, 0, 1], value=5, first_task_id=3)
+        validated = [
+            SensingTask(task_id=3, slot=1, index=1, value=5),
+            SensingTask(task_id=4, slot=1, index=2, value=5),
+            SensingTask(task_id=5, slot=3, index=1, value=5),
+        ]
+        assert list(schedule) == validated
+        for fast, slow in zip(schedule, validated):
+            assert isinstance(fast.value, float)
+            assert pickle.dumps(fast, protocol=4) == pickle.dumps(
+                slow, protocol=4
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"value": -1.0}, "value must be >= 0, got -1.0"),
+            ({"value": float("nan")}, "value must be finite"),
+            ({"value": "5"}, "value must be of type int, float, got str"),
+            ({"first_task_id": -1}, "task_id must be >= 0, got -1"),
+            ({"first_task_id": 1.0}, "task_id must be of type int"),
+            ({"first_task_id": True}, "task_id must be a number, got bool"),
+        ],
+    )
+    def test_value_and_first_id_checked_once(self, kwargs, message):
+        """The messages are the ones ``SensingTask`` itself gives."""
+        arguments = {"value": 1.0, **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            TaskSchedule.from_counts([1, 2], **arguments)
+
+    def test_bad_count_type_rejected(self):
+        with pytest.raises(ValidationError, match="counts\\[1\\] must be"):
+            TaskSchedule.from_counts([1, 2.0], value=1.0)
 
     def test_all_zero_counts_gives_empty_schedule(self):
         schedule = TaskSchedule.from_counts([0, 0, 0], value=1.0)
