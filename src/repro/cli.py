@@ -85,6 +85,7 @@ from repro.simulation import (
     load_scenario,
     save_scenario,
 )
+from repro.utils.retry import RetryPolicy
 from repro.utils.tables import format_table
 
 
@@ -385,6 +386,9 @@ def _cmd_figures(args: argparse.Namespace, console: Console) -> int:
         raise ReproError(
             f"unknown figure(s) {unknown}; available: {list(list_figures())}"
         )
+    # Refuses a bad retry schedule before the ledger, the checkpoint
+    # store or any sweep starts.
+    RetryPolicy(retries=args.retries, backoff=args.backoff)
     session = _ledger_session(
         args,
         "figures",

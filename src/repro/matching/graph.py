@@ -168,8 +168,7 @@ class TaskAssignmentGraph:
         )
         self._solver: Optional[object] = None
         self._dense_raw_cache: Optional[np.ndarray] = None
-        self._gain_vector: Optional[np.ndarray] = None
-        self._base_assignment: Optional[np.ndarray] = None
+        self._edge_keys: Optional[np.ndarray] = None
 
     def _build_edges(self) -> None:
         """Collect the interval-active pairs into CSR form.
@@ -286,39 +285,50 @@ class TaskAssignmentGraph:
             col = self._col_by_phone[phone_id]
         except KeyError:
             raise MatchingError(f"unknown phone_id {phone_id}") from None
-        return self._pair_weight(row, col)
-
-    def _pair_weight(self, row: int, col: int) -> float:
-        """Stored weight of ``(row, col)``; ``0.0`` for inactive pairs."""
-        start = int(self._indptr[row])
-        end = int(self._indptr[row + 1])
-        position = start + int(
-            np.searchsorted(self._edge_cols[start:end], col)
+        return float(
+            self._pair_weights(np.array([row]), np.array([col]))[0]
         )
-        if position < end and int(self._edge_cols[position]) == col:
-            return float(self._edge_weights[position])
-        return 0.0
+
+    def _edge_rows(self) -> np.ndarray:
+        """The row of every stored edge, in CSR order."""
+        return np.repeat(
+            np.arange(len(self._tasks), dtype=np.int64),
+            np.diff(self._indptr),
+        )
+
+    def _pair_weights(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stored weights of the ``(rows[k], cols[k])`` pairs.
+
+        ``0.0`` for inactive pairs.  Edge keys ``row * bids + col``
+        ascend in CSR order, so one ``searchsorted`` finds every pair.
+        """
+        weights = np.zeros(rows.size)
+        if not self._edge_cols.size:
+            return weights
+        if self._edge_keys is None:
+            self._edge_keys = (
+                self._edge_rows() * len(self._bids) + self._edge_cols
+            )
+        keys = rows * len(self._bids) + cols
+        positions = np.minimum(
+            np.searchsorted(self._edge_keys, keys), self._edge_keys.size - 1
+        )
+        found = self._edge_keys[positions] == keys
+        weights[found] = self._edge_weights[positions[found]]
+        return weights
 
     def _dense_raw(self) -> np.ndarray:
         """The dense raw weight matrix, materialised lazily and cached."""
         if self._dense_raw_cache is None:
             raw = np.zeros((len(self._tasks), len(self._bids)))
-            if self._edge_cols.size:
-                rows = np.repeat(
-                    np.arange(len(self._tasks), dtype=np.int64),
-                    np.diff(self._indptr),
-                )
-                raw[rows, self._edge_cols] = self._edge_weights
+            raw[self._edge_rows(), self._edge_cols] = self._edge_weights
             self._dense_raw_cache = raw
         return self._dense_raw_cache
 
     def _positive_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR arrays of the strictly profitable edges."""
         positive = self._edge_weights > 0.0
-        rows = np.repeat(
-            np.arange(len(self._tasks), dtype=np.int64),
-            np.diff(self._indptr),
-        )[positive]
+        rows = self._edge_rows()[positive]
         counts = np.bincount(rows, minlength=len(self._tasks))
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         return indptr, self._edge_cols[positive], self._edge_weights[positive]
@@ -410,7 +420,7 @@ class TaskAssignmentGraph:
         solver = self._ensure_solver()
         solver.solve()
         repaired = solver.matching_without_column(column)
-        return self._assignment_welfare(repaired)
+        return _sum_gains(self._profitable_pairs(repaired)[2])
 
     @property
     def is_interval_matroid(self) -> bool:
@@ -556,57 +566,31 @@ class TaskAssignmentGraph:
         totals[~replaced] = _sum_exchanged_gains(base, drop[~replaced], None)
         return dict(zip(winners, totals.tolist()))
 
-    def _ensure_gains(self) -> np.ndarray:
-        """Per-row profitable gain of the cached full optimum."""
-        if self._gain_vector is None:
-            assignment = self._ensure_solver().row_to_col()
-            num_cols = len(self._bids)
-            gains = np.zeros(len(self._tasks))
-            for row, col in enumerate(assignment):
-                col = int(col)
-                if 0 <= col < num_cols:
-                    gain = self._pair_weight(row, col)
-                    if gain > 0.0:
-                        gains[row] = gain
-            self._base_assignment = assignment
-            self._gain_vector = gains
-        return self._gain_vector
+    def _profitable_pairs(
+        self, row_to_col: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, gains)`` of the pairs of ``row_to_col`` worth serving.
 
-    def _assignment_welfare(self, assignment: np.ndarray) -> float:
-        """Welfare of a repaired matching, re-priced from raw weights.
-
-        Only rows that moved relative to the cached optimum are looked
-        up; the total is then canonicalised by :func:`_sum_gains`.
+        One vectorised weight lookup; rows on a dummy column (or
+        unassigned) and pairs whose weight is not positive are dropped,
+        which leaves their task unserved.
         """
-        gains = self._ensure_gains()
-        assert self._base_assignment is not None
-        num_cols = len(self._bids)
-        changed = np.nonzero(assignment != self._base_assignment)[0]
-        if changed.size:
-            gains = gains.copy()
-            for row in changed.tolist():
-                col = int(assignment[row])
-                gain = (
-                    self._pair_weight(row, col)
-                    if 0 <= col < num_cols
-                    else 0.0
-                )
-                gains[row] = gain if gain > 0.0 else 0.0
-        return _sum_gains(gains[gains > 0.0])
+        row_to_col = np.asarray(row_to_col, dtype=np.int64)
+        rows = np.nonzero(
+            (row_to_col >= 0) & (row_to_col < len(self._bids))
+        )[0]
+        cols = row_to_col[rows]
+        gains = self._pair_weights(rows, cols)
+        profitable = gains > 0.0
+        return rows[profitable], cols[profitable], gains[profitable]
 
     def _extract_allocation(
         self, row_to_col: np.ndarray, bids: List[Bid]
     ) -> Tuple[Dict[int, int], float]:
-        allocation: Dict[int, int] = {}
-        gains: List[float] = []
-        num_real_cols = len(bids)
-        for row, col in enumerate(row_to_col):
-            col = int(col)
-            if col < 0 or col >= num_real_cols:
-                continue  # dummy column: task left unserved
-            gain = self._pair_weight(row, col)
-            if gain <= 0.0:
-                continue  # zero-weight edge: equivalent to unmatched
-            allocation[self._tasks[row].task_id] = bids[col].phone_id
-            gains.append(gain)
-        return allocation, _sum_gains(np.asarray(gains))
+        rows, cols, gains = self._profitable_pairs(row_to_col)
+        tasks = self._tasks
+        allocation = {
+            tasks[row].task_id: bids[col].phone_id
+            for row, col in zip(rows.tolist(), cols.tolist())
+        }
+        return allocation, _sum_gains(gains)

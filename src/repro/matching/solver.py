@@ -13,6 +13,30 @@ winner costs ``O(n^4)`` overall; this solver instead:
   lowest-index-first tie-break so the matching — ties included — is the
   same deterministic function of the matrix as the pure-Python
   reference solver.
+* does as little numpy work per pivot as that search allows, without
+  changing a pivot, an ``argmin`` or a float:
+
+  - *Row classes.*  Rows with bit-identical costs (under one task value
+    ``ν``, the tasks of one slot) share one row of ``cost - v``; dual
+    updates subtract from whole columns, so they stay identical, and
+    the update touches one row per class.
+  - *Class skip.*  A tree row relaxes ``fl(C - a)`` into the frontier,
+    ``a`` its offset.  Rounding is monotone, so ``fl(C - a) <= fl(C -
+    b)`` whenever ``a >= b``: once a class was relaxed at an offset at
+    least this row's, every open column already holds a value at or
+    below this row's slack, and a strict-``<`` relax would change
+    nothing.  Such a row skips its relax (it still counts as a pivot).
+  - *Parents after the search.*  Under strict ``<`` a column's parent is
+    the column retired just before the *first* tree row whose slack
+    equals the column's final distance; a later equal slack never
+    replaced it, and a skipped row cannot be first (its class's earlier
+    row attains the same value).  :meth:`AssignmentSolver._path`
+    recomputes the slacks with the search's expression, so equality is
+    exact and ties resolve exactly as the per-pivot parent update did.
+  - *Relax in three calls, no mask.*  ``slack = C - a``, then ``slack +=
+    closed`` (``+inf`` on retired columns, ``-0.0`` on open ones, and
+    ``x + -0.0 == x`` bit for bit), then ``minimum(slack, shortest)``,
+    which keeps its second operand on ties as a strict ``<`` would.
 * answers "total cost without column ``j``" by *repairing* the cached
   optimum: the cached dual potentials remain feasible on the reduced
   column set, so one Dijkstra pass from the displaced row — with ``j``
@@ -44,7 +68,7 @@ the property tests in ``tests/matching/`` and
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +77,28 @@ from repro.errors import MatchingError
 from repro.matching.hungarian import MatchingResult, _validate_matrix
 
 _INF = float("inf")
+
+
+class _Search(NamedTuple):
+    """One Dijkstra pass: where it ended and the columns it retired.
+
+    ``distance`` is the shortest reduced distance from ``root`` to the
+    free column ``free_col``.  ``retired_cols[t]`` left the frontier at
+    distance ``retired_dist[t]`` and brought its matched row into the
+    tree, so the tree rows are ``root`` followed by the rows matched to
+    ``retired_cols``: one per pivot.
+    """
+
+    root: int
+    distance: float
+    free_col: int
+    retired_cols: List[int]
+    retired_dist: List[float]
+
+    @property
+    def pivots(self) -> int:
+        """Tree-growth iterations: one per tree row."""
+        return len(self.retired_cols) + 1
 
 
 class AssignmentSolver:
@@ -82,14 +128,24 @@ class AssignmentSolver:
         self._num_rows = num_rows
         self._num_cols = num_cols
         self._solved = False
-        self._u = np.zeros(num_rows)
-        self._v = np.zeros(num_cols)
-        # ``cost - v`` maintained incrementally: the Dijkstra hot loop
-        # reads one row of it per pivot instead of recombining
+        # Rows of one class share one row of ``cost - v`` (dual updates
+        # subtract from whole columns, so they stay identical).
+        self._row_class = self._cost_classes(self._cost)
+        self._class_array = np.asarray(self._row_class, dtype=np.int64)
+        self._class_first_row = np.unique(
+            self._class_array, return_index=True
+        )[1]
+        # ``cost - v`` per class, maintained incrementally: the Dijkstra
+        # hot loop reads one row of it per pivot instead of recombining
         # ``cost``/``v`` arrays every time.
-        self._cost_minus_v = self._cost.copy()
+        self._cost_minus_v = self._cost[self._class_first_row]
+        self._class_rows = list(self._cost_minus_v)
+        # Row potentials and the matching are Python lists: the hot loop
+        # reads them one scalar at a time.
+        self._u: List[float] = [0.0] * num_rows
+        self._v = np.zeros(num_cols)
         # match_of_col[j] = row matched to column j, -1 when free.
-        self._match_of_col = np.full(num_cols, -1, dtype=np.int64)
+        self._match_of_col: List[int] = [-1] * num_cols
         self._row_deleted = np.zeros(num_rows, dtype=bool)
         self._num_active_rows = num_rows
         # Set by delete_row when a reassignment chain left matched
@@ -98,9 +154,20 @@ class AssignmentSolver:
         self._total: Optional[float] = None
         # Scratch buffers reused by every Dijkstra pass.
         self._shortest = np.empty(num_cols)
-        self._unvisited = np.empty(num_cols, dtype=bool)
-        self._improve = np.empty(num_cols, dtype=bool)
-        self._parent = np.empty(num_cols, dtype=np.int64)
+        self._closed = np.empty(num_cols)
+        self._slack = np.empty(num_cols)
+
+    @staticmethod
+    def _cost_classes(cost: np.ndarray) -> List[int]:
+        """Each row's class: rows with bit-identical costs share one.
+
+        Classes are numbered ``0, 1, ...`` by first occurrence.
+        """
+        class_of: Dict[bytes, int] = {}
+        return [
+            class_of.setdefault(cost_row.tobytes(), len(class_of))
+            for cost_row in cost
+        ]
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -115,74 +182,114 @@ class AssignmentSolver:
     # ------------------------------------------------------------------
     # Core shortest-augmenting-path search
     # ------------------------------------------------------------------
-    def _dijkstra(
-        self,
-        row: int,
-        forbidden: Optional[int],
-        parent: Optional[np.ndarray],
-    ) -> Tuple[float, int, int, List[int], List[float]]:
+    def _dijkstra(self, row: int, forbidden: Optional[int]) -> _Search:
         """Shortest alternating path from ``row`` to any free column.
 
         Runs over reduced costs ``cost[i][j] - u[i] - v[j]`` without
         touching any solver state.  ``forbidden`` excludes one column
-        entirely (treated as already retired).  When ``parent`` is
-        given, ``parent[j]`` records the predecessor column on the best
-        known path to ``j`` (needed only when the caller will flip the
-        matching afterwards).
-
-        Returns ``(distance, free_col, pivots, retired_cols,
-        retired_dist)`` where ``distance`` is the shortest reduced-cost
-        distance to ``free_col`` and the retired lists hold the columns
-        scanned into the Dijkstra tree with their final distances (the
-        inputs of the deferred dual update).
+        entirely (treated as already retired).  Each pivot relaxes its
+        tree row's slack ``cost_minus_v[class] - (u[row] - k)``, where
+        ``k`` is the distance of the column that brought the row into
+        the tree, unless a row of the same class was already relaxed in
+        this search at an offset ``>=`` its own.  No parent pointers are
+        kept; :meth:`_path` recovers them from the returned tree.
         """
-        cost_minus_v = self._cost_minus_v
+        class_rows = self._class_rows
+        row_class = self._row_class
         u = self._u
         match_of_col = self._match_of_col
 
         # ``shortest`` doubles as the frontier: retired columns are set
         # to +inf so a plain argmin always yields the nearest open one.
+        # ``closed`` is +inf on retired columns and -0.0 on open ones;
+        # adding it to a slack keeps retired columns out of the frontier
+        # and leaves open ones bit for bit (``x + -0.0 == x``, zero sign
+        # included), which is cheaper than a masked ``where=`` ufunc.
         shortest = self._shortest
-        unvisited = self._unvisited
-        improve = self._improve
+        closed = self._closed
+        slack = self._slack
         shortest.fill(_INF)
-        unvisited.fill(True)
+        closed.fill(-0.0)
         if forbidden is not None:
-            unvisited[forbidden] = False
+            closed[forbidden] = _INF
+        subtract = np.subtract
+        add = np.add
+        minimum = np.minimum
 
+        # The largest offset each class was relaxed at in this search.
+        relaxed = [-_INF] * len(class_rows)
         retired_cols: List[int] = []
         retired_dist: List[float] = []
-        pivots = 0
         min_val = 0.0
         current_row = row
-        previous_col = -1
         while True:
-            pivots += 1
-            # Absolute reduced distance through ``current_row``; the
-            # potentials of tree rows are untouched during the search,
-            # so one row-vector expression per pivot suffices.
-            slack = cost_minus_v[current_row] - (u[current_row] - min_val)
-            np.less(slack, shortest, out=improve)
-            improve &= unvisited
-            np.copyto(shortest, slack, where=improve)
-            if parent is not None:
-                np.copyto(parent, previous_col, where=improve)
+            offset = u[current_row] - min_val
+            row_cls = row_class[current_row]
+            # ``fl(C - a) <= fl(C - b)`` whenever ``a >= b``: a class
+            # already relaxed at a larger offset holds every open column
+            # at or below this row's slack, so the relax is skipped.
+            if offset > relaxed[row_cls]:
+                relaxed[row_cls] = offset
+                subtract(class_rows[row_cls], offset, out=slack)
+                add(slack, closed, out=slack)
+                # ``minimum`` keeps its second operand on ties, so an
+                # equal slack leaves the frontier value (and its zero
+                # sign) as a strict ``<`` update would.
+                minimum(slack, shortest, out=shortest)
 
             next_col = int(shortest.argmin())
-            min_val = float(shortest[next_col])
-            if not np.isfinite(min_val):
+            min_val = shortest.item(next_col)
+            if min_val == _INF:
                 raise MatchingError(
                     "no augmenting path: the reduced problem has no "
                     "perfect row assignment"
                 )
-            if match_of_col[next_col] == -1:
-                return min_val, next_col, pivots, retired_cols, retired_dist
-            unvisited[next_col] = False
+            current_row = match_of_col[next_col]
+            if current_row == -1:
+                return _Search(
+                    row, min_val, next_col, retired_cols, retired_dist
+                )
+            closed[next_col] = _INF
             shortest[next_col] = _INF
             retired_cols.append(next_col)
             retired_dist.append(min_val)
-            current_row = int(match_of_col[next_col])
-            previous_col = next_col
+
+    def _path(self, search: _Search) -> List[int]:
+        """The augmenting path's columns, from the free column to the root's.
+
+        A column's parent is the column retired just before the *first*
+        tree row whose slack equals the column's final distance: the
+        search's strict-improvement rule never let a later equal slack
+        replace it.  Some row before the column's retirement attains
+        that distance, so the scan stops in time, and the slacks are
+        recomputed with the search's own expression, so the comparison
+        is exact.  Paths are short and their parents early in the tree,
+        so the scan is scalar.  Must run before the dual update changes
+        ``u`` and ``cost_minus_v``.
+        """
+        class_rows = self._class_rows
+        row_class = self._row_class
+        u = self._u
+        match_of_col = self._match_of_col
+        retired_cols = search.retired_cols
+        retired_dist = search.retired_dist
+        col = search.free_col
+        distance = search.distance
+        path = [col]
+        while True:
+            row, entry, tree_row = search.root, 0.0, 0
+            while (
+                class_rows[row_class[row]].item(col) - (u[row] - entry)
+                != distance
+            ):
+                row = match_of_col[retired_cols[tree_row]]
+                entry = retired_dist[tree_row]
+                tree_row += 1
+            if tree_row == 0:
+                return path
+            col = retired_cols[tree_row - 1]
+            distance = retired_dist[tree_row - 1]
+            path.append(col)
 
     def _augment(self, row: int) -> int:
         """Insert ``row`` into the matching; one Dijkstra + one dual pass.
@@ -190,32 +297,29 @@ class AssignmentSolver:
         Returns the number of tree-growth iterations (pivots) the search
         needed — the telemetry layer's unit of matching work.
         """
-        parent = self._parent
-        parent.fill(-2)
-        min_val, free_col, pivots, retired_cols, retired_dist = (
-            self._dijkstra(row, None, parent)
-        )
+        search = self._dijkstra(row, None)
+        path = self._path(search)
+        u = self._u
+        match_of_col = self._match_of_col
 
         # Deferred dual update: one vectorised pass over the tree.  Must
         # run before the flip (it reads the pre-augmentation matching).
-        self._u[row] += min_val
-        if retired_cols:
-            cols = np.asarray(retired_cols, dtype=np.int64)
-            delta = np.asarray(retired_dist) - min_val
-            self._u[self._match_of_col[cols]] -= delta
+        # ``cost_minus_v`` holds one row per class, not per row.
+        min_val = search.distance
+        u[row] += min_val
+        if search.retired_cols:
+            cols = np.array(search.retired_cols, dtype=np.int64)
+            delta = np.array(search.retired_dist) - min_val
+            for col, step in zip(search.retired_cols, delta.tolist()):
+                u[match_of_col[col]] -= step
             self._v[cols] += delta
             self._cost_minus_v[:, cols] -= delta
 
         # Flip matched edges along the path back to the root.
-        col = free_col
-        while True:
-            prev = int(parent[col])
-            if prev == -1:
-                self._match_of_col[col] = row
-                break
-            self._match_of_col[col] = self._match_of_col[prev]
-            col = prev
-        return pivots
+        for col, prev in zip(path, path[1:]):
+            match_of_col[col] = match_of_col[prev]
+        match_of_col[path[-1]] = row
+        return search.pivots
 
     # ------------------------------------------------------------------
     # Public API
@@ -241,8 +345,9 @@ class AssignmentSolver:
                     if not self._row_deleted[row]:
                         pivots += self._augment(row)
                 self._solved = True
-                cols = np.nonzero(self._match_of_col >= 0)[0]
-                rows = self._match_of_col[cols]
+                match_of_col = np.asarray(self._match_of_col)
+                cols = np.nonzero(match_of_col >= 0)[0]
+                rows = match_of_col[cols]
                 self._total = float(self._cost[rows, cols].sum())
                 sp.set_attribute("pivots", pivots)
                 obs.counter(
@@ -259,8 +364,9 @@ class AssignmentSolver:
         if not self._solved:
             self.solve()
         row_to_col = np.full(self._num_rows, -1, dtype=np.int64)
-        matched = self._match_of_col >= 0
-        row_to_col[self._match_of_col[matched]] = np.nonzero(matched)[0]
+        match_of_col = np.asarray(self._match_of_col)
+        matched = match_of_col >= 0
+        row_to_col[match_of_col[matched]] = np.nonzero(matched)[0]
         return row_to_col
 
     def total_cost(self) -> float:
@@ -289,23 +395,22 @@ class AssignmentSolver:
             self.solve()
         self._refresh_duals()
 
-        displaced_row = int(self._match_of_col[column])
+        displaced_row = self._match_of_col[column]
         if displaced_row == -1:
             return self.total_cost()
 
         with obs.span("matching.solver.repair", column=column) as sp:
-            distance, free_col, pivots, _, _ = self._dijkstra(
-                displaced_row, column, None
-            )
+            search = self._dijkstra(displaced_row, column)
+            pivots = search.pivots
             sp.set_attribute("pivots", pivots)
             obs.counter("matching.pivots", pivots)
             obs.counter("matching.warm_resolves")
             return float(
                 self.total_cost()
                 - self._cost[displaced_row, column]
-                + distance
+                + search.distance
                 + self._u[displaced_row]
-                + self._v[free_col]
+                + self._v[search.free_col]
             )
 
     def matching_without_column(self, column: int) -> np.ndarray:
@@ -329,29 +434,22 @@ class AssignmentSolver:
         if not self._solved:
             self.solve()
         self._refresh_duals()
-        assignment = self.row_to_col().copy()
-        displaced_row = int(self._match_of_col[column])
+        assignment = self.row_to_col()
+        displaced_row = self._match_of_col[column]
         if displaced_row == -1:
             return assignment
         with obs.span(
             "matching.solver.repair", column=column, matching=True
         ) as sp:
-            parent = self._parent
-            parent.fill(-2)
-            _, free_col, pivots, _, _ = self._dijkstra(
-                displaced_row, column, parent
-            )
+            search = self._dijkstra(displaced_row, column)
+            path = self._path(search)
+            pivots = search.pivots
             sp.set_attribute("pivots", pivots)
             obs.counter("matching.pivots", pivots)
             obs.counter("matching.warm_resolves")
-        col = free_col
-        while True:
-            prev = int(parent[col])
-            if prev == -1:
-                assignment[displaced_row] = col
-                break
-            assignment[int(self._match_of_col[prev])] = col
-            col = prev
+        for col, prev in zip(path, path[1:]):
+            assignment[self._match_of_col[prev]] = col
+        assignment[displaced_row] = path[-1]
         return assignment
 
     # ------------------------------------------------------------------
@@ -373,10 +471,10 @@ class AssignmentSolver:
         """
         if not self._duals_stale:
             return
-        self._u.fill(0.0)
+        self._u = [0.0] * self._num_rows
         self._v.fill(0.0)
-        np.copyto(self._cost_minus_v, self._cost)
-        self._match_of_col.fill(-1)
+        np.copyto(self._cost_minus_v, self._cost[self._class_first_row])
+        self._match_of_col = [-1] * self._num_cols
         self._total = None
         self._solved = False
         self._duals_stale = False
@@ -401,16 +499,17 @@ class AssignmentSolver:
         pivots)``; the chain is recovered by walking ``parent_*`` from
         ``end_col`` back to ``column``.
         """
-        cost_minus_v = self._cost_minus_v
-        u = self._u
         v = self._v
-        match_of_col = self._match_of_col
+        match_of_col = np.asarray(self._match_of_col)
 
         matched_cols = np.nonzero(match_of_col >= 0)[0]
         move_rows = match_of_col[matched_cols]
         movable = move_rows != row
         move_rows = move_rows[movable]
         move_cols = matched_cols[movable]
+        move_classes = self._class_array[move_rows]
+        move_u = np.asarray(self._u)[move_rows]
+        cost_minus_v = self._cost_minus_v
 
         dist = np.full(self._num_cols, _INF)
         dist[column] = 0.0
@@ -437,9 +536,7 @@ class AssignmentSolver:
                 best_col = hole
             if move_rows.size:
                 candidate = (
-                    hole_dist
-                    + cost_minus_v[move_rows, hole]
-                    - u[move_rows]
+                    hole_dist + cost_minus_v[move_classes, hole] - move_u
                 )
                 better = (candidate < dist[move_cols]) & ~visited[move_cols]
                 targets = move_cols[better]

@@ -155,9 +155,14 @@ class TaskSchedule:
         ``first_task_id`` in arrival order.
 
         ``value`` and ``first_task_id`` are checked once, with the
-        messages :class:`SensingTask` would give; every other task field
-        is a positive ``int`` by construction, so the tasks are built
-        through ``object.__new__`` without ``__post_init__``.
+        messages :class:`SensingTask` would give, and the counts in one
+        pass, with the messages that name ``counts[i]``.  Every other
+        task field is a positive ``int`` by construction, so the tasks
+        are built through ``object.__new__`` without ``__post_init__``,
+        and since they come out in ``(slot, index, id)`` order the
+        schedule is assembled without :meth:`__init__`'s sort and
+        duplicate checks.  The result pickles byte for byte like
+        ``TaskSchedule(len(counts), tasks)``.
         """
         if not counts:
             raise ValidationError("counts must contain at least one slot")
@@ -171,19 +176,32 @@ class TaskSchedule:
         new = object.__new__
         put = object.__setattr__
         tasks: List[SensingTask] = []
+        by_slot: Dict[int, Tuple[SensingTask, ...]] = {}
         next_id = first_task_id
-        for slot_index, count in enumerate(counts, start=1):
-            check_type(f"counts[{slot_index - 1}]", count, int)
-            check_non_negative(f"counts[{slot_index - 1}]", count)
+        for slot, count in enumerate(counts, start=1):
+            if count.__class__ is not int or count < 0:
+                check_type(f"counts[{slot - 1}]", count, int)
+                check_non_negative(f"counts[{slot - 1}]", count)
+            if not count:
+                continue
+            start = len(tasks)
             for k in range(1, count + 1):
                 task = new(SensingTask)
                 put(task, "task_id", next_id)
-                put(task, "slot", slot_index)
+                put(task, "slot", slot)
                 put(task, "index", k)
                 put(task, "value", value)
                 tasks.append(task)
                 next_id += 1
-        return cls(num_slots=len(counts), tasks=tasks)
+            by_slot[slot] = tuple(tasks[start:])
+        # Attributes in ``__init__``'s order, so pickles match it.
+        schedule = cls.__new__(cls)
+        schedule._num_slots = len(counts)
+        schedule._tasks = tuple(tasks)
+        schedule._by_slot = by_slot
+        schedule._by_id = {task.task_id: task for task in tasks}
+        schedule._uniform_value = value if tasks else None
+        return schedule
 
     @property
     def num_slots(self) -> int:

@@ -12,6 +12,7 @@ wall clock, so a replayed run waits the same simulated time.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Tuple
 
 from repro.errors import ValidationError
@@ -47,6 +48,11 @@ class RetryPolicy:
             raise ValidationError(
                 f"retries must be >= 0, got {self.retries}"
             )
+        # ``nan < 0`` is False, so finiteness is checked on its own.
+        for name in ("backoff", "multiplier", "max_delay"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.backoff < 0:
             raise ValidationError(
                 f"backoff must be >= 0, got {self.backoff}"

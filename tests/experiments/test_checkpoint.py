@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.errors import CheckpointError, ExperimentError
+from repro.errors import CheckpointError, ExperimentError, ValidationError
 from repro.experiments import (
     CheckpointStore,
     ExperimentConfig,
@@ -306,3 +306,8 @@ class TestGracefulDegradation:
     def test_negative_retries_rejected(self, fast_config):
         with pytest.raises(ExperimentError, match="retries"):
             run_point(fast_config, retries=-1)
+
+    @pytest.mark.parametrize("backoff", [float("nan"), float("inf")])
+    def test_non_finite_backoff_rejected(self, fast_config, backoff):
+        with pytest.raises(ValidationError, match="backoff must be finite"):
+            run_point(fast_config, retries=1, backoff=backoff)

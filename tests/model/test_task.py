@@ -103,6 +103,51 @@ class TestTaskScheduleFromCounts:
         with pytest.raises(ValidationError, match="counts\\[1\\] must be"):
             TaskSchedule.from_counts([1, 2.0], value=1.0)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([1, True], "counts\\[1\\] must be a number, got bool"),
+            ([2, 0, -3], "counts\\[2\\] must be >= 0, got -3"),
+            ([1, "2"], "counts\\[1\\] must be of type int, got str"),
+            ([-1, 2.0], "counts\\[0\\] must be >= 0, got -1"),
+        ],
+    )
+    def test_count_messages_name_the_first_bad_slot(self, counts, message):
+        with pytest.raises(ValidationError, match=message):
+            TaskSchedule.from_counts(counts, value=1.0)
+
+    @pytest.mark.parametrize(
+        "counts, value, first_task_id",
+        [
+            ([2, 0, 1], 5.0, 3),
+            ([0, 0, 0], 1.0, 0),
+            ([3], 0.0, 0),
+            ([0, 4, 1, 0, 2], 7, 11),
+        ],
+    )
+    def test_pickles_like_the_validated_constructor(
+        self, counts, value, first_task_id
+    ):
+        fast = TaskSchedule.from_counts(counts, value, first_task_id)
+        tasks = []
+        for slot, count in enumerate(counts, start=1):
+            for index in range(1, count + 1):
+                tasks.append(
+                    SensingTask(
+                        task_id=first_task_id + len(tasks),
+                        slot=slot,
+                        index=index,
+                        value=value,
+                    )
+                )
+        slow = TaskSchedule(len(counts), reversed(tasks))
+        assert fast == slow
+        assert fast.uniform_value == slow.uniform_value
+        assert fast.counts == slow.counts
+        assert pickle.dumps(fast, protocol=4) == pickle.dumps(
+            slow, protocol=4
+        )
+
     def test_all_zero_counts_gives_empty_schedule(self):
         schedule = TaskSchedule.from_counts([0, 0, 0], value=1.0)
         assert len(schedule) == 0

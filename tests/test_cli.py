@@ -136,6 +136,29 @@ class TestFigures:
         csv = (tmp_path / "fig7.csv").read_text()
         assert csv.startswith("phone_rate,")
 
+    @pytest.mark.parametrize("backoff", ["nan", "inf", "-1"])
+    def test_bad_backoff_is_rejected_before_any_work(
+        self, capsys, tmp_path, monkeypatch, backoff
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("repro.cli.run_sweep", no_sweep)
+        checkpoints = tmp_path / "checkpoints"
+        ledger = tmp_path / "RUNS.jsonl"
+        code, _, err = run_cli(
+            capsys,
+            "figures", "fig6",
+            "--repetitions", "1",
+            "--backoff", backoff,
+            "--checkpoint-dir", str(checkpoints),
+            "--ledger", str(ledger),
+        )
+        assert code == 2
+        assert "backoff must be" in err
+        assert not checkpoints.exists()
+        assert not ledger.exists()
+
 
 class TestAudit:
     def test_truthful_mechanism_passes(self, capsys):

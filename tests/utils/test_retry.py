@@ -46,6 +46,24 @@ class TestRetryPolicy:
         with pytest.raises(ValidationError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("field", ["backoff", "multiplier", "max_delay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            RetryPolicy(retries=1, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"backoff": -0.1}, "backoff must be >= 0, got -0.1"),
+            ({"multiplier": 0.0}, "multiplier must be > 0, got 0.0"),
+            ({"max_delay": -1.0}, "max_delay must be >= 0, got -1.0"),
+        ],
+    )
+    def test_negative_field_messages_unchanged(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            RetryPolicy(**kwargs)
+
     def test_policy_is_picklable(self):
         import pickle
 
