@@ -331,24 +331,19 @@ def check_replay_fidelity(
     """
     import pickle
 
-    from repro.durability import (
-        Journal,
-        execute_commands,
-        replay_journal,
-    )
-    from repro.durability.journaled import JournaledPlatform
-    from repro.durability.replay import round_commands
+    from repro.durability import Journal, replay_journal, round_commands
+    from repro.durability.replay import start_round
     from repro.faults.recovery import apply_bid_faults
 
     bids = scenario.truthful_bids()
     if fault_plan is not None:
         bids, _, _ = apply_bid_faults(list(bids), fault_plan)
     commands = round_commands(bids, scenario, fault_plan)
-    journal = Journal(journal_dir)
-    try:
-        platform = JournaledPlatform(
+    with Journal(journal_dir) as journal:
+        live = start_round(
             journal,
-            num_slots=scenario.num_slots,
+            commands,
+            scenario.num_slots,
             reserve_price=reserve_price,
             payment_rule=payment_rule,
             max_reassignments=(
@@ -356,12 +351,9 @@ def check_replay_fidelity(
                 if fault_plan is None
                 else fault_plan.config.max_reassignments
             ),
-        )
-        live = execute_commands(platform, commands)
-    finally:
-        journal.close()
+        ).outcome
     replayed = replay_journal(journal.directory).outcome
-    if live is None or replayed is None:  # pragma: no cover - defensive
+    if replayed is None:  # pragma: no cover - defensive
         raise SanitizationError(
             "replay-fidelity check did not reach a finalized outcome"
         )

@@ -29,10 +29,13 @@ class AuctionEvent:
         return f"[slot {self.slot}] {type(self).__name__}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly representation, tagged with the event type."""
-        payload: Dict[str, Any] = {"event": type(self).__name__}
-        payload.update(dataclasses.asdict(self))
-        return payload
+        """JSON-friendly representation, tagged with the event type.
+
+        Every field is an int, float, str or bool, and an event's
+        ``__dict__`` holds exactly its fields in declaration order: this
+        is ``dataclasses.asdict`` without the recursive deep copy.
+        """
+        return {"event": type(self).__name__, **vars(self)}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -222,21 +222,14 @@ def _run_journaled_round(
     run's value-for-value; payments are settled at departure slots, so
     their dict insertion order follows settlement, not allocation.
     """
-    # Lazy import: durability wraps the platform, which lives next door.
+    # Lazy import: the driver and durability import this package.
+    from repro.auction.round_driver import round_commands
     from repro.durability import Journal
-    from repro.durability.journaled import JournaledPlatform
-    from repro.durability.replay import execute_commands, round_commands
+    from repro.durability.replay import start_round
 
-    commands = round_commands(scenario.truthful_bids(), scenario, plan=None)
-    journal = Journal(round_dir)
-    try:
-        journaled = JournaledPlatform(
-            journal, num_slots=scenario.num_slots
-        )
-        outcome = execute_commands(journaled, commands)
-    finally:
-        journal.close()
-    assert outcome is not None
+    commands = round_commands(scenario.truthful_bids(), scenario)
+    with Journal(round_dir) as journal:
+        outcome = start_round(journal, commands, scenario.num_slots).outcome
     return SimulationEngine.package("online-greedy", outcome, scenario)
 
 

@@ -18,11 +18,16 @@ supplies the three layers:
   :func:`resume_round`, which finishes a crashed round from its journal
   and a regenerated command stream.
 
+The command stream itself — the platform's feeding order — lives beside
+the platform in :mod:`repro.auction.round_driver`; ``round_commands``,
+``apply_command`` and ``execute_commands`` are re-exported here.
+
 Crash faults that exercise all of this live in
 :mod:`repro.faults.crash`; the replay-fidelity guarantee is enforced at
 runtime by :func:`repro.analysis.sanitizer.check_replay_fidelity`.
 """
 
+from repro.auction.round_driver import apply_command, execute_commands, round_commands
 from repro.durability.journal import (
     GENESIS_HASH,
     KIND_COMMAND,
@@ -39,12 +44,9 @@ from repro.durability.journaled import JournaledPlatform
 from repro.durability.replay import (
     ReplayResult,
     ResumeResult,
-    apply_command,
-    execute_commands,
     replay_journal,
     replay_records,
     resume_round,
-    round_commands,
 )
 
 __all__ = [

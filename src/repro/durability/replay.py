@@ -13,11 +13,14 @@ A *missing* suffix of derived records after the journal's last command
 is tolerated: that is exactly what a crash between steps 3 and 4 of the
 write-ahead discipline leaves behind.
 
-:func:`resume_round` closes the loop for the deterministic round
-drivers (campaigns, fault runs): given the journal and the regenerated
-command stream of the round, it replays what the journal holds,
-verifies the journaled prefix matches the regenerated commands, and
-re-executes the remainder through a fresh
+:func:`start_round` runs a round's command stream
+(:func:`~repro.auction.round_driver.round_commands`, the platform's one
+feeding order) through a fresh journal; every journaled round driver
+(campaigns, fault runs, the replay-fidelity check) starts its round
+there.  :func:`resume_round` closes the loop: given the journal and the
+regenerated command stream of the round, it replays what the journal
+holds, verifies the journaled prefix matches the regenerated commands,
+and re-executes the remainder through a fresh
 :class:`~repro.durability.JournaledPlatform` — so a crashed round,
 resumed, produces an :class:`~repro.model.AuctionOutcome` whose pickled
 bytes equal the uncrashed run's (property-tested in
@@ -28,20 +31,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.auction.events import (
-    AuctionEvent,
-    BidSubmitted,
-    FailureReported,
-    PhoneDropped,
-    RoundFinalized,
-    RoundStarted,
-    SlotAdvanced,
-    TasksAnnounced,
-)
+from repro.auction.events import AuctionEvent, RoundFinalized, RoundStarted
 from repro.auction.platform import CrowdsourcingPlatform
+from repro.auction.round_driver import apply_command, execute_commands
 from repro.durability.journal import (
     KIND_COMMAND,
     Journal,
@@ -50,50 +45,7 @@ from repro.durability.journal import (
 )
 from repro.durability.journaled import JournaledPlatform
 from repro.errors import JournalError, ReplayDivergenceError
-from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
-
-if False:  # pragma: no cover - import cycle guard (types only)
-    from repro.faults.plan import FaultPlan
-    from repro.simulation.scenario import Scenario
-
-
-def apply_command(platform: object, command: AuctionEvent) -> object:
-    """Dispatch one journaled command to a platform(-like) object.
-
-    ``platform`` is either a bare :class:`CrowdsourcingPlatform`
-    (replay) or a :class:`~repro.durability.JournaledPlatform`
-    (resume) — both expose the same mutating surface.  Returns whatever
-    the platform method returns (the outcome, for ``RoundFinalized``).
-    """
-    if isinstance(command, BidSubmitted):
-        return platform.submit_bid(  # type: ignore[attr-defined]
-            Bid(
-                phone_id=command.phone_id,
-                arrival=command.arrival,
-                departure=command.departure,
-                cost=command.cost,
-            )
-        )
-    if isinstance(command, TasksAnnounced):
-        return platform.submit_tasks(  # type: ignore[attr-defined]
-            command.count, value=command.value
-        )
-    if isinstance(command, PhoneDropped):
-        return platform.report_dropout(  # type: ignore[attr-defined]
-            command.phone_id
-        )
-    if isinstance(command, FailureReported):
-        return platform.report_task_failure(  # type: ignore[attr-defined]
-            command.phone_id
-        )
-    if isinstance(command, SlotAdvanced):
-        return platform.close_slot()  # type: ignore[attr-defined]
-    if isinstance(command, RoundFinalized):
-        return platform.finalize()  # type: ignore[attr-defined]
-    raise JournalError(
-        f"{type(command).__name__} is not a journal command"
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,93 +154,9 @@ def replay_journal(directory: os.PathLike) -> ReplayResult:
         return replay_records(scan.records)
 
 
-# ----------------------------------------------------------------------
-# Deterministic round driving (command streams)
-# ----------------------------------------------------------------------
-def round_commands(
-    bids: Sequence[Bid],
-    scenario: "Scenario",
-    plan: Optional["FaultPlan"] = None,
-    include_finalize: bool = True,
-) -> List[AuctionEvent]:
-    """The deterministic command stream of one round.
-
-    Mirrors the feeding order of the fault-aware driver
-    (:func:`repro.faults.recovery.run_with_faults`): per slot — bids in
-    arrival order, each immediately followed by a failure report when
-    the plan marks the phone as a non-deliverer; then the slot's
-    dropouts; then the slot's tasks, announced one by one; then the
-    slot close.  ``bids`` must already have submission faults applied
-    (:func:`repro.faults.recovery.apply_bid_faults`).
-
-    Because the stream is a pure function of ``(bids, scenario,
-    plan)``, a crashed round can be resumed by regenerating it and
-    continuing from the journal's high-water mark
-    (:func:`resume_round`).
-    """
-    by_arrival: Dict[int, List[Bid]] = {}
-    for bid in bids:
-        by_arrival.setdefault(bid.arrival, []).append(bid)
-    dropouts_at: Dict[int, List[int]] = {}
-    if plan is not None:
-        departures = {bid.phone_id: bid.departure for bid in bids}
-        for record in plan:
-            if record.phone_id not in departures:
-                continue  # bid lost: the phone never joined
-            if record.dropout_slot is None:
-                continue
-            if record.dropout_slot > departures[record.phone_id]:
-                continue  # "drops" after its claimed departure: a no-op
-            dropouts_at.setdefault(record.dropout_slot, []).append(
-                record.phone_id
-            )
-
-    commands: List[AuctionEvent] = []
-    for slot in range(1, scenario.num_slots + 1):
-        for bid in by_arrival.get(slot, ()):
-            commands.append(
-                BidSubmitted(
-                    slot=slot,
-                    phone_id=bid.phone_id,
-                    arrival=bid.arrival,
-                    departure=bid.departure,
-                    cost=bid.cost,
-                )
-            )
-            if plan is not None:
-                record = plan.for_phone(bid.phone_id)
-                if record is not None and record.fails_task:
-                    commands.append(
-                        FailureReported(slot=slot, phone_id=bid.phone_id)
-                    )
-        for phone_id in dropouts_at.get(slot, ()):
-            commands.append(PhoneDropped(slot=slot, phone_id=phone_id))
-        for task in scenario.schedule.tasks_in_slot(slot):
-            commands.append(
-                TasksAnnounced(slot=slot, count=1, value=task.value)
-            )
-        commands.append(SlotAdvanced(slot=slot))
-    if include_finalize:
-        commands.append(RoundFinalized(slot=scenario.num_slots))
-    return commands
-
-
-def execute_commands(
-    platform: JournaledPlatform,
-    commands: Sequence[AuctionEvent],
-) -> Optional[AuctionOutcome]:
-    """Apply a command stream through a journaled platform, in order."""
-    outcome: Optional[AuctionOutcome] = None
-    for command in commands:
-        result = apply_command(platform, command)
-        if isinstance(command, RoundFinalized):
-            outcome = result  # type: ignore[assignment]
-    return outcome
-
-
 @dataclasses.dataclass(frozen=True)
 class ResumeResult:
-    """Outcome of :func:`resume_round`.
+    """Outcome of :func:`start_round` or :func:`resume_round`.
 
     Attributes
     ----------
@@ -309,6 +177,39 @@ class ResumeResult:
     executed_commands: int
 
 
+def start_round(
+    journal: Journal,
+    commands: Sequence[AuctionEvent],
+    num_slots: int,
+    reserve_price: bool = False,
+    payment_rule: str = "paper",
+    max_reassignments: int = 3,
+) -> ResumeResult:
+    """Run a whole round through a fresh journal.
+
+    Opens a :class:`~repro.durability.JournaledPlatform` over the empty
+    ``journal`` (a non-empty one raises
+    :class:`~repro.errors.JournalError`: resume it instead) and feeds it
+    ``commands``, which must end in ``RoundFinalized``.  The caller
+    keeps ownership of the journal and closes it.
+    """
+    platform = JournaledPlatform(
+        journal,
+        num_slots=num_slots,
+        reserve_price=reserve_price,
+        payment_rule=payment_rule,
+        max_reassignments=max_reassignments,
+    )
+    outcome = execute_commands(platform, commands)
+    assert outcome is not None
+    return ResumeResult(
+        outcome=outcome,
+        platform=platform,
+        replayed_commands=0,
+        executed_commands=len(commands),
+    )
+
+
 def resume_round(
     journal: Journal,
     commands: Sequence[AuctionEvent],
@@ -320,29 +221,23 @@ def resume_round(
     """Finish a (possibly crashed, possibly empty) journaled round.
 
     ``commands`` is the round's full deterministic command stream
-    (:func:`round_commands`, ending in ``RoundFinalized``).  The
-    journal's recovered records are replayed and prefix-checked against
-    it — a mismatch raises
+    (:func:`~repro.auction.round_driver.round_commands`, ending in
+    ``RoundFinalized``).  An empty journal starts the round
+    (:func:`start_round`).  Otherwise the journal's recovered records
+    are replayed and prefix-checked against it — a mismatch raises
     :class:`~repro.errors.ReplayDivergenceError`, a differing platform
     configuration raises :class:`~repro.errors.JournalError` — then the
     remaining commands run through the write-ahead wrapper.
     """
     records = journal.records
     if not records:
-        platform = JournaledPlatform(
+        return start_round(
             journal,
-            num_slots=num_slots,
+            commands,
+            num_slots,
             reserve_price=reserve_price,
             payment_rule=payment_rule,
             max_reassignments=max_reassignments,
-        )
-        outcome = execute_commands(platform, commands)
-        assert outcome is not None
-        return ResumeResult(
-            outcome=outcome,
-            platform=platform,
-            replayed_commands=0,
-            executed_commands=len(commands),
         )
 
     replay = replay_records(records)

@@ -1,14 +1,16 @@
 """Drive a scenario through the platform with faults injected.
 
-:func:`run_with_faults` is the fault-aware sibling of
-:func:`~repro.auction.round_driver.replay_scenario`: it applies a
-:class:`~repro.faults.plan.FaultPlan` (or draws one from a
-:class:`~repro.faults.plan.FaultConfig` and a seed) while feeding the
-scenario through :class:`~repro.auction.CrowdsourcingPlatform`, lets the
-platform's recovery machinery reallocate failed tasks, and returns the
-finalized outcome together with complete fault bookkeeping.  With
-``paired=True`` it also runs the *same* bids fault-free on a second
-platform, enabling welfare-degradation metrics.
+:func:`run_with_faults` applies a :class:`~repro.faults.plan.FaultPlan`
+(or draws one from a :class:`~repro.faults.plan.FaultConfig` and a
+seed) while feeding the scenario through
+:class:`~repro.auction.CrowdsourcingPlatform`, lets the platform's
+recovery machinery reallocate failed tasks, and returns the finalized
+outcome together with complete fault bookkeeping.  The feeding order is
+:func:`~repro.auction.round_driver.round_commands`, the platform's one
+slot-by-slot order, with the plan's failure reports and dropouts in
+their slots; the same command stream drives the plain platform, the
+journaled one and the ``paired=True`` fault-free run of the *same* bids
+(which enables welfare-degradation metrics).
 
 Every recovered outcome is sanitized by default: structural feasibility
 (constraints (4)-(6)), individual rationality for paying winners, and
@@ -20,15 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +30,10 @@ from repro.agents.base import BiddingStrategy
 from repro.analysis.sanitizer import sanitize_outcome
 from repro.auction.events import AuctionEvent, TaskFailed
 from repro.auction.platform import CrowdsourcingPlatform
+from repro.auction.round_driver import execute_commands, round_commands
+from repro.durability.journal import Journal
+from repro.durability.journaled import JournaledPlatform
+from repro.durability.replay import start_round
 from repro.errors import FaultError, SanitizationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultConfig, FaultPlan
@@ -151,51 +149,41 @@ def apply_bid_faults(
     return effective, tuple(lost), tuple(delayed)
 
 
-def _drive(
+def _play(
     bids: List[Bid],
     scenario: Scenario,
     plan: Optional[FaultPlan],
+    journal_dir: Optional[os.PathLike],
     reserve_price: bool,
     payment_rule: str,
     max_reassignments: int,
-) -> CrowdsourcingPlatform:
-    """Feed ``bids`` through a platform, reporting faults when given."""
-    by_arrival: Dict[int, List[Bid]] = {}
-    for bid in bids:
-        by_arrival.setdefault(bid.arrival, []).append(bid)
-    dropouts_at: Dict[int, List[int]] = {}
-    if plan is not None:
-        departures = {bid.phone_id: bid.departure for bid in bids}
-        for record in plan:
-            if record.phone_id not in departures:
-                continue  # bid lost: the phone never joined
-            if record.dropout_slot is None:
-                continue
-            if record.dropout_slot > departures[record.phone_id]:
-                continue  # "drops" after its claimed departure: a no-op
-            dropouts_at.setdefault(record.dropout_slot, []).append(
-                record.phone_id
-            )
+) -> Tuple[AuctionOutcome, Union[CrowdsourcingPlatform, JournaledPlatform]]:
+    """Feed ``bids`` to a platform in the round's command order.
 
-    platform = CrowdsourcingPlatform(
-        num_slots=scenario.num_slots,
-        reserve_price=reserve_price,
-        payment_rule=payment_rule,
-        max_reassignments=max_reassignments,
-    )
-    for slot in range(1, scenario.num_slots + 1):
-        for bid in by_arrival.get(slot, ()):
-            platform.submit_bid(bid)
-            if plan is not None:
-                record = plan.for_phone(bid.phone_id)
-                if record is not None and record.fails_task:
-                    platform.report_task_failure(bid.phone_id)
-        for phone_id in dropouts_at.get(slot, ()):
-            platform.report_dropout(phone_id)
-        for task in scenario.schedule.tasks_in_slot(slot):
-            platform.submit_tasks(1, value=task.value)
-        platform.close_slot()
-    return platform
+    The faults of ``plan`` are reported when given; with ``journal_dir``
+    the platform journals every command there first.
+    """
+    commands = round_commands(bids, scenario, plan)
+    if journal_dir is None:
+        platform = CrowdsourcingPlatform(
+            num_slots=scenario.num_slots,
+            reserve_price=reserve_price,
+            payment_rule=payment_rule,
+            max_reassignments=max_reassignments,
+        )
+        outcome = execute_commands(platform, commands)
+        assert outcome is not None
+        return outcome, platform
+    with Journal(journal_dir) as journal:
+        run = start_round(
+            journal,
+            commands,
+            scenario.num_slots,
+            reserve_price=reserve_price,
+            payment_rule=payment_rule,
+            max_reassignments=max_reassignments,
+        )
+    return run.outcome, run.platform
 
 
 def run_with_faults(
@@ -257,42 +245,15 @@ def run_with_faults(
         bids = scenario.truthful_bids()
 
     effective, lost, delayed = apply_bid_faults(bids, plan)
-    if journal_dir is None:
-        platform = _drive(
-            effective,
-            scenario,
-            plan,
-            reserve_price=reserve_price,
-            payment_rule=payment_rule,
-            max_reassignments=plan.config.max_reassignments,
-        )
-        outcome = platform.finalize()
-    else:
-        # Lazy import: durability depends on the fault plan types, so
-        # importing it at module scope would be circular.
-        from repro.durability import Journal
-        from repro.durability.journaled import JournaledPlatform
-        from repro.durability.replay import (
-            execute_commands,
-            round_commands,
-        )
-
-        commands = round_commands(effective, scenario, plan)
-        journal = Journal(journal_dir)
-        try:
-            journaled = JournaledPlatform(
-                journal,
-                num_slots=scenario.num_slots,
-                reserve_price=reserve_price,
-                payment_rule=payment_rule,
-                max_reassignments=plan.config.max_reassignments,
-            )
-            outcome_or_none = execute_commands(journaled, commands)
-        finally:
-            journal.close()
-        assert outcome_or_none is not None
-        outcome = outcome_or_none
-        platform = journaled
+    outcome, platform = _play(
+        effective,
+        scenario,
+        plan,
+        journal_dir,
+        reserve_price=reserve_price,
+        payment_rule=payment_rule,
+        max_reassignments=plan.config.max_reassignments,
+    )
     events = platform.events
 
     failure_events = tuple(
@@ -336,17 +297,16 @@ def run_with_faults(
     fault_free: Optional[SimulationResult] = None
     reliability: Optional[ReliabilityReport] = None
     if paired:
-        clean = _drive(
+        clean, _ = _play(
             bids,
             scenario,
             plan=None,
+            journal_dir=None,
             reserve_price=reserve_price,
             payment_rule=payment_rule,
             max_reassignments=plan.config.max_reassignments,
         )
-        fault_free = SimulationEngine.package(
-            "online-greedy", clean.finalize(), scenario
-        )
+        fault_free = SimulationEngine.package("online-greedy", clean, scenario)
         reliability = reliability_report(result, report, fault_free)
 
     return FaultyRunResult(

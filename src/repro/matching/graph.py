@@ -200,24 +200,32 @@ class TaskAssignmentGraph:
                 active_cols = np.nonzero(
                     (arrivals <= slot) & (departures >= slot)
                 )[0]
-                for row in range(int(row_start), int(row_end)):
-                    cols = active_cols
-                    if self._compatible is not None and cols.size:
-                        keep = np.fromiter(
-                            (
-                                self._compatible(
-                                    self._tasks[row], self._bids[int(col)]
-                                )
-                                for col in cols
-                            ),
-                            dtype=bool,
-                            count=cols.size,
-                        )
-                        cols = cols[keep]
-                    counts[row] = cols.size
-                    if cols.size:
-                        col_chunks.append(cols.astype(np.int64))
-                        weight_chunks.append(values[row] - costs[cols])
+                # Every row of the slot sees the slot's active columns.
+                rows = range(int(row_start), int(row_end))
+                cols = active_cols[np.newaxis].repeat(len(rows), axis=0).ravel()
+                weights = (
+                    values[row_start:row_end, np.newaxis] - costs[active_cols]
+                ).ravel()
+                counts[row_start:row_end] = active_cols.size
+                if self._compatible is not None:
+                    keep = np.fromiter(
+                        (
+                            self._compatible(
+                                self._tasks[row], self._bids[int(col)]
+                            )
+                            for row in rows
+                            for col in active_cols
+                        ),
+                        dtype=bool,
+                        count=cols.size,
+                    )
+                    cols, weights = cols[keep], weights[keep]
+                    counts[row_start:row_end] = keep.reshape(
+                        len(rows), active_cols.size
+                    ).sum(axis=1)
+                if cols.size:
+                    col_chunks.append(cols)
+                    weight_chunks.append(weights)
         self._indptr = np.concatenate(
             [[0], np.cumsum(counts)]
         ).astype(np.int64)

@@ -14,7 +14,7 @@ margin); the paper reports values around 0.7–1.0 for its workloads.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.metrics.welfare import RoundCosts, real_cost
 from repro.model.outcome import AuctionOutcome
@@ -55,6 +55,17 @@ def total_overpayment(
     return overpayment
 
 
+def overpayment_and_ratio(
+    outcome: AuctionOutcome, round_costs: RoundCosts
+) -> Tuple[float, Optional[float]]:
+    """``(total_overpayment, overpayment_ratio)``, summing payments once."""
+    overpayment = total_overpayment(outcome, round_costs)
+    denominator = total_real_cost(outcome, round_costs)
+    if denominator <= 0.0:
+        return overpayment, None
+    return overpayment, overpayment / denominator
+
+
 def overpayment_ratio(
     outcome: AuctionOutcome, round_costs: RoundCosts
 ) -> Optional[float]:
@@ -64,7 +75,4 @@ def overpayment_ratio(
     forces callers to handle the degenerate case explicitly; the sweep
     aggregator skips such rounds.
     """
-    denominator = total_real_cost(outcome, round_costs)
-    if denominator <= 0.0:
-        return None
-    return total_overpayment(outcome, round_costs) / denominator
+    return overpayment_and_ratio(outcome, round_costs)[1]

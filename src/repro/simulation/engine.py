@@ -22,7 +22,7 @@ from repro import obs
 from repro.agents.base import BiddingStrategy
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.online_greedy import OnlineGreedyMechanism
-from repro.metrics.overpayment import overpayment_ratio, total_overpayment
+from repro.metrics.overpayment import overpayment_and_ratio
 from repro.metrics.welfare import (
     RoundCosts,
     phone_utilities,
@@ -148,13 +148,14 @@ class SimulationEngine:
         :class:`~repro.simulation.scenario.Scenario`, or the
         :class:`~repro.model.columnar.RoundColumns` a shard worker ran.
         """
+        overpayment, ratio = overpayment_and_ratio(outcome, round_costs)
         return SimulationResult(
             mechanism_name=mechanism_name,
             outcome=outcome,
             true_welfare=true_social_welfare(outcome, round_costs),
             claimed_welfare=outcome.claimed_welfare,
-            overpayment=total_overpayment(outcome, round_costs),
-            overpayment_ratio=overpayment_ratio(outcome, round_costs),
+            overpayment=overpayment,
+            overpayment_ratio=ratio,
             utilities=phone_utilities(outcome, round_costs),
             tasks_served=len(outcome.allocation),
         )

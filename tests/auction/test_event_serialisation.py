@@ -110,3 +110,59 @@ class TestRoundTrip:
         assert rebuilt == reassigned[0]
         assert rebuilt.from_phone == 1
         assert rebuilt.to_phone == 2
+
+
+def _typed_sample(cls):
+    """An instance of ``cls`` with every field set to a value of its type."""
+    values = {"int": 3, "float": 2.5, "bool": True, "str": "dropout"}
+    return cls(
+        **{
+            field.name: values[getattr(field.type, "__name__", field.type)]
+            for field in dataclasses.fields(cls)
+        }
+    )
+
+
+class TestShallowToDict:
+    """``to_dict`` copies the fields as they are, in declaration order."""
+
+    @pytest.mark.parametrize(
+        "cls", list(EVENT_TYPES.values()), ids=lambda cls: cls.__name__
+    )
+    def test_equals_asdict_with_its_key_order(self, cls):
+        event = _typed_sample(cls)
+        expected = {"event": cls.__name__, **dataclasses.asdict(event)}
+        payload = event.to_dict()
+        assert payload == expected
+        assert list(payload.items()) == list(expected.items())
+
+    def test_sealed_journal_lines_are_unchanged(self, tmp_path):
+        from repro.durability import KIND_EVENT, Journal, segment_paths
+        from repro.utils.recordlog import seal
+
+        events = [_typed_sample(cls) for cls in EVENT_TYPES.values()]
+        with Journal(tmp_path / "journal") as journal:
+            for event in events:
+                journal.append(KIND_EVENT, event)
+            records = journal.records
+        expected = b"".join(
+            seal(
+                {
+                    "event": {
+                        "event": type(record.event).__name__,
+                        **dataclasses.asdict(record.event),
+                    },
+                    "kind": record.kind,
+                    "prev": record.prev,
+                    "seq": record.seq,
+                },
+                "hash",
+            )[0]
+            for record in records
+        )
+        written = b"".join(
+            path.read_bytes()
+            for path in segment_paths(tmp_path / "journal")
+        )
+        assert len(records) == len(events)
+        assert written == expected

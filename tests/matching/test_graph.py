@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import MatchingError
 from repro.matching.graph import TaskAssignmentGraph
-from repro.model import Bid, TaskSchedule
+from repro.model import Bid, SensingTask, TaskSchedule
 
 
 @pytest.fixture
@@ -139,3 +140,75 @@ class TestWelfareWithoutPhone:
         _, full = graph.solve()
         # Phone 3 never wins; removing it cannot change the optimum.
         assert graph.welfare_without_phone(3) == pytest.approx(full)
+
+
+def _per_row_edges(graph, compatible=None):
+    """The CSR arrays built one task row at a time (the reference)."""
+    bids = graph.bids
+    arrivals = np.array([bid.arrival for bid in bids])
+    departures = np.array([bid.departure for bid in bids])
+    costs = np.array([bid.cost for bid in bids])
+    counts = []
+    col_chunks = []
+    weight_chunks = []
+    for task in graph.tasks:
+        cols = np.nonzero(
+            (arrivals <= task.slot) & (departures >= task.slot)
+        )[0]
+        if compatible is not None:
+            cols = np.array(
+                [col for col in cols if compatible(task, bids[col])],
+                dtype=np.int64,
+            )
+        counts.append(cols.size)
+        if cols.size:
+            col_chunks.append(cols.astype(np.int64))
+            weight_chunks.append(np.float64(task.value) - costs[cols])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    if not col_chunks:
+        return indptr, np.empty(0, dtype=np.int64), np.empty(0)
+    return indptr, np.concatenate(col_chunks), np.concatenate(weight_chunks)
+
+
+def _odd_pairs(task, bid):
+    return (task.task_id + bid.phone_id) % 3 != 0
+
+
+class TestSlotTiledEdges:
+    """One tile per slot equals the per-row build, filtered or not."""
+
+    @pytest.mark.parametrize("compatible", [None, _odd_pairs])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_csr_arrays_match_per_row_reference(self, seed, compatible):
+        rng = np.random.default_rng(seed)
+        num_slots = int(rng.integers(1, 9))
+        tasks = []
+        for slot in range(1, num_slots + 1):
+            for index in range(1, int(rng.integers(0, 5)) + 1):
+                tasks.append(
+                    SensingTask(
+                        task_id=len(tasks),
+                        slot=slot,
+                        index=index,
+                        value=float(rng.uniform(1.0, 30.0)),
+                    )
+                )
+        bids = []
+        for phone_id in range(int(rng.integers(0, 12))):
+            arrival = int(rng.integers(1, num_slots + 1))
+            departure = int(rng.integers(arrival, num_slots + 1))
+            bids.append(
+                Bid(
+                    phone_id=phone_id,
+                    arrival=arrival,
+                    departure=departure,
+                    cost=float(rng.uniform(0.5, 25.0)),
+                )
+            )
+        graph = TaskAssignmentGraph(
+            TaskSchedule(num_slots, tasks), bids, compatible=compatible
+        )
+        indptr, edge_cols, edge_weights = _per_row_edges(graph, compatible)
+        assert graph._indptr.tobytes() == indptr.tobytes()
+        assert graph._edge_cols.tobytes() == edge_cols.tobytes()
+        assert graph._edge_weights.tobytes() == edge_weights.tobytes()

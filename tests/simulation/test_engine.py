@@ -7,7 +7,7 @@ import pytest
 from repro.agents import CostScalingStrategy
 from repro.mechanisms import OfflineVCGMechanism, OnlineGreedyMechanism
 from repro.model import SmartphoneProfile, TaskSchedule
-from repro.simulation import Scenario, SimulationEngine
+from repro.simulation import Scenario, SimulationEngine, WorkloadConfig
 
 
 @pytest.fixture
@@ -94,3 +94,43 @@ class TestRun:
         result = SimulationEngine.package("custom", outcome, tiny_scenario)
         assert result.mechanism_name == "custom"
         assert result.outcome is outcome
+
+
+class TestPackageSumsOverpaymentOnce:
+    def test_one_total_overpayment_per_result(self, monkeypatch):
+        from repro.metrics import overpayment as overpayment_module
+        from repro.simulation import engine as engine_module
+
+        real = overpayment_module.total_overpayment
+        calls = []
+
+        def counting(outcome, round_costs):
+            calls.append(1)
+            return real(outcome, round_costs)
+
+        monkeypatch.setattr(overpayment_module, "total_overpayment", counting)
+        monkeypatch.setattr(
+            engine_module, "total_overpayment", counting, raising=False
+        )
+        scenario = WorkloadConfig(num_slots=10).generate(seed=4)
+        outcome = OfflineVCGMechanism().run(
+            scenario.truthful_bids(), scenario.schedule
+        )
+        SimulationEngine.package("offline-vcg", outcome, scenario)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_floats_as_the_metric_functions(self, seed):
+        from repro.metrics import overpayment_ratio, total_overpayment
+
+        scenario = WorkloadConfig(num_slots=10).generate(seed=seed)
+        for mechanism in (OfflineVCGMechanism(), OnlineGreedyMechanism()):
+            outcome = mechanism.run(
+                scenario.truthful_bids(), scenario.schedule
+            )
+            result = SimulationEngine.package("m", outcome, scenario)
+            overpayment = total_overpayment(outcome, scenario)
+            ratio = overpayment_ratio(outcome, scenario)
+            assert result.overpayment.hex() == overpayment.hex()
+            assert ratio is not None
+            assert result.overpayment_ratio.hex() == ratio.hex()
