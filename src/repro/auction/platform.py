@@ -59,7 +59,7 @@ from repro.mechanisms.greedy_core import bid_sort_key
 from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
-from repro.model.task import SensingTask, TaskSchedule
+from repro.model.task import SensingTask
 from repro.utils.validation import check_positive, check_type
 
 
@@ -114,8 +114,8 @@ class CrowdsourcingPlatform:
         self._finished = False
         self._finalized = False
         self._all_bids: Dict[int, Bid] = {}
+        self._slot_bids: List[Bid] = []         # submitted this slot
         self._pool: List[Tuple[Tuple[float, int, int], Bid]] = []
-        self._tasks: List[SensingTask] = []
         self._tasks_by_id: Dict[int, SensingTask] = {}
         self._pending_tasks: List[SensingTask] = []
         self._next_task_id = 0
@@ -132,6 +132,11 @@ class CrowdsourcingPlatform:
         self._delivered: Set[int] = set()       # delivery confirmed
         self._reassigned: Set[int] = set()      # won via reassignment
         self._reassign_counts: Dict[int, int] = {}  # task -> chain length
+        # -- settlement: Algorithm 1 over every bid and task, fed at each
+        # slot close (fault reports never reach it) ---------------------
+        self._engine = StreamingGreedyEngine.slot_fed(
+            num_slots, reserve_price=self._reserve_price
+        )
 
     def _emit(self, event: AuctionEvent) -> None:
         """Record one event: append to the log, export to telemetry."""
@@ -323,6 +328,7 @@ class CrowdsourcingPlatform:
         """
         self.validate_bid(bid)
         self._all_bids[bid.phone_id] = bid
+        self._slot_bids.append(bid)
         heapq.heappush(self._pool, (bid_sort_key(bid), bid))
         self._emit(
             BidSubmitted(
@@ -481,9 +487,9 @@ class CrowdsourcingPlatform:
             "platform.slot", slot=slot, tasks=len(self._pending_tasks)
         ) as tel:
             events_before = len(self._events)
-            for task in self._pending_tasks:
+            announced = self._pending_tasks
+            for task in announced:
                 chosen = self._pop_cheapest(slot, task.value)
-                self._tasks.append(task)
                 self._tasks_by_id[task.task_id] = task
                 if chosen is None:
                     self._emit(
@@ -502,6 +508,8 @@ class CrowdsourcingPlatform:
                 )
             self._pending_tasks = []
 
+            self._engine.feed_slot(self._slot_bids, announced)
+            self._slot_bids = []
             self._settle_departures(slot)
             self._emit(SlotClosed(slot=slot, pool_size=self.pool_size))
             tel.set_attribute("events", len(self._events) - events_before)
@@ -536,10 +544,12 @@ class CrowdsourcingPlatform:
 
         Algorithm 2 only consumes bids that arrived by the winner's
         departure and tasks announced by then — all known now — so the
-        payment computed here equals the whole-round mechanism's.  One
-        streaming engine over the known bids and tasks serves every
-        payment of the call: a winner it also selected at the same slot
-        is priced from its records, any other winner by a re-run.
+        payment computed here equals the whole-round mechanism's.
+        :meth:`close_slot` has just fed this slot's bids and tasks to the
+        round's one settlement engine; Algorithm 1's records for a slot
+        depend only on bids and tasks that arrived by it, so that engine
+        prices each winner exactly as one rebuilt now over everything
+        known would (:meth:`_price`).
 
         A due winner previously marked unreliable
         (:meth:`report_task_failure`) fails instead of delivering; the
@@ -547,11 +557,6 @@ class CrowdsourcingPlatform:
         *also* due this slot, so the scan repeats until no due winner
         remains (the chain is finite: every failure burns a phone).
         """
-        schedule_so_far = TaskSchedule(
-            num_slots=self._num_slots, tasks=self._tasks
-        )
-        known_bids = list(self._all_bids.values())
-        engine: Optional[StreamingGreedyEngine] = None
         while True:
             due = [
                 (phone_id, win_slot)
@@ -568,29 +573,7 @@ class CrowdsourcingPlatform:
                     self._fail_delivery(phone_id, reason="no-delivery")
                     continue
                 winner = self._all_bids[phone_id]
-                if engine is None:
-                    engine = StreamingGreedyEngine(
-                        known_bids,
-                        schedule_so_far,
-                        reserve_price=self._reserve_price,
-                    )
-                if self._payment_rule == "paper":
-                    amount = algorithm2_payment(
-                        known_bids,
-                        schedule_so_far,
-                        winner,
-                        win_slot,
-                        reserve_price=self._reserve_price,
-                        engine=engine,
-                    )
-                else:
-                    amount = exact_critical_payment(
-                        known_bids,
-                        schedule_so_far,
-                        winner,
-                        reserve_price=self._reserve_price,
-                        engine=engine,
-                    )
+                amount = self._price(winner, win_slot)
                 if phone_id in self._reassigned and amount < winner.cost:
                     # A recovery winner was not the greedy choice in its
                     # task's slot, so its critical value can sit below its
@@ -605,6 +588,36 @@ class CrowdsourcingPlatform:
                         slot=slot, phone_id=phone_id, amount=amount
                     )
                 )
+
+    def _price(self, winner: Bid, win_slot: int) -> float:
+        """``winner``'s critical payment under the platform's rule.
+
+        Read off the settlement engine's records when they answer it.
+        A winner they cannot price — one the engine did not select at
+        ``win_slot`` (a reassigned winner, say), or any winner while a
+        reserve price meets heterogeneous task values — is priced by a
+        re-run over the bids and tasks fed so far.
+        """
+        engine = self._engine
+        phone_id = winner.phone_id
+        if self._payment_rule == "paper":
+            if engine.answers_algorithm2(phone_id, win_slot):
+                return engine.algorithm2_payment(winner, win_slot)
+            return algorithm2_payment(
+                engine.bids,
+                engine.schedule,
+                winner,
+                win_slot,
+                reserve_price=self._reserve_price,
+            )
+        if engine.answers_exact(phone_id):
+            return engine.exact_payment(winner)
+        return exact_critical_payment(
+            engine.bids,
+            engine.schedule,
+            winner,
+            reserve_price=self._reserve_price,
+        )
 
     def advance_to(self, slot: int) -> None:
         """Close empty slots until ``slot`` is the open slot.
@@ -624,10 +637,9 @@ class CrowdsourcingPlatform:
         """The round's outcome; requires every slot to be closed."""
         self.validate_finalize()
         self._finalized = True
-        schedule = TaskSchedule(num_slots=self._num_slots, tasks=self._tasks)
         return AuctionOutcome(
             bids=list(self._all_bids.values()),
-            schedule=schedule,
+            schedule=self._engine.schedule,
             allocation=self._allocation,
             payments=self._payments,
             payment_slots=self._payment_slots,

@@ -27,7 +27,7 @@ Lines are sealed, scanned and appended through
 :mod:`repro.utils.recordlog`: every record is flushed as it is
 appended, and :meth:`Journal.sync` fsyncs the segment every
 :data:`~repro.utils.recordlog.FSYNC_EVERY` records, on rotation and on
-close.
+close when anything is pending.
 """
 
 from __future__ import annotations
@@ -330,6 +330,9 @@ class Journal:
                 truncate(scan.torn_segment, scan.torn_offset)
                 obs.counter("journal.truncated_bytes", scan.truncated_bytes)
                 obs.counter("journal.torn_tails")
+            # The cut reaches disk with the next fsync, on close at the
+            # latest.
+            self._repair_unsynced = scan.torn
             self._records: List[JournalRecord] = list(scan.records)
             self._next_seq = scan.last_seq + 1
             self._prev_hash = scan.last_hash
@@ -417,14 +420,20 @@ class Journal:
         """Flush and fsync the current segment."""
         fsync_start = perf_seconds()
         self._writer.sync()
+        self._repair_unsynced = False
         obs.observe("journal.fsync.seconds", perf_seconds() - fsync_start)
 
     def close(self) -> None:
-        """Flush, fsync, and close the journal (idempotent)."""
+        """Fsync what is pending and close the journal (idempotent).
+
+        Pending are records appended since the last fsync, and a torn
+        tail cut at open that no fsync has covered yet.
+        """
         if self._closed:
             return
         try:
-            self.sync()
+            if self._writer.pending or self._repair_unsynced:
+                self.sync()
         finally:
             self._writer.close()
             self._closed = True

@@ -99,11 +99,7 @@ def algorithm2_payment(
     ):
         if engine is not None:
             _check_engine(engine, bids, reserve_price)
-            recorded = engine.base_run.win_slots.get(winner.phone_id)
-            if engine.supports_incremental_payments and recorded in (
-                None,
-                win_slot,
-            ):
+            if engine.answers_algorithm2(winner.phone_id, win_slot):
                 return engine.algorithm2_payment(winner, win_slot)
         rerun = _rerun(
             [bid for bid in bids if bid.phone_id != winner.phone_id],
@@ -161,10 +157,7 @@ def exact_critical_payment(
     """
     if engine is not None:
         _check_engine(engine, bids, reserve_price)
-        if (
-            engine.supports_incremental_payments
-            and winner.phone_id in engine.base_run.win_slots
-        ):
+        if engine.answers_exact(winner.phone_id):
             with obs.span(
                 "payment.exact", winner=winner.phone_id
             ) as fast_tel:

@@ -20,11 +20,13 @@ journal refuses, a shard checkpoint keeps the valid prefix.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, Generic, Mapping, Optional, Tuple, TypeVar
 
 from repro.errors import ReproError
@@ -39,9 +41,14 @@ class RecordError(ValueError):
     """A line is not a well-formed sealed record."""
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once instead of per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(payload: Mapping[str, Any]) -> str:
     """Canonical JSON (sorted keys, no whitespace): what checksums cover."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _encode(payload)
 
 
 def checksum_text(text: str) -> str:
@@ -54,10 +61,23 @@ def seal(body: Mapping[str, Any], field: str) -> Tuple[bytes, str]:
 
     The checksum covers the canonical JSON of ``body``; the line is the
     canonical JSON of the sealed record, newline-terminated, UTF-8.
+    Each value is encoded once: the canonical JSON is the sorted
+    ``"key":value`` items joined, and the line is the same items with
+    ``"field":"checksum"`` spliced in at the field's sorted position.
+    ``body``'s keys are strings and do not include ``field``.
     """
-    digest = checksum_text(canonical_json(body))
-    line = canonical_json({**body, field: digest}) + "\n"
-    return line.encode("utf-8"), digest
+    if field in body:
+        raise ValueError(f"body already holds the seal field {field!r}")
+    keys = sorted(body)
+    items = [
+        f"{encode_basestring_ascii(key)}:{_encode(body[key])}" for key in keys
+    ]
+    digest = checksum_text("{" + ",".join(items) + "}")
+    items.insert(
+        bisect.bisect(keys, field),
+        f'{encode_basestring_ascii(field)}:"{digest}"',
+    )
+    return ("{" + ",".join(items) + "}\n").encode("utf-8"), digest
 
 
 def unseal(line: "str | bytes", field: str) -> Dict[str, Any]:
@@ -183,6 +203,11 @@ class RecordWriter:
         if hook is not None:
             hook.after_append(seq)
         return self._pending >= FSYNC_EVERY
+
+    @property
+    def pending(self) -> int:
+        """Records appended since the last fsync."""
+        return self._pending
 
     def sync(self) -> None:
         """Flush and fsync the file."""

@@ -159,6 +159,41 @@ class TestAppendAndScan:
         assert syncs == [7, 15, 17]
         assert scan_journal(tmp_path).last_seq == 17
 
+    @pytest.fixture
+    def syncs(self, monkeypatch):
+        calls = []
+        real_sync = Journal.sync
+
+        def counting_sync(journal):
+            calls.append(journal.last_seq)
+            real_sync(journal)
+
+        monkeypatch.setattr(Journal, "sync", counting_sync)
+        return calls
+
+    def test_close_fsyncs_only_when_records_are_pending(
+        self, tmp_path, syncs
+    ):
+        with Journal(tmp_path) as journal:
+            _fill(journal, 16)
+        # Records 8 and 16 were fsynced as they landed; close has
+        # nothing left to sync.
+        assert syncs == [7, 15]
+
+    def test_close_fsyncs_a_torn_tail_cut_at_open(self, tmp_path, syncs):
+        with Journal(tmp_path) as journal:
+            _fill(journal, 16)
+        segment = _segment(tmp_path)
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-17])  # tear into the last record
+        del syncs[:]
+        Journal(tmp_path).close()
+        # The cut is the only pending change, and it reaches disk.
+        assert syncs == [15]
+        del syncs[:]
+        Journal(tmp_path).close()
+        assert syncs == []
+
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = Journal(tmp_path)
         journal.close()

@@ -195,6 +195,142 @@ class TestPaymentGuards:
         assert engine.cascade_steps >= 0
 
 
+def _feed_through(bids, schedule, reserve_price, check):
+    """Feed a slot-fed engine slot by slot; after each slot, call
+    ``check(engine, rebuild)`` with an engine built over the bids that
+    arrived by then and the tasks announced by then."""
+    engine = StreamingGreedyEngine.slot_fed(
+        schedule.num_slots, reserve_price=reserve_price
+    )
+    for slot in range(1, schedule.num_slots + 1):
+        engine.feed_slot(
+            [bid for bid in bids if bid.arrival == slot],
+            schedule.tasks_in_slot(slot),
+        )
+        rebuild = StreamingGreedyEngine(
+            [bid for bid in bids if bid.arrival <= slot],
+            TaskSchedule(
+                schedule.num_slots,
+                [task for task in schedule if task.slot <= slot],
+            ),
+            reserve_price=reserve_price,
+        )
+        check(engine, rebuild)
+    return engine
+
+
+def _mixed_values(schedule):
+    return TaskSchedule(
+        schedule.num_slots,
+        [
+            type(task)(
+                task_id=task.task_id,
+                slot=task.slot,
+                index=task.index,
+                value=task.value + task.slot % 3,
+            )
+            for task in schedule
+        ],
+    )
+
+
+class TestSlotFedEngine:
+    """A slot-fed engine answers like a rebuild over what it was fed."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("reserve_price", [False, True])
+    @pytest.mark.parametrize("values", ["uniform", "mixed"])
+    def test_every_slot_prices_like_a_rebuild(
+        self, seed, reserve_price, values
+    ):
+        scenario = _scenario(seed=seed, mean_cost=25.0)
+        bids = scenario.truthful_bids()
+        schedule = scenario.schedule
+        if values == "mixed":
+            schedule = _mixed_values(schedule)
+        priced = []
+
+        def check(engine, rebuild):
+            assert engine.base_run == rebuild.base_run
+            assert engine.supports_incremental_payments is (
+                rebuild.supports_incremental_payments
+            )
+            # Every bid fed so far, winners whose departure lies beyond
+            # the last fed slot included.
+            for bid in rebuild.bids:
+                win_slot = rebuild.base_run.win_slots.get(
+                    bid.phone_id, bid.arrival
+                )
+                answers = engine.answers_algorithm2(bid.phone_id, win_slot)
+                assert answers == rebuild.answers_algorithm2(
+                    bid.phone_id, win_slot
+                )
+                if answers:
+                    paid = engine.algorithm2_payment(bid, win_slot)
+                    assert paid.hex() == rebuild.algorithm2_payment(
+                        bid, win_slot
+                    ).hex()
+                    priced.append(paid)
+                answers = engine.answers_exact(bid.phone_id)
+                assert answers == rebuild.answers_exact(bid.phone_id)
+                if answers:
+                    assert engine.exact_payment(bid).hex() == (
+                        rebuild.exact_payment(bid).hex()
+                    )
+
+        engine = _feed_through(bids, schedule, reserve_price, check)
+        assert priced
+        one_pass = StreamingGreedyEngine(
+            bids, schedule, reserve_price=reserve_price
+        )
+        assert engine.base_run == one_pass.base_run
+        assert engine.schedule == schedule
+        assert engine.covers(bids) and engine.bids == tuple(bids)
+
+    def test_mixed_values_switch_reserve_payments_off_for_good(self):
+        scenario = _scenario(seed=1)
+        schedule = _mixed_values(scenario.schedule)
+        regimes = []
+        _feed_through(
+            scenario.truthful_bids(),
+            schedule,
+            True,
+            lambda engine, _: regimes.append(
+                engine.supports_incremental_payments
+            ),
+        )
+        first_value = schedule.tasks[0].value
+        first_mixed = min(
+            task.slot for task in schedule if task.value != first_value
+        )
+        assert any(regimes[: first_mixed - 1])
+        assert not any(regimes[first_mixed - 1 :])
+
+    def test_feed_refuses_a_bid_or_task_of_another_slot(self):
+        scenario = _scenario()
+        engine = StreamingGreedyEngine.slot_fed(scenario.num_slots)
+        late = next(
+            bid for bid in scenario.truthful_bids() if bid.arrival > 1
+        )
+        with pytest.raises(MechanismError, match="of another slot"):
+            engine.feed_slot([late], ())
+        task = next(t for t in scenario.schedule if t.slot > 1)
+        with pytest.raises(MechanismError, match="of another slot"):
+            engine.feed_slot((), [task])
+        for _ in range(scenario.num_slots):
+            engine.feed_slot((), ())
+        with pytest.raises(MechanismError, match="closed"):
+            engine.feed_slot((), ())
+
+    def test_a_one_pass_engine_takes_no_feed(self):
+        scenario = _scenario()
+        engine = StreamingGreedyEngine(
+            scenario.truthful_bids(), scenario.schedule
+        )
+        with pytest.raises(MechanismError, match="closed"):
+            engine.feed_slot((), ())
+
+
 class TestStreamTelemetry:
     def test_stream_counters_are_emitted(self):
         scenario = _scenario()

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 import repro.utils.recordlog as recordlog
+from repro.auction.events import EVENT_TYPES
+from repro.durability.journal import KIND_EVENT, decode_line
 from repro.errors import JournalError
+from repro.experiments.sharding import encode_checkpoint_record
 from repro.faults.crash import (
     CRASH_MODES,
     CrashController,
@@ -65,6 +70,86 @@ class TestSealing:
         document["seq"] = 4
         with pytest.raises(RecordError, match="checksum mismatch"):
             unseal(json.dumps(document), "hash")
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _two_encode_seal(body, field):
+    """The seal the one-encode ``seal`` replaced: encode, hash, re-encode."""
+    digest = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+    line = _canonical({**body, field: digest}) + "\n"
+    return line.encode("utf-8"), digest
+
+
+def _sample_event(cls, text):
+    """An instance of ``cls`` with every field set, strings to ``text``."""
+    values = {"int": 3, "float": 2.5, "bool": True, "str": text}
+    return cls(
+        **{
+            field.name: values[getattr(field.type, "__name__", field.type)]
+            for field in dataclasses.fields(cls)
+        }
+    )
+
+
+#: String values that need escapes in JSON: a quote, a backslash, and
+#: non-ASCII text (escaped as \uXXXX, astral characters as pairs).
+_AWKWARD_TEXT = ['say "hi"', "C:\\path\\x", "caf\u00e9 \u2713 \U0001f600"]
+
+
+class TestSealEncodesOnce:
+    """``seal`` splices the field into one encoding of the body; its
+    lines are byte-identical to encoding the sealed record again."""
+
+    @pytest.mark.parametrize("text", ["dropout", *_AWKWARD_TEXT])
+    @pytest.mark.parametrize(
+        "cls", list(EVENT_TYPES.values()), ids=lambda cls: cls.__name__
+    )
+    def test_journal_lines_match_the_two_encode_seal(self, cls, text):
+        event = _sample_event(cls, text)
+        body = {
+            "event": event.to_dict(),
+            "kind": KIND_EVENT,
+            "prev": "ab" * 32,
+            "seq": 7,
+        }
+        line, digest = seal(body, "hash")
+        assert (line, digest) == _two_encode_seal(body, "hash")
+        record = decode_line(line)
+        assert (record.event, record.hash, record.seq) == (event, digest, 7)
+        assert record.to_line().encode("utf-8") + b"\n" == line
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            {"a": 1},
+            {"a": {"nested": [1, 2.5, None]}, "b": "x"},
+            {"a": _AWKWARD_TEXT, "b": {"z": "\u00e9", "a": False}},
+        ],
+        ids=["empty", "one-key", "nested", "escapes"],
+    )
+    def test_no_key_after_the_field(self, body):
+        line, digest = seal(body, "zz")
+        assert (line, digest) == _two_encode_seal(body, "zz")
+        assert unseal(line, "zz") == {**body, "zz": digest}
+
+    def test_no_key_before_the_field(self):
+        body = {"b": 1, "c": [2]}
+        assert seal(body, "a") == _two_encode_seal(body, "a")
+
+    def test_shard_checkpoint_record(self):
+        line = encode_checkpoint_record(4, bytes(range(256)) * 3)
+        body = json.loads(line)
+        body.pop("checksum")
+        assert line == _two_encode_seal(body, "checksum")[0]
+        assert unseal(line, "checksum")["round"] == 4
+
+    def test_a_body_holding_the_field_is_refused(self):
+        with pytest.raises(ValueError, match="seal field"):
+            seal({"hash": "x", "seq": 1}, "hash")
 
 
 class TestScan:
