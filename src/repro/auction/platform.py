@@ -163,8 +163,17 @@ class CrowdsourcingPlatform:
 
     @property
     def events(self) -> Tuple[AuctionEvent, ...]:
-        """All events emitted so far, in order."""
+        """All events emitted so far, in order (a copy of the log)."""
         return tuple(self._events)
+
+    @property
+    def event_count(self) -> int:
+        """How many events have been emitted so far."""
+        return len(self._events)
+
+    def events_since(self, start: int) -> Tuple[AuctionEvent, ...]:
+        """The events emitted after the first ``start``, in order."""
+        return tuple(self._events[start:])
 
     @property
     def pool_size(self) -> int:

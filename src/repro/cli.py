@@ -116,7 +116,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--task-value", type=float, default=defaults.task_value,
         help=f"task value ν (default {defaults.task_value})",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_run_flags(parser, "--seed")
 
 
 def _workload_from_args(args: argparse.Namespace) -> WorkloadConfig:
@@ -184,7 +184,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         help="probability a bid never reaches the platform",
     )
     parser.add_argument(
-        "--fault-seed", type=int, default=None,
+        "--fault-seed", type=_int_at_least(0), default=None,
         help="seed of the fault draw (default: the workload seed)",
     )
     parser.add_argument(
@@ -1098,6 +1098,38 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+#: Run flags several commands share, each declared once.
+_RUN_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--seed": dict(
+        type=_int_at_least(0), default=0,
+        help="random seed (default %(default)s)",
+    ),
+    "--repetitions": dict(
+        type=_int_at_least(1), default=5,
+        help="repetitions per sweep point (default %(default)s)",
+    ),
+    "--workers": dict(
+        type=_int_at_least(1), default=1,
+        help="worker processes (default 1: serial); results are "
+        "identical for any worker count",
+    ),
+    "--ledger": dict(
+        type=pathlib.Path, default=None,
+        help="append a structured run record to this RUNS.jsonl ledger",
+    ),
+}
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser, *flags: str, **defaults: Any
+) -> None:
+    """Declare the shared run ``flags`` on ``parser``, then
+    ``set_defaults(**defaults)``: a command's own default, its handler."""
+    for flag in flags:
+        parser.add_argument(flag, **_RUN_FLAGS[flag])
+    parser.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1144,8 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*",
         help=f"figures to run (default: all of {list(list_figures())})",
     )
-    figures.add_argument("--repetitions", type=int, default=5)
-    figures.add_argument("--seed", type=int, default=2014)
+    _add_run_flags(figures, "--repetitions", "--seed", seed=2014)
     figures.add_argument(
         "--csv-dir", type=pathlib.Path, default=None,
         help="also write each figure's CSV into this directory",
@@ -1163,16 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff", type=float, default=0.0,
         help="base seconds between retry attempts (default 0)",
     )
-    figures.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes per sweep point (default 1: serial); "
-        "results are identical for any worker count",
-    )
-    figures.add_argument(
-        "--ledger", type=pathlib.Path, default=None,
-        help="append a structured run record to this RUNS.jsonl ledger",
-    )
-    figures.set_defaults(func=_cmd_figures)
+    _add_run_flags(figures, "--workers", "--ledger", func=_cmd_figures)
 
     audit = subparsers.add_parser(
         "audit",
@@ -1182,7 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(audit)
     _add_mechanism_argument(audit)
     audit.add_argument(
-        "--max-phones", type=int, default=15,
+        "--max-phones", type=_int_at_least(0), default=15,
         help="audit at most this many phones (default 15)",
     )
     audit.set_defaults(func=_cmd_audit)
@@ -1198,11 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="losers of one round re-enter the next",
     )
     _add_fault_arguments(campaign)
-    campaign.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the rounds (default 1: serial); "
-        "requires the default no-retry policy",
-    )
+    _add_run_flags(campaign, "--workers")
     campaign.add_argument(
         "--cities", type=_int_at_least(1), default=None, metavar="N",
         help="run the sharded multi-city campaign over N identically "
@@ -1237,11 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pulse every N completed rounds (default 10; the final "
         "round always pulses)",
     )
-    campaign.add_argument(
-        "--ledger", type=pathlib.Path, default=None,
-        help="append a structured run record to this RUNS.jsonl ledger",
-    )
-    campaign.set_defaults(func=_cmd_campaign)
+    _add_run_flags(campaign, "--ledger", func=_cmd_campaign)
 
     replay = subparsers.add_parser(
         "replay",
@@ -1309,20 +1323,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-spans", type=_int_at_least(0), default=60,
         help="truncate the printed span tree after this many spans",
     )
-    trace.add_argument("--seed", type=int, default=0, help="sweep seed")
-    trace.add_argument(
-        "--repetitions", type=_int_at_least(1), default=2,
-        help="repetitions per sweep point in the demo sweep (default 2)",
-    )
+    _add_run_flags(trace, "--seed", "--repetitions", repetitions=2)
     trace.add_argument(
         "--top", type=_int_at_least(1), default=None, metavar="N",
         help="print only the top-N phases by self time (default all)",
     )
-    trace.add_argument(
-        "--ledger", type=pathlib.Path, default=None,
-        help="append a structured run record to this RUNS.jsonl ledger",
-    )
-    trace.set_defaults(func=_cmd_trace)
+    _add_run_flags(trace, "--ledger", func=_cmd_trace)
 
     profile = subparsers.add_parser(
         "profile",
@@ -1399,8 +1405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate the full Markdown reproduction report",
         parents=[common],
     )
-    report.add_argument("--repetitions", type=int, default=5)
-    report.add_argument("--seed", type=int, default=2014)
+    _add_run_flags(report, "--repetitions", "--seed", seed=2014)
     report.add_argument(
         "--out", type=pathlib.Path, default=None,
         help="write the report to this file (default: stdout)",

@@ -134,9 +134,9 @@ class JournaledPlatform:
     def _run(self, command: AuctionEvent, apply: Any) -> Any:
         """Journal ``command``, apply it, journal the derived events."""
         self._journal.append(KIND_COMMAND, command)
-        before = len(self._inner.events)
+        before = self._inner.event_count
         result = apply()
-        for event in self._inner.events[before:]:
+        for event in self._inner.events_since(before):
             self._journal.append(KIND_EVENT, event)
         return result
 

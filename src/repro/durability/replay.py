@@ -111,11 +111,11 @@ def replay_records(
             # by a crash; a *following* command proves the mutation
             # completed, so the remaining expectations are dropped.
             expected.clear()
-            before = len(platform.events)
+            before = platform.event_count
             result = apply_command(platform, record.event)
             if isinstance(record.event, RoundFinalized):
                 outcome = result  # type: ignore[assignment]
-            expected.extend(platform.events[before:])
+            expected.extend(platform.events_since(before))
             commands_applied += 1
         else:
             if not expected:

@@ -152,9 +152,8 @@ class ExperimentError(ReproError):
 class CheckpointError(ExperimentError):
     """A sweep checkpoint could not be written, read, or trusted.
 
-    Examples: a checkpoint file with an unknown schema version, a
-    checksum mismatch (corruption), or a payload recorded for a
-    different sweep point than the one requested.
+    Examples: a sweep-log record with a foreign schema, a checksum
+    mismatch or a torn tail (corruption), or a malformed sweep point.
     """
 
 

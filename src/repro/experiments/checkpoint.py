@@ -1,43 +1,47 @@
-"""Atomic, checksummed sweep checkpoints for killed-and-resumed runs.
+"""Sweep checkpoints for killed-and-resumed runs: one record log per sweep.
 
 Long sweeps should survive a killed process: each completed sweep point
-is written as one schema-versioned JSON file whose payload is guarded by
-a SHA-256 checksum, written atomically (temp file + ``os.replace``) so a
-crash mid-write never leaves a truncated checkpoint behind.  On resume,
+is appended as one sealed line (:data:`SWEEP_CHECKPOINT_SCHEMA`, guarded
+by a SHA-256 ``checksum`` field) to the sweep's record log
+``<root>/<sweep>.ckpt.jsonl``, written and fsynced through
+:class:`~repro.utils.recordlog.RecordWriter`.  On resume,
 :meth:`CheckpointStore.load_point` reconstructs the exact
 :class:`~repro.experiments.runner.SweepPoint` — floats round-trip
 bit-exactly through JSON's shortest-repr encoding, so a resumed sweep
 aggregates byte-identically to an uninterrupted one (asserted by the
 tests).
 
-A corrupt or alien checkpoint is treated as *missing* by default (the
-point is recomputed) and **quarantined**: the offending file is renamed
-to ``*.corrupt`` (and counted on the ``checkpoint.quarantined``
-counter) so the sweep never wedges behind the same unreadable point
-twice and the evidence survives for inspection.  ``strict=True`` raises
-:class:`~repro.errors.CheckpointError` instead, leaving the file in
-place.  The checksum is the repository-wide one from
-:mod:`repro.utils.recordlog`.
+A torn or corrupt line ends the log's valid prefix.  By default the log
+is cut back to that prefix (the points after it are recomputed) and the
+cut bytes are appended to ``<log>.corrupt`` first, so the evidence
+survives; each cut is counted on ``checkpoint.quarantined``.
+``strict=True`` raises :class:`~repro.errors.CheckpointError` instead,
+leaving the file alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pathlib
 import re
-import tempfile
 from typing import Any, Dict, Mapping, Optional
 
 from repro import obs
 from repro.errors import CheckpointError
 from repro.experiments.runner import MechanismMetrics, SweepPoint
 from repro.metrics.summary import Summary
-from repro.utils.recordlog import canonical_json, checksum_text
+from repro.utils.recordlog import (
+    RecordError,
+    RecordWriter,
+    cut_log,
+    read_log,
+    seal,
+    unseal,
+)
 
-#: Bump when the checkpoint payload layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: The ``schema`` of every sweep-log record.
+SWEEP_CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/2"
 
 
 def summary_to_dict(summary: Summary) -> Dict[str, Any]:
@@ -109,18 +113,20 @@ def point_from_dict(payload: Mapping[str, Any]) -> SweepPoint:
         ) from exc
 
 
-def _slug(value: Any) -> str:
-    """A filesystem-safe rendering of a swept value."""
-    text = repr(value)
-    return re.sub(r"[^A-Za-z0-9_.+-]", "_", text)
+def _decode_point_line(line: bytes) -> SweepPoint:
+    """One sweep-log line's point; raises if torn, corrupt or foreign."""
+    record = unseal(line, "checksum")
+    schema = record.get("schema")
+    if schema != SWEEP_CHECKPOINT_SCHEMA:
+        raise RecordError(
+            f"unknown checkpoint schema {schema!r}; this build writes "
+            f"{SWEEP_CHECKPOINT_SCHEMA!r}"
+        )
+    return point_from_dict(record.get("point"))
 
 
 class CheckpointStore:
-    """A directory of per-sweep-point checkpoint files.
-
-    ``directory`` is the root; one subdirectory per sweep name is
-    created on first save.
-    """
+    """A directory of sweep checkpoint logs, one per sweep name."""
 
     def __init__(self, directory: os.PathLike) -> None:
         self._root = pathlib.Path(directory)
@@ -130,46 +136,23 @@ class CheckpointStore:
         """The store's root directory."""
         return self._root
 
-    def path_for(
-        self, sweep_name: str, param: str, value: Any
-    ) -> pathlib.Path:
-        """Where the checkpoint of one sweep point lives."""
-        return (
-            self._root
-            / sweep_name
-            / f"{_slug(param)}={_slug(value)}.json"
-        )
+    def path_for(self, sweep_name: str) -> pathlib.Path:
+        """Where the checkpoint log of one sweep lives."""
+        slug = re.sub(r"[^A-Za-z0-9_.+-]", "_", sweep_name)
+        return self._root / f"{slug}.ckpt.jsonl"
 
     def save_point(self, sweep_name: str, point: SweepPoint) -> pathlib.Path:
-        """Atomically persist one completed sweep point.
-
-        The payload is written to a temporary file in the target
-        directory and moved into place with ``os.replace``, so a
-        concurrent reader (or a crash) never observes a partial file.
-        """
-        payload = point_to_dict(point)
-        document = canonical_json(
+        """Durably append one completed sweep point to the sweep's log."""
+        line, _ = seal(
             {
-                "schema": SCHEMA_VERSION,
-                "checksum": checksum_text(canonical_json(payload)),
-                "payload": payload,
-            }
+                "schema": SWEEP_CHECKPOINT_SCHEMA,
+                "point": point_to_dict(point),
+            },
+            "checksum",
         )
-        path = self.path_for(sweep_name, point.param, point.value)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                stream.write(document)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        path = self.path_for(sweep_name)
+        with RecordWriter(path) as log:
+            log.append(line)
         return path
 
     def load_point(
@@ -179,72 +162,28 @@ class CheckpointStore:
         value: Any,
         strict: bool = False,
     ) -> Optional[SweepPoint]:
-        """The stored sweep point, or ``None`` when absent.
+        """The last stored ``(param, value)`` point, or ``None``.
 
-        A missing file returns ``None``.  A file that is unreadable,
-        carries an unknown schema version, fails its checksum, or
-        records a different ``(param, value)`` than requested also
-        returns ``None`` (the caller recomputes the point) — after
-        being **quarantined**: renamed to ``*.corrupt`` and counted on
-        ``checkpoint.quarantined``, so the recomputed point can be
-        saved cleanly and the corrupt evidence survives.  With
-        ``strict=True`` the error raises instead and the file stays
-        put.
+        A bad line — torn, failing its checksum, of a foreign schema or
+        holding a malformed point — ends the log's valid prefix: the log
+        is cut back to it (the cut bytes go to ``<log>.corrupt``,
+        counted on ``checkpoint.quarantined``) and only the prefix is
+        searched.  With ``strict=True`` the bad line raises instead and
+        the file stays as it is.
         """
-        path = self.path_for(sweep_name, param, value)
-        if not path.exists():
-            return None
-        text = path.read_text()
-        try:
-            return self._decode(text, param, value)
-        except CheckpointError:
+        path = self.path_for(sweep_name)
+        scan = read_log(path, _decode_point_line)
+        if scan.bad_offset is not None:
             if strict:
-                raise
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path: pathlib.Path) -> None:
-        """Move a corrupt checkpoint aside so it never wedges a resume."""
-        target = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, target)
-        except OSError:  # pragma: no cover - rename raced or read-only
-            return
-        obs.counter("checkpoint.quarantined")
-
-    def _decode(self, text: str, param: str, value: Any) -> SweepPoint:
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(document, dict):
-            raise CheckpointError("checkpoint is not a JSON object")
-        schema = document.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unknown checkpoint schema {schema!r}; this build "
-                f"writes schema {SCHEMA_VERSION}"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise CheckpointError("checkpoint payload missing")
-        expected = document.get("checksum")
-        actual = checksum_text(canonical_json(payload))
-        if expected != actual:
-            raise CheckpointError(
-                f"checkpoint checksum mismatch: recorded {expected!r}, "
-                f"recomputed {actual!r} (file corrupt?)"
-            )
-        point = point_from_dict(payload)
-        if point.param != param or point.value != value:
-            raise CheckpointError(
-                f"checkpoint records point ({point.param!r}, "
-                f"{point.value!r}) but ({param!r}, {value!r}) was "
-                f"requested"
-            )
-        return point
+                raise CheckpointError(
+                    f"{path} at byte {scan.bad_offset}: {scan.error}"
+                ) from scan.error
+            cut_log(path, scan.bad_offset)
+            obs.counter("checkpoint.quarantined")
+        for _, point in reversed(scan.records):
+            if point.param == param and point.value == value:
+                return point
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CheckpointStore({str(self._root)!r})"

@@ -17,9 +17,9 @@ exponential backoff); a repetition that keeps failing is dropped from
 *every* mechanism (pairing is preserved) and the point is marked
 ``"partial"`` instead of aborting the sweep.  Passing a
 :class:`~repro.experiments.checkpoint.CheckpointStore` to
-:func:`run_sweep` persists each completed point atomically and resumes
-past completed points after a kill — a resumed sweep aggregates
-byte-identically to an uninterrupted one.
+:func:`run_sweep` appends each completed point to the sweep's record
+log and resumes past completed points after a kill — a resumed sweep
+aggregates byte-identically to an uninterrupted one.
 
 Parallel execution
 ------------------
@@ -387,8 +387,8 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a parameter sweep, optionally checkpointed and resumable.
 
-    With a ``checkpoint`` store, every completed point is persisted
-    atomically and any point already on disk (valid schema + checksum)
+    With a ``checkpoint`` store, every completed point is appended to
+    the sweep's record log and any point already in its valid prefix
     is loaded instead of recomputed, so a killed sweep resumes where it
     stopped and aggregates byte-identically to an uninterrupted run.
 

@@ -98,9 +98,9 @@ from repro.utils.pool import Envelope, WorkerPool
 from repro.utils.recordlog import (
     RecordError,
     RecordWriter,
-    scan_lines,
+    cut_log,
+    read_log,
     seal,
-    truncate,
     unseal,
 )
 from repro.utils.rng import RngStreams
@@ -421,24 +421,20 @@ def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
 def load_shard_checkpoint(
     path: "os.PathLike[str]",
 ) -> Dict[int, bytes]:
-    """Load the valid prefix of a shard checkpoint; truncate the rest.
+    """Load the valid prefix of a shard checkpoint; cut the rest.
 
     Returns ``round_index -> pickled SimulationResult`` for every intact
     record.  The first unparseable or checksum-failing line — or a final
     line missing its newline (a torn tail from a crash mid-append) —
-    ends the valid prefix; the file is truncated back to it so resumed
-    appends continue a clean log.  A later record for an already-seen
-    round wins (duplicate appends from a crash between write and fsync
-    are harmless).
+    ends the valid prefix; the file is cut back to it so resumed
+    appends continue a clean log, and the cut bytes go to
+    ``<path>.corrupt``.  A later record for an already-seen round wins
+    (duplicate appends from a crash between write and fsync are
+    harmless).
     """
-    target = pathlib.Path(path)
-    try:
-        data = target.read_bytes()
-    except FileNotFoundError:
-        return {}
-    scan = scan_lines(data, _decode_checkpoint_line)
+    scan = read_log(path, _decode_checkpoint_line)
     if scan.bad_offset is not None:
-        truncate(target, scan.bad_offset)
+        cut_log(path, scan.bad_offset)
         obs.counter("campaign.shard.checkpoint.torn")
     return dict(record for _, record in scan.records)
 

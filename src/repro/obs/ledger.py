@@ -38,7 +38,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs.clock import perf_seconds, wall_seconds
-from repro.utils.recordlog import RecordWriter, checksum_text, scan_lines
+from repro.utils.recordlog import RecordWriter, checksum_text, read_log
 
 #: Format marker carried on every ledger record.
 LEDGER_SCHEMA = "repro-run-ledger/1"
@@ -228,14 +228,11 @@ class RunLedger:
     def read(self) -> LedgerView:
         """Every readable record, in file order; a missing file is empty."""
         try:
-            data = self._path.read_bytes()
-        except FileNotFoundError:
-            return LedgerView(records=())
+            scan = read_log(self._path, _decode_ledger_line)
         except OSError as exc:
             raise LedgerError(
                 f"cannot read run ledger {self._path}: {exc}"
             ) from exc
-        scan = scan_lines(data, _decode_ledger_line)
         records = [record for _, record in scan.records if record is not None]
         skipped = len(scan.records) - len(records)
         if scan.bad_offset is not None:

@@ -1,21 +1,23 @@
 """One append-only record log: JSONL lines, checksums, torn tails, fsync.
 
-The write-ahead journal, the shard checkpoint streams and the run ledger
-each store one JSON record per line in an append-only file.  This module
-is the part they share: canonical JSON and its SHA-256
-(:func:`canonical_json`, :func:`checksum_text`), lines sealed by a
-checksum field over the rest of the record (:func:`seal`,
+The write-ahead journal, the shard checkpoint streams, the sweep
+checkpoints and the run ledger each store one JSON record per line in an
+append-only file.  This module is the part they share: canonical JSON
+and its SHA-256 (:func:`canonical_json`, :func:`checksum_text`), lines
+sealed by a checksum field over the rest of the record (:func:`seal`,
 :func:`unseal`), the line scanner with its torn-tail verdict
-(:func:`scan_lines`), and the writer (:class:`RecordWriter`), which never
-appends after a partial line and fsyncs every :data:`FSYNC_EVERY`
-records and on close.
+(:func:`scan_lines`, :func:`read_log`), the cut back to a valid prefix
+that keeps the cut bytes as evidence (:func:`cut_log`), and the writer
+(:class:`RecordWriter`), which never appends after a partial line and
+fsyncs every :data:`FSYNC_EVERY` records and on close.  It is the one
+place in the package that calls ``os.fsync``.
 
 The torn-tail rule: a crash mid-write damages at most the *final* line —
 cut short, duplicated, or with a flipped checksum character (the modes
 :mod:`repro.faults.crash` injects).  A final line missing its newline is
 torn even when it decodes, because the next append would be glued onto
 it.  A bad line *before* the final one is each log's own policy: the
-journal refuses, a shard checkpoint keeps the valid prefix.
+journal refuses, a shard or sweep checkpoint keeps the valid prefix.
 """
 
 from __future__ import annotations
@@ -147,9 +149,34 @@ def scan_lines(data: bytes, decode: Callable[[bytes], T]) -> LineScan[T]:
     return LineScan(tuple(records))
 
 
+def read_log(
+    path: "os.PathLike[str]", decode: Callable[[bytes], T]
+) -> LineScan[T]:
+    """:func:`scan_lines` over the file at ``path``; a missing file is empty."""
+    try:
+        data = pathlib.Path(path).read_bytes()
+    except FileNotFoundError:
+        return LineScan(())
+    return scan_lines(data, decode)
+
+
 def truncate(path: "os.PathLike[str]", size: int) -> None:
     """Cut a record-log file back to its first ``size`` bytes."""
     with open(path, "r+b") as handle:
+        handle.truncate(size)
+
+
+def cut_log(path: "os.PathLike[str]", size: int) -> None:
+    """Cut a record log back to ``size`` bytes, keeping what was cut.
+
+    The cut bytes are first appended to ``<path>.corrupt``, so the
+    evidence of a torn or corrupt tail survives the repair.
+    """
+    with open(path, "r+b") as handle:
+        handle.seek(size)
+        cut = handle.read()
+        with open(f"{os.fspath(path)}.corrupt", "ab") as evidence:
+            evidence.write(cut)
         handle.truncate(size)
 
 

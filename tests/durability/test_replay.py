@@ -14,17 +14,20 @@ from repro.durability import (
     JournaledPlatform,
     execute_commands,
     replay_journal,
+    replay_records,
     resume_round,
     round_commands,
     scan_journal,
     segment_paths,
 )
+from repro.durability.replay import start_round
 from repro.errors import (
     JournalError,
     ReplayDivergenceError,
     SanitizationError,
 )
 from repro.faults import FaultConfig, FaultInjector, run_with_faults
+from repro.faults.recovery import apply_bid_faults
 from repro.simulation import WorkloadConfig
 
 WORKLOAD = WorkloadConfig(
@@ -206,6 +209,48 @@ class TestDivergenceDetection:
         monkeypatch.setattr(replay_module, "replay_records", corrupting)
         with pytest.raises(SanitizationError, match="not faithful"):
             check_replay_fidelity(scenario, tmp_path / "broken")
+
+
+class TestEventLogIsNotCopied:
+    """Journaling a command reads the platform's event count and the new
+    suffix, never a copy of the whole event log."""
+
+    @pytest.fixture
+    def spied_events(self, monkeypatch):
+        from repro.auction.platform import CrowdsourcingPlatform
+
+        reads = []
+        real = CrowdsourcingPlatform.events
+
+        def spy(platform):
+            reads.append(len(platform._events))
+            return real.fget(platform)
+
+        monkeypatch.setattr(CrowdsourcingPlatform, "events", property(spy))
+        return reads
+
+    def test_start_round_and_replay_never_read_the_event_log(
+        self, tmp_path, spied_events
+    ):
+        scenario = WORKLOAD.generate(seed=9)
+        plan = FaultInjector(FAULTS).plan(scenario, seed=9)
+        bids, _, _ = apply_bid_faults(list(scenario.truthful_bids()), plan)
+        commands = round_commands(bids, scenario, plan)
+        journal = Journal(tmp_path / "journal")
+        try:
+            live = start_round(
+                journal,
+                commands,
+                num_slots=scenario.num_slots,
+                max_reassignments=plan.config.max_reassignments,
+            )
+            records = journal.records
+        finally:
+            journal.close()
+        replayed = replay_records(records)
+        assert spied_events == []
+        assert replayed.events_verified == len(records) - len(commands) - 1
+        assert pickle.dumps(replayed.outcome) == pickle.dumps(live.outcome)
 
 
 class TestResume:

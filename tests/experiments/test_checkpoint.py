@@ -1,11 +1,13 @@
 """Checkpoint/resume and graceful-degradation tests.
 
 The headline property: a sweep killed mid-run and resumed from its
-checkpoints aggregates *byte-identically* to an uninterrupted run.
+checkpoint log — cut at any byte of its last record, or with a flipped
+checksum — aggregates *byte-identically* to an uninterrupted run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,9 +20,10 @@ from repro.experiments import (
     point_from_dict,
     point_to_dict,
 )
-from repro.experiments.checkpoint import SCHEMA_VERSION
+from repro.experiments.checkpoint import SWEEP_CHECKPOINT_SCHEMA
 from repro.experiments.runner import run_point, run_sweep
 from repro.simulation import WorkloadConfig
+from repro.utils.recordlog import seal
 
 
 @pytest.fixture
@@ -70,7 +73,8 @@ class TestStoreRoundTrip:
         point = run_point(fast_config, param="num_slots", value=8)
         store = CheckpointStore(tmp_path)
         path = store.save_point("sweep", point)
-        assert path.exists()
+        assert path == store.path_for("sweep")
+        assert path.name == "sweep.ckpt.jsonl"
         loaded = store.load_point("sweep", "num_slots", 8)
         assert loaded == point
 
@@ -93,6 +97,34 @@ class TestStoreRoundTrip:
         with pytest.raises(CheckpointError, match="malformed"):
             point_from_dict({"param": "x"})
 
+    def test_each_point_is_one_sealed_line(self, tmp_path, fast_config):
+        store = CheckpointStore(tmp_path)
+        points = [
+            run_point(fast_config, param="num_slots", value=value)
+            for value in (6, 8)
+        ]
+        for point in points:
+            path = store.save_point("sweep", point)
+        assert path.read_bytes() == b"".join(_line(point) for point in points)
+
+    def test_sweep_name_is_made_filesystem_safe(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        assert store.path_for("fig 6/welfare") == (
+            tmp_path / "fig_6_welfare.ckpt.jsonl"
+        )
+
+    def test_last_record_for_a_point_wins(self, tmp_path, fast_config):
+        point = run_point(fast_config, param="num_slots", value=8)
+        rerun = dataclasses.replace(point, failed_repetitions=7)
+        store = CheckpointStore(tmp_path)
+        store.save_point("sweep", point)
+        store.save_point("sweep", rerun)
+        assert store.load_point("sweep", "num_slots", 8) == rerun
+
+
+def _line(point, schema=SWEEP_CHECKPOINT_SCHEMA):
+    return seal({"schema": schema, "point": point_to_dict(point)}, "checksum")[0]
+
 
 class TestCorruptionHandling:
     def _saved(self, tmp_path, fast_config):
@@ -103,12 +135,14 @@ class TestCorruptionHandling:
 
     def test_truncated_file_treated_as_missing(self, tmp_path, fast_config):
         store, path = self._saved(tmp_path, fast_config)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
         assert store.load_point("sweep", "num_slots", 8) is None
-        # The corrupt file was quarantined, not deleted: the evidence
-        # survives under *.corrupt and a clean re-save is possible.
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
+        # The torn line was cut, not lost: the evidence survives in
+        # *.corrupt and the log continues from its valid (empty) prefix.
+        assert path.read_bytes() == b""
+        corrupt = path.with_name(path.name + ".corrupt")
+        assert corrupt.read_bytes() == data[: len(data) // 2]
 
     def test_quarantined_point_can_be_resaved(self, tmp_path, fast_config):
         point = run_point(fast_config, param="num_slots", value=8)
@@ -124,10 +158,11 @@ class TestCorruptionHandling:
         self, tmp_path, fast_config
     ):
         store, path = self._saved(tmp_path, fast_config)
-        path.write_text("{not json")
+        path.write_bytes(path.read_bytes() + b"{not json\n")
+        damaged = path.read_bytes()
         with pytest.raises(CheckpointError):
             store.load_point("sweep", "num_slots", 8, strict=True)
-        assert path.exists()
+        assert path.read_bytes() == damaged
         assert not path.with_name(path.name + ".corrupt").exists()
 
     def test_truncated_file_strict_raises(self, tmp_path, fast_config):
@@ -139,34 +174,147 @@ class TestCorruptionHandling:
     def test_checksum_mismatch_detected(self, tmp_path, fast_config):
         store, path = self._saved(tmp_path, fast_config)
         document = json.loads(path.read_text())
-        document["payload"]["failed_repetitions"] = 99
-        path.write_text(json.dumps(document))
-        # Strict first: the non-strict load below quarantines the file.
+        document["point"]["failed_repetitions"] = 99
+        path.write_text(json.dumps(document) + "\n")
+        # Strict first: the non-strict load below cuts the line.
         with pytest.raises(CheckpointError, match="checksum"):
             store.load_point("sweep", "num_slots", 8, strict=True)
         assert store.load_point("sweep", "num_slots", 8) is None
         assert path.with_name(path.name + ".corrupt").exists()
 
     def test_unknown_schema_rejected(self, tmp_path, fast_config):
-        store, path = self._saved(tmp_path, fast_config)
-        document = json.loads(path.read_text())
-        document["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="schema"):
-            store.load_point("sweep", "num_slots", 8, strict=True)
-
-    def test_alien_point_rejected(self, tmp_path, fast_config):
         point = run_point(fast_config, param="num_slots", value=8)
         store = CheckpointStore(tmp_path)
-        path = store.save_point("sweep", point)
-        # File moved under the wrong value's name.
-        alien = store.path_for("sweep", "num_slots", 10)
-        alien.write_text(path.read_text())
-        # Strict first: the non-strict load below quarantines the file.
-        with pytest.raises(CheckpointError, match="requested"):
-            store.load_point("sweep", "num_slots", 10, strict=True)
-        assert store.load_point("sweep", "num_slots", 10) is None
-        assert alien.with_name(alien.name + ".corrupt").exists()
+        path = store.path_for("sweep")
+        path.write_bytes(_line(point, schema="repro-sweep-checkpoint/1"))
+        with pytest.raises(CheckpointError, match="schema"):
+            store.load_point("sweep", "num_slots", 8, strict=True)
+        assert store.load_point("sweep", "num_slots", 8) is None
+        assert path.read_bytes() == b""
+
+    def test_malformed_point_ends_the_prefix(self, tmp_path, fast_config):
+        store, path = self._saved(tmp_path, fast_config)
+        bad = seal(
+            {"schema": SWEEP_CHECKPOINT_SCHEMA, "point": {"param": "x"}},
+            "checksum",
+        )[0]
+        intact = path.read_bytes()
+        path.write_bytes(intact + bad)
+        with pytest.raises(CheckpointError, match="malformed"):
+            store.load_point("sweep", "num_slots", 8, strict=True)
+        assert store.load_point("sweep", "num_slots", 8) is not None
+        assert path.read_bytes() == intact
+        assert path.with_name(path.name + ".corrupt").read_bytes() == bad
+
+    def test_cuts_are_counted(self, tmp_path, fast_config):
+        from repro import obs
+        from repro.obs import ManualClock, Tracer
+
+        store, path = self._saved(tmp_path, fast_config)
+        path.write_bytes(path.read_bytes()[:-1])
+        tracer = Tracer(clock=ManualClock())
+        with obs.activate(tracer):
+            store.load_point("sweep", "num_slots", 8)
+        assert tracer.metrics.counters["checkpoint.quarantined"] == 1.0
+
+
+@pytest.fixture
+def memo_run_point(monkeypatch):
+    """``run_point`` computed once per sweep value, then served again.
+
+    The resume tests below rerun a sweep once per cut offset; the
+    recomputed point must equal the uninterrupted one, which a memo of
+    the real computation gives at a fraction of the cost (the
+    recomputation itself is pinned by :class:`TestResume`).
+    """
+    import repro.experiments.runner as runner_module
+
+    real = runner_module.run_point
+    memo = {}
+    calls = []
+
+    def remembered(config, **kwargs):
+        key = (kwargs["param"], kwargs["value"])
+        calls.append(key)
+        if key not in memo:
+            memo[key] = real(config, **kwargs)
+        return memo[key]
+
+    monkeypatch.setattr(runner_module, "run_point", remembered)
+    return calls
+
+
+def _sweep_bytes(result):
+    return [
+        json.dumps(point_to_dict(point), sort_keys=True)
+        for point in result.points
+    ]
+
+
+class TestCutLogResume:
+    """A sweep log cut or corrupted anywhere resumes byte-identically."""
+
+    def _logged(self, tmp_path, spec):
+        store = CheckpointStore(tmp_path)
+        reference = run_sweep(spec, checkpoint=store)
+        path = store.path_for(spec.name)
+        return store, path, path.read_bytes(), _sweep_bytes(reference)
+
+    def test_every_cut_inside_the_last_record(
+        self, tmp_path, spec, memo_run_point
+    ):
+        store, path, intact, reference = self._logged(tmp_path, spec)
+        corrupt = path.with_name(path.name + ".corrupt")
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for size in range(last + 1, len(intact)):
+            path.write_bytes(intact[:size])
+            del memo_run_point[:]
+            resumed = run_sweep(spec, checkpoint=store)
+            assert _sweep_bytes(resumed) == reference, size
+            assert memo_run_point == [(spec.param, spec.values[-1])], size
+            assert corrupt.read_bytes() == intact[last:size], size
+            assert path.read_bytes() == intact, size
+            corrupt.unlink()
+
+    def test_flipped_checksum_character(self, tmp_path, spec, memo_run_point):
+        store, path, intact, reference = self._logged(tmp_path, spec)
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        at = intact.index(b'"checksum":"', last) + len(b'"checksum":"')
+        flipped = b"0" if intact[at : at + 1] != b"0" else b"1"
+        damaged = intact[:at] + flipped + intact[at + 1 :]
+        path.write_bytes(damaged)
+        resumed = run_sweep(spec, checkpoint=store)
+        assert _sweep_bytes(resumed) == reference
+        corrupt = path.with_name(path.name + ".corrupt")
+        assert corrupt.read_bytes() == damaged[last:]
+        assert path.read_bytes() == intact
+
+    def test_corrupt_middle_record_keeps_the_prefix(
+        self, tmp_path, spec, memo_run_point
+    ):
+        store, path, intact, reference = self._logged(tmp_path, spec)
+        lines = intact.splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"status":"', b'"status":"X', 1)
+        path.write_bytes(b"".join(lines))
+        del memo_run_point[:]
+        resumed = run_sweep(spec, checkpoint=store)
+        assert _sweep_bytes(resumed) == reference
+        assert memo_run_point == [
+            (spec.param, value) for value in spec.values[1:]
+        ]
+        corrupt = path.with_name(path.name + ".corrupt")
+        assert corrupt.read_bytes() == b"".join(lines[1:])
+        assert path.read_bytes() == intact
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_cut_log_resumes_at_any_worker_count(
+        self, tmp_path, spec, workers
+    ):
+        store, path, intact, reference = self._logged(tmp_path, spec)
+        path.write_bytes(intact[: len(intact) - len(intact) // 3])
+        resumed = run_sweep(spec, checkpoint=store, workers=workers)
+        assert _sweep_bytes(resumed) == reference
+        assert path.read_bytes() == intact
 
 
 class TestResume:
@@ -202,8 +350,9 @@ class TestResume:
     def test_sweep_populates_the_store(self, tmp_path, spec):
         store = CheckpointStore(tmp_path)
         run_sweep(spec, checkpoint=store)
+        assert store.path_for(spec.name).exists()
         for value in spec.values:
-            assert store.path_for(spec.name, spec.param, value).exists()
+            assert store.load_point(spec.name, spec.param, value) is not None
 
 
 class TestGracefulDegradation:

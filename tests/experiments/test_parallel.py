@@ -124,8 +124,9 @@ class TestRunSweepParallel:
     def test_parallel_sweep_populates_the_store(self, tmp_path, spec):
         store = CheckpointStore(tmp_path)
         run_sweep(spec, checkpoint=store, workers=2)
+        assert store.path_for(spec.name).exists()
         for value in spec.values:
-            assert store.path_for(spec.name, spec.param, value).exists()
+            assert store.load_point(spec.name, spec.param, value) is not None
 
     def test_workers_must_be_positive(self, spec):
         with pytest.raises(ExperimentError, match="workers"):

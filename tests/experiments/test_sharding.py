@@ -291,6 +291,9 @@ class TestCheckpointing:
         loaded = load_shard_checkpoint(target)
         assert sorted(loaded) == [0]
         assert target.read_bytes() == intact[0]  # torn tail truncated
+        assert target.with_name(target.name + ".corrupt").read_bytes() == (
+            intact[1][: len(intact[1]) // 2]
+        )
         resumed = run_sharded_campaign(
             SPEC, cities, seed=5, checkpoint_dir=tmp_path
         )

@@ -404,7 +404,7 @@ class TestChaos:
         )
         code, first, _ = run_cli(capsys, *args)
         assert code == 0
-        assert any(tmp_path.rglob("*.json"))
+        assert any(tmp_path.rglob("*.ckpt.jsonl"))
         code, second, _ = run_cli(capsys, *args)  # resumes from checkpoints
         assert code == 0
         assert first == second
@@ -779,3 +779,64 @@ class TestEngineFlag:
                 capsys,
                 "simulate", "--slots", "6", "--engine", "warp",
             )
+
+
+class TestSharedRunFlags:
+    """``--seed``, ``--repetitions``, ``--workers`` and ``--ledger`` are
+    declared once, typed at parse time, with each command's default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--seed", "-1"),
+            ("figures", "fig6", "--seed", "-1"),
+            ("audit", "--seed", "-1"),
+            ("profile", "--seed", "-1"),
+            ("chaos", "--seed", "-1"),
+            ("chaos", "--fault-seed", "-1"),
+            ("campaign", "--seed", "-1"),
+            ("campaign", "--fault-seed", "-1"),
+            ("trace", "--seed", "-1"),
+            ("report", "--seed", "-1"),
+            ("figures", "fig6", "--repetitions", "0"),
+            ("report", "--repetitions", "0"),
+            ("figures", "fig6", "--workers", "0"),
+            ("campaign", "--workers", "0"),
+            ("audit", "--max-phones", "-1"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_values_exit_2_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, *argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be >=" in err
+        assert "Traceback" not in err
+
+    def test_audit_with_no_phones_still_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "audit", "--slots", "8", "--max-phones", "0"
+        )
+        assert code == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["simulate"], {"seed": 0}),
+            (["audit"], {"seed": 0, "max_phones": 15}),
+            (["campaign"], {"seed": 0, "workers": 1, "ledger": None}),
+            (
+                ["figures"],
+                {"seed": 2014, "repetitions": 5, "workers": 1, "ledger": None},
+            ),
+            (["trace"], {"seed": 0, "repetitions": 2, "ledger": None}),
+            (["report"], {"seed": 2014, "repetitions": 5}),
+        ],
+    )
+    def test_each_command_keeps_its_defaults(self, command, expected):
+        from repro.cli import build_parser
+
+        args = vars(build_parser().parse_args(command))
+        assert {key: args[key] for key in expected} == expected

@@ -25,6 +25,8 @@ from repro.utils.recordlog import (
     RecordWriter,
     canonical_json,
     checksum_text,
+    cut_log,
+    read_log,
     scan_lines,
     seal,
     truncate,
@@ -201,6 +203,17 @@ class TestScan:
         scan = scan_lines(b"", _decode)
         assert scan.records == () and scan.bad_offset is None
 
+    def test_read_log_scans_a_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0) + _line(1)[:-1])
+        scan = read_log(path, _decode)
+        assert [value for _, value in scan.records] == [0]
+        assert scan.bad_offset == len(_line(0)) and scan.torn
+
+    def test_read_log_of_a_missing_file_is_empty(self, tmp_path):
+        scan = read_log(tmp_path / "absent.jsonl", _decode)
+        assert scan.records == () and scan.bad_offset is None
+
 
 class TestWriter:
     def test_appends_lines(self, tmp_path):
@@ -245,6 +258,15 @@ class TestWriter:
         path.write_bytes(_line(0) + _line(1))
         truncate(path, len(_line(0)))
         assert path.read_bytes() == _line(0)
+
+    def test_cut_log_keeps_the_cut_bytes(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0) + _line(1) + _line(2))
+        cut_log(path, len(_line(0) + _line(1)))
+        cut_log(path, len(_line(0)))
+        assert path.read_bytes() == _line(0)
+        evidence = tmp_path / "log.jsonl.corrupt"
+        assert evidence.read_bytes() == _line(2) + _line(1)
 
 
 class TestFsyncRule:
