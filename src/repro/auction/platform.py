@@ -116,6 +116,10 @@ class CrowdsourcingPlatform:
         self._all_bids: Dict[int, Bid] = {}
         self._slot_bids: List[Bid] = []         # submitted this slot
         self._pool: List[Tuple[Tuple[float, int, int], Bid]] = []
+        # Pooled bids still able to win (not departed, dropped or
+        # chosen), and the pooled phones by claimed departure slot.
+        self._live: Set[int] = set()
+        self._live_until: Dict[int, List[int]] = {}
         self._tasks_by_id: Dict[int, SensingTask] = {}
         self._pending_tasks: List[SensingTask] = []
         self._next_task_id = 0
@@ -162,6 +166,11 @@ class CrowdsourcingPlatform:
         return self._finished
 
     @property
+    def finalized(self) -> bool:
+        """Whether :meth:`finalize` produced the round's outcome."""
+        return self._finalized
+
+    @property
     def events(self) -> Tuple[AuctionEvent, ...]:
         """All events emitted so far, in order (a copy of the log)."""
         return tuple(self._events)
@@ -178,13 +187,7 @@ class CrowdsourcingPlatform:
     @property
     def pool_size(self) -> int:
         """Number of active, unallocated bids right now."""
-        return sum(
-            1
-            for _, bid in self._pool
-            if bid.departure >= self._current_slot
-            and bid.phone_id not in self._dropped
-            and bid.phone_id not in self._failed
-        )
+        return len(self._live)
 
     @property
     def dropped_phones(self) -> Dict[int, int]:
@@ -339,6 +342,8 @@ class CrowdsourcingPlatform:
         self._all_bids[bid.phone_id] = bid
         self._slot_bids.append(bid)
         heapq.heappush(self._pool, (bid_sort_key(bid), bid))
+        self._live.add(bid.phone_id)
+        self._live_until.setdefault(bid.departure, []).append(bid.phone_id)
         self._emit(
             BidSubmitted(
                 slot=self._current_slot,
@@ -387,6 +392,7 @@ class CrowdsourcingPlatform:
         self.validate_dropout(phone_id)
         slot = self._current_slot
         self._dropped[phone_id] = slot
+        self._live.discard(phone_id)
         self._emit(PhoneDropped(slot=slot, phone_id=phone_id))
         if phone_id in self._win_slots and phone_id not in self._delivered:
             self._fail_delivery(phone_id, reason="dropout")
@@ -479,6 +485,7 @@ class CrowdsourcingPlatform:
                 stash.append((key, candidate))
                 continue  # alive but cannot cover the task's slot
             chosen = candidate
+            self._live.discard(candidate.phone_id)
             break
         for entry in stash:
             heapq.heappush(self._pool, entry)
@@ -530,6 +537,8 @@ class CrowdsourcingPlatform:
         if slot == self._num_slots:
             self._finished = True
         else:
+            for phone_id in self._live_until.pop(slot, ()):
+                self._live.discard(phone_id)
             self._current_slot += 1
 
     def _pop_cheapest(self, slot: int, task_value: float) -> Optional[Bid]:
@@ -545,6 +554,7 @@ class CrowdsourcingPlatform:
                 continue
             if self._reserve_price and candidate.cost > task_value:
                 return None
+            self._live.discard(candidate.phone_id)
             return heapq.heappop(self._pool)[1]
         return None
 

@@ -188,7 +188,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         help="seed of the fault draw (default: the workload seed)",
     )
     parser.add_argument(
-        "--max-reassign", type=int, default=3,
+        "--max-reassign", type=_int_at_least(0), default=3,
         help="recovery attempts per failed task (default 3)",
     )
 
@@ -722,7 +722,7 @@ def _cmd_replay(args: argparse.Namespace, console: Console) -> int:
     console.out(
         f"\nreplayed {len(result.records)} records from {args.journal}: "
         f"{result.commands_applied} commands applied, "
-        f"{result.events_verified} derived events verified\n"
+        f"{result.events_verified} emitted events verified by digest\n"
     )
     if outcome is None:
         console.out(
@@ -786,8 +786,8 @@ def _cmd_verify_log(args: argparse.Namespace, console: Console) -> int:
             f"{scan.torn_reason}"
         )
         console.out(
-            "  (recoverable: opening the journal for append truncates "
-            "the tail)"
+            "  (recoverable: opening the journal for append cuts the "
+            "tail and keeps its bytes in <segment>.corrupt)"
         )
     console.result(
         {
@@ -1251,7 +1251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "latency, reassignments) to this JSONL file and the console",
     )
     campaign.add_argument(
-        "--heartbeat-every", type=int, default=10, metavar="N",
+        "--heartbeat-every", type=_int_at_least(1), default=10,
+        metavar="N",
         help="pulse every N completed rounds (default 10; the final "
         "round always pulses)",
     )

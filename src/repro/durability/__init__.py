@@ -5,16 +5,18 @@ lose power between a bid arriving and a payment settling.  This package
 supplies the three layers:
 
 * :mod:`repro.durability.journal` — the append-only, hash-chained JSONL
-  write-ahead journal (on the shared :mod:`repro.utils.recordlog`
-  line format) with segment rotation and a recovery scan that
-  truncates torn tails but refuses mid-log corruption with a typed
-  :class:`~repro.errors.JournalError`;
+  write-ahead journal of commands (on the shared
+  :mod:`repro.utils.recordlog` line format) with segment rotation and
+  a recovery scan that cuts torn tails but refuses mid-log corruption
+  with a typed :class:`~repro.errors.JournalError`;
 * :mod:`repro.durability.journaled` — :class:`JournaledPlatform`, the
   wrapper that journals every command *before* the corresponding
-  :class:`~repro.auction.CrowdsourcingPlatform` mutation (and every
-  emitted :class:`~repro.auction.events.AuctionEvent` after it);
+  :class:`~repro.auction.CrowdsourcingPlatform` mutation, and the
+  digest of the :class:`~repro.auction.events.AuctionEvent` objects it
+  emitted in the next record;
 * :mod:`repro.durability.replay` — deterministic replay of a journal to
-  a byte-identical :class:`~repro.model.AuctionOutcome`, plus
+  a byte-identical :class:`~repro.model.AuctionOutcome`, checking every
+  command's events against their digest, plus
   :func:`resume_round`, which finishes a crashed round from its journal
   and a regenerated command stream.
 
@@ -30,13 +32,14 @@ runtime by :func:`repro.analysis.sanitizer.check_replay_fidelity`.
 from repro.auction.round_driver import apply_command, execute_commands, round_commands
 from repro.durability.journal import (
     GENESIS_HASH,
+    JOURNAL_VERSION,
+    KIND_CLOSE,
     KIND_COMMAND,
-    KIND_EVENT,
+    EventDigest,
     Journal,
     JournalRecord,
     ScanResult,
     decode_line,
-    record_hash,
     scan_journal,
     segment_paths,
 )
@@ -56,10 +59,11 @@ __all__ = [
     "scan_journal",
     "segment_paths",
     "decode_line",
-    "record_hash",
+    "EventDigest",
     "GENESIS_HASH",
+    "JOURNAL_VERSION",
+    "KIND_CLOSE",
     "KIND_COMMAND",
-    "KIND_EVENT",
     "JournaledPlatform",
     "ReplayResult",
     "ResumeResult",

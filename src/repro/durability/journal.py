@@ -1,15 +1,26 @@
-"""The append-only write-ahead JSONL journal.
+"""The append-only write-ahead JSONL journal (format v2: commands only).
 
 One record per line, canonical JSON, SHA-256 hash-chained::
 
-    {"event": {...}, "hash": h_n, "kind": "command"|"event",
-     "prev": h_{n-1}, "seq": n}
+    {"emitted": {"count": n, "sha256": d}, "event": {...}, "hash": h_n,
+     "kind": "command", "prev": h_{n-1}, "seq": n}
 
-where ``h_n = sha256(canonical({event, kind, prev, seq}))`` and the
-genesis ``prev`` is 64 zeros.  Sequence numbers are 1-based and strictly
-monotonic across segment files (``segment-00000001.jsonl``, rotated by
-byte size), so any truncation, reordering, duplication, or bit flip
-breaks either a record's own hash or the chain to its neighbour.
+where ``h_n`` is the SHA-256 of the canonical record without ``hash``
+and the genesis ``prev`` is 64 zeros.  Every record but the first is
+a **command**, the input the platform was given, plus ``emitted``: the
+count and SHA-256 of the canonical JSON of the events the *previous*
+command made the platform emit (:class:`EventDigest`).  The first
+record is the ``RoundStarted`` header; it carries ``"version": 2``
+instead of a digest.  One ``close`` record, with no ``event``, covers
+the events of the last command, ``RoundFinalized``.  The events
+themselves are never written: the platform is deterministic in its
+commands, so replay recomputes them and checks them against the
+digests (:mod:`repro.durability.replay`).
+
+Sequence numbers are 1-based and strictly monotonic across segment
+files (``segment-00000001.jsonl``, rotated by byte size), so any
+truncation, reordering, duplication, or bit flip breaks either a
+record's own hash or the chain to its neighbour.
 
 Recovery (:func:`scan_journal`, run on every open) distinguishes the two
 failure shapes a crash-consistent log must tell apart:
@@ -17,11 +28,16 @@ failure shapes a crash-consistent log must tell apart:
 * a **torn tail** — the final record of the final segment fails to
   decode or chain.  That is the expected signature of a crash mid-write
   (including a duplicated or checksum-flipped final record) and is
-  repaired by truncating the segment back to the last good byte;
+  repaired by cutting the segment back to the last good byte; the cut
+  bytes are kept in ``<segment>.corrupt``;
 * **mid-log corruption** — any earlier record fails.  That can never be
   produced by a crash of this writer (records are appended strictly in
   order and never rewritten), so recovery refuses with a typed
   :class:`~repro.errors.JournalError` naming the bad sequence number.
+
+A journal whose header does not carry version 2 (a v1 journal, which
+also wrote every derived event) is refused with a
+:class:`~repro.errors.JournalError` naming its version.
 
 Lines are sealed, scanned and appended through
 :mod:`repro.utils.recordlog`: every record is flushed as it is
@@ -35,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.events import AuctionEvent, event_from_dict
@@ -46,22 +62,25 @@ from repro.utils.recordlog import (
     RecordWriter,
     canonical_json,
     checksum_text,
+    cut_log,
     scan_lines,
     seal,
-    truncate,
     unseal,
 )
 
 #: ``prev`` hash of the first record.
 GENESIS_HASH = "0" * 64
 
+#: The journal format this module writes and reads; the first record
+#: of every journal carries it.
+JOURNAL_VERSION = 2
+
 #: Record kinds: a *command* is journaled before the platform mutation
-#: it describes (the redo log proper); an *event* is a derived
-#: observation the platform emitted while applying the last command
-#: (journaled after the fact, verified during replay).
+#: it describes (the redo log proper); the one *close* record follows
+#: the last command and carries only the digest of its events.
 KIND_COMMAND = "command"
-KIND_EVENT = "event"
-_KINDS = (KIND_COMMAND, KIND_EVENT)
+KIND_CLOSE = "close"
+_KINDS = (KIND_COMMAND, KIND_CLOSE)
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -71,59 +90,129 @@ _SEGMENT_SUFFIX = ".jsonl"
 _SEAL_FIELD = "hash"
 
 
-def record_hash(
-    seq: int, prev: str, kind: str, event_payload: Mapping[str, Any]
-) -> str:
-    """The SHA-256 chaining hash of one record body."""
-    return checksum_text(
-        canonical_json(
-            {"event": event_payload, "kind": kind, "prev": prev, "seq": seq}
+@dataclasses.dataclass(frozen=True)
+class EventDigest:
+    """The count and SHA-256 of the events one command emitted.
+
+    ``sha256`` covers the canonical JSON of the list of the events'
+    ``to_dict()`` payloads, in emission order.
+    """
+
+    count: int
+    sha256: str
+
+    @classmethod
+    def of(cls, events: Sequence[AuctionEvent]) -> "EventDigest":
+        """The digest of ``events``."""
+        return cls(
+            len(events),
+            checksum_text(canonical_json([event.to_dict() for event in events])),
         )
-    )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The ``emitted`` payload of a record."""
+        return {"count": self.count, "sha256": self.sha256}
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> "EventDigest":
+        """Inverse of :meth:`to_dict`; raises :class:`JournalError`."""
+        if (
+            not isinstance(payload, dict)
+            or sorted(payload) != ["count", "sha256"]
+            or type(payload["count"]) is not int
+            or payload["count"] < 0
+            or not isinstance(payload["sha256"], str)
+        ):
+            raise JournalError(f"malformed event digest {payload!r}")
+        return cls(payload["count"], payload["sha256"])
 
 
 @dataclasses.dataclass(frozen=True)
 class JournalRecord:
-    """One decoded, verified journal record."""
+    """One decoded, verified journal record.
+
+    ``event`` is the command (``None`` on the close record),
+    ``emitted`` the digest of the previous command's events (``None``
+    on the header), and ``version`` the format version (set on the
+    header only).
+    """
 
     seq: int
     prev: str
     kind: str
-    event: AuctionEvent
+    event: Optional[AuctionEvent]
     hash: str
+    emitted: Optional[EventDigest] = None
+    version: Optional[int] = None
 
     def to_line(self) -> str:
         """The record's canonical JSONL line (without the newline)."""
-        return canonical_json(
-            {
-                "event": self.event.to_dict(),
-                "hash": self.hash,
-                "kind": self.kind,
-                "prev": self.prev,
-                "seq": self.seq,
-            }
+        body = _record_body(
+            self.seq, self.prev, self.kind, self.event, self.emitted,
+            self.version,
         )
+        body[_SEAL_FIELD] = self.hash
+        return canonical_json(body)
+
+
+def _record_body(
+    seq: int,
+    prev: str,
+    kind: str,
+    event: Optional[AuctionEvent],
+    emitted: Optional[EventDigest],
+    version: Optional[int],
+) -> Dict[str, Any]:
+    body: Dict[str, Any] = {"kind": kind, "prev": prev, "seq": seq}
+    if event is not None:
+        body["event"] = event.to_dict()
+    if emitted is not None:
+        body["emitted"] = emitted.to_dict()
+    if version is not None:
+        body["version"] = version
+    return body
 
 
 def make_record(
-    seq: int, prev: str, kind: str, event: AuctionEvent
+    seq: int,
+    prev: str,
+    kind: str,
+    event: Optional[AuctionEvent],
+    emitted: Optional[EventDigest] = None,
 ) -> JournalRecord:
     """Build (and hash) a record from its parts."""
-    return _sealed_record(seq, prev, kind, event)[0]
+    return _sealed_record(seq, prev, kind, event, emitted)[0]
 
 
 def _sealed_record(
-    seq: int, prev: str, kind: str, event: AuctionEvent
+    seq: int,
+    prev: str,
+    kind: str,
+    event: Optional[AuctionEvent],
+    emitted: Optional[EventDigest],
 ) -> Tuple[JournalRecord, bytes]:
-    """A record and its sealed line, from one encoding of the body."""
+    """A record and its sealed line, from one encoding of the body.
+
+    The first record of a journal carries :data:`JOURNAL_VERSION`.
+    """
     if kind not in _KINDS:
         raise JournalError(f"unknown record kind {kind!r}", sequence=seq)
+    if kind == KIND_COMMAND and event is None:
+        raise JournalError("a command record needs its event", sequence=seq)
+    if kind == KIND_CLOSE and event is not None:
+        raise JournalError("a close record carries no event", sequence=seq)
+    version = JOURNAL_VERSION if seq == 1 else None
     line, digest = seal(
-        {"event": event.to_dict(), "kind": kind, "prev": prev, "seq": seq},
-        _SEAL_FIELD,
+        _record_body(seq, prev, kind, event, emitted, version), _SEAL_FIELD
     )
     record = JournalRecord(
-        seq=seq, prev=prev, kind=kind, event=event, hash=digest
+        seq=seq,
+        prev=prev,
+        kind=kind,
+        event=event,
+        hash=digest,
+        emitted=emitted,
+        version=version,
     )
     return record, line
 
@@ -133,8 +222,9 @@ def decode_line(line: "str | bytes") -> JournalRecord:
 
     Raises :class:`~repro.errors.JournalError` when the line is not
     valid JSON, fails its own hash, misses fields, or carries an
-    undecodable event payload.  Chain position (seq/prev against the
-    neighbour) is the scanner's job, not this function's.
+    undecodable event or digest.  Chain position (seq/prev against the
+    neighbour) and the format version are the scanner's job, not this
+    function's.
     """
     try:
         payload = unseal(line, _SEAL_FIELD)
@@ -144,7 +234,6 @@ def decode_line(line: "str | bytes") -> JournalRecord:
         seq = payload["seq"]
         prev = payload["prev"]
         kind = payload["kind"]
-        event_payload = payload["event"]
     except KeyError as exc:
         raise JournalError(f"record misses field {exc}") from exc
     if not isinstance(seq, int) or isinstance(seq, bool):
@@ -153,15 +242,32 @@ def decode_line(line: "str | bytes") -> JournalRecord:
         raise JournalError(
             f"unknown record kind {kind!r}", sequence=seq
         )
-    try:
-        event = event_from_dict(event_payload)
-    except EventDecodeError as exc:
+    event = None
+    if kind == KIND_COMMAND:
+        if "event" not in payload:
+            raise JournalError(
+                f"command record {seq} misses its event", sequence=seq
+            )
+        try:
+            event = event_from_dict(payload["event"])
+        except EventDecodeError as exc:
+            raise JournalError(
+                f"record {seq} carries an undecodable event: {exc}",
+                sequence=seq,
+            ) from exc
+    elif "event" in payload:
         raise JournalError(
-            f"record {seq} carries an undecodable event: {exc}",
-            sequence=seq,
-        ) from exc
+            f"close record {seq} carries an event", sequence=seq
+        )
+    emitted = payload.get("emitted")
     return JournalRecord(
-        seq=seq, prev=prev, kind=kind, event=event, hash=payload[_SEAL_FIELD]
+        seq=seq,
+        prev=prev,
+        kind=kind,
+        event=event,
+        hash=payload[_SEAL_FIELD],
+        emitted=None if emitted is None else EventDigest.from_dict(emitted),
+        version=payload.get("version"),
     )
 
 
@@ -260,6 +366,13 @@ def scan_journal(directory: os.PathLike) -> ScanResult:
             data = segment.read_bytes()
             scan = scan_lines(data, chain)
             records.extend(record for _, record in scan.records)
+            if records and records[0].version != JOURNAL_VERSION:
+                raise JournalError(
+                    f"journal {str(root)!r} is format version "
+                    f"{records[0].version or 1}; only version "
+                    f"{JOURNAL_VERSION} journals are read",
+                    sequence=1,
+                )
             if scan.bad_offset is None:
                 continue
             if scan.torn and segment == segments[-1]:
@@ -304,8 +417,9 @@ class Journal:
         they are flushed — which may raise to simulate the process
         dying, exactly like a real kill between ``write`` and return.
 
-    Opening truncates a torn tail; :func:`scan_journal` is the
-    read-only inspection path.
+    Opening cuts a torn tail (keeping its bytes in
+    ``<segment>.corrupt``); :func:`scan_journal` is the read-only
+    inspection path.
     """
 
     def __init__(
@@ -327,7 +441,7 @@ class Journal:
             if scan.torn:
                 assert scan.torn_segment is not None
                 assert scan.torn_offset is not None
-                truncate(scan.torn_segment, scan.torn_offset)
+                cut_log(scan.torn_segment, scan.torn_offset)
                 obs.counter("journal.truncated_bytes", scan.truncated_bytes)
                 obs.counter("journal.torn_tails")
             # The cut reaches disk with the next fsync, on close at the
@@ -381,8 +495,17 @@ class Journal:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append(self, kind: str, event: AuctionEvent) -> JournalRecord:
-        """Append one record; returns it once written and flushed."""
+    def append(
+        self,
+        kind: str,
+        event: Optional[AuctionEvent],
+        emitted: Optional[EventDigest] = None,
+    ) -> JournalRecord:
+        """Append one record; returns it once written and flushed.
+
+        ``emitted`` is the digest of the events the previous command
+        emitted (see the module docstring).
+        """
         if self._closed:
             raise JournalError("journal is closed")
         if self._dead:
@@ -390,7 +513,7 @@ class Journal:
                 "journal observed a simulated crash; no further appends"
             )
         record, data = _sealed_record(
-            self._next_seq, self._prev_hash, kind, event
+            self._next_seq, self._prev_hash, kind, event, emitted
         )
         size = self._writer.size
         if size > 0 and size + len(data) > self._segment_bytes:

@@ -3,21 +3,26 @@
 :class:`JournaledPlatform` exposes the same mutating surface as
 :class:`~repro.auction.CrowdsourcingPlatform` and makes the journal the
 source of truth: every mutation is journaled as a **command** record
-*before* the platform state changes, and every
-:class:`~repro.auction.events.AuctionEvent` the platform emits while
-applying it is journaled as a derived **event** record right after.
+*before* the platform state changes.  The
+:class:`~repro.auction.events.AuctionEvent` objects the platform emits
+while applying it are not written out: the next record carries their
+count and digest (:class:`~repro.durability.journal.EventDigest`), and
+after ``RoundFinalized`` one close record carries the last digest.
 A crash at any byte therefore loses at most work that can be redone —
 replaying the journaled commands through a fresh platform reconstructs
-the exact state (:mod:`repro.durability.replay`).
+the exact state, and checks it against the digests
+(:mod:`repro.durability.replay`).
 
 Ordering discipline per mutation:
 
 1. ``validate_*`` on the inner platform — a rejected command raises
    :class:`~repro.errors.MechanismError` and leaves the journal
    untouched (no partial record);
-2. append the command record (the write-ahead write);
+2. append the command record (the write-ahead write), carrying the
+   digest the previous command owes;
 3. apply the mutation on the inner platform;
-4. append the platform's newly emitted events as derived records.
+4. remember the digest of the platform's newly emitted events; the
+   next record carries it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,12 @@ from repro.auction.events import (
     TasksAnnounced,
 )
 from repro.auction.platform import CrowdsourcingPlatform
-from repro.durability.journal import KIND_COMMAND, KIND_EVENT, Journal
+from repro.durability.journal import (
+    KIND_CLOSE,
+    KIND_COMMAND,
+    EventDigest,
+    Journal,
+)
 from repro.errors import JournalError
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
@@ -84,6 +94,9 @@ class JournaledPlatform:
         )
         self._journal = journal
         self._inner = inner
+        self._owed: Optional[EventDigest] = EventDigest.of(
+            inner.events_since(0)
+        )
         journal.append(
             KIND_COMMAND,
             RoundStarted(
@@ -97,17 +110,24 @@ class JournaledPlatform:
 
     @classmethod
     def from_recovery(
-        cls, journal: Journal, inner: CrowdsourcingPlatform
+        cls,
+        journal: Journal,
+        inner: CrowdsourcingPlatform,
+        owed: Optional[EventDigest] = None,
     ) -> "JournaledPlatform":
         """Wrap an already-replayed platform over its own journal.
 
         Used by :func:`~repro.durability.replay.resume_round`: the
         journal already holds the history that produced ``inner``, so
-        no header command is appended.
+        no header command is appended.  ``owed`` is the digest of the
+        events of the journal's last command when no record covers it
+        yet (:attr:`~repro.durability.ReplayResult.owed`); the first
+        live append carries it.
         """
         self = cls.__new__(cls)
         self._journal = journal
         self._inner = inner
+        self._owed = owed
         return self
 
     # ------------------------------------------------------------------
@@ -132,12 +152,11 @@ class JournaledPlatform:
         return getattr(inner, name)
 
     def _run(self, command: AuctionEvent, apply: Any) -> Any:
-        """Journal ``command``, apply it, journal the derived events."""
-        self._journal.append(KIND_COMMAND, command)
+        """Journal ``command``, apply it, remember its events' digest."""
+        self._journal.append(KIND_COMMAND, command, self._owed)
         before = self._inner.event_count
         result = apply()
-        for event in self._inner.events_since(before):
-            self._journal.append(KIND_EVENT, event)
+        self._owed = EventDigest.of(self._inner.events_since(before))
         return result
 
     # ------------------------------------------------------------------
@@ -208,17 +227,29 @@ class JournaledPlatform:
             self.close_slot()
 
     def finalize(self) -> AuctionOutcome:
-        """Journal the seal and finalize the round.
-
-        The journal is fsynced afterwards, however many records await
-        the next batched fsync: the outcome is about to be acted on,
-        so its history must be on disk.
-        """
+        """Journal the seal, finalize the round and close the journal's
+        round (:meth:`close_round`)."""
         self._inner.validate_finalize()
         outcome: Optional[AuctionOutcome] = self._run(
             RoundFinalized(slot=self._inner.current_slot),
             lambda: self._inner.finalize(),
         )
-        self._journal.sync()
+        self.close_round()
         assert outcome is not None
         return outcome
+
+    def close_round(self) -> None:
+        """Append the close record, which carries the digest of
+        ``RoundFinalized``'s events, then fsync.
+
+        The fsync runs however many records await the next batched
+        one: the outcome is about to be acted on, so its history must
+        be on disk.
+        """
+        if not self._inner.finalized or self._owed is None:
+            raise JournalError(
+                "a close record follows RoundFinalized, once per round"
+            )
+        self._journal.append(KIND_CLOSE, None, self._owed)
+        self._owed = None
+        self._journal.sync()

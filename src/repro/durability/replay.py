@@ -3,15 +3,16 @@
 The journal is a *redo log of commands*: replaying the command records
 through a fresh :class:`~repro.auction.CrowdsourcingPlatform` — in
 order, nothing else — reconstructs the exact platform state, because
-the platform is deterministic in its inputs.  The derived event records
-interleaved with the commands are not replayed; they are **verified**:
-while re-executing a command, the events the platform emits must match
-the journaled derived records one for one.  Any disagreement raises
-:class:`~repro.errors.ReplayDivergenceError` — the journal and the code
-that wrote it are out of sync, and replay refuses to silently diverge.
-A *missing* suffix of derived records after the journal's last command
-is tolerated: that is exactly what a crash between steps 3 and 4 of the
-write-ahead discipline leaves behind.
+the platform is deterministic in its inputs.  The events the platform
+emits are not in the journal; they are **verified**: the record after
+each command carries the count and digest of the events that command
+emitted when it was journaled, and the events re-execution emits must
+hash to it.  Any disagreement raises
+:class:`~repro.errors.ReplayDivergenceError` naming the command — the
+journal and the code that wrote it are out of sync, and replay refuses
+to silently diverge.  A *missing* digest for the journal's last command
+is tolerated: that is exactly what a crash after its record leaves
+behind, and :attr:`ReplayResult.owed` hands it to the next append.
 
 :func:`start_round` runs a round's command stream
 (:func:`~repro.auction.round_driver.round_commands`, the platform's one
@@ -31,14 +32,16 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.events import AuctionEvent, RoundFinalized, RoundStarted
 from repro.auction.platform import CrowdsourcingPlatform
 from repro.auction.round_driver import apply_command, execute_commands
 from repro.durability.journal import (
+    KIND_CLOSE,
     KIND_COMMAND,
+    EventDigest,
     Journal,
     JournalRecord,
     scan_journal,
@@ -61,10 +64,13 @@ class ReplayResult:
     platform:
         The reconstructed platform (open when ``outcome is None``).
     commands_applied / events_verified:
-        How many command records were re-executed and how many derived
-        event records were checked against re-emitted events.
+        How many command records were re-executed, and how many of the
+        events they re-emitted were checked against a journaled digest.
     records:
         The verified journal records the replay consumed.
+    owed:
+        The digest of the last command's events when no record covers
+        it yet (a journal cut after a command), else ``None``.
     """
 
     outcome: Optional[AuctionOutcome]
@@ -72,6 +78,7 @@ class ReplayResult:
     commands_applied: int
     events_verified: int
     records: Tuple[JournalRecord, ...]
+    owed: Optional[EventDigest] = None
 
     @property
     def finalized(self) -> bool:
@@ -102,44 +109,58 @@ def replay_records(
         max_reassignments=started.max_reassignments,
     )
     outcome: Optional[AuctionOutcome] = None
-    expected: List[AuctionEvent] = []
+    # The last command and the digest of its events, which the next
+    # record must carry.
+    last = header
+    owed: Optional[EventDigest] = EventDigest.of(platform.events_since(0))
     commands_applied = 0
     events_verified = 0
     for record in records[1:]:
-        if record.kind == KIND_COMMAND:
-            # Derived records of the previous command may be cut short
-            # by a crash; a *following* command proves the mutation
-            # completed, so the remaining expectations are dropped.
-            expected.clear()
-            before = platform.event_count
-            result = apply_command(platform, record.event)
-            if isinstance(record.event, RoundFinalized):
-                outcome = result  # type: ignore[assignment]
-            expected.extend(platform.events_since(before))
-            commands_applied += 1
-        else:
-            if not expected:
-                raise ReplayDivergenceError(
-                    f"record {record.seq} journals derived event "
-                    f"{type(record.event).__name__} but replaying the "
-                    f"commands emitted no further event there",
+        if owed is None:
+            raise JournalError(
+                f"record {record.seq} follows the close record",
+                sequence=record.seq,
+            )
+        if record.emitted is None:
+            raise JournalError(
+                f"record {record.seq} misses the digest of the events of "
+                f"command {last.seq}",
+                sequence=record.seq,
+            )
+        if record.emitted != owed:
+            raise ReplayDivergenceError(
+                f"command {last.seq} ({type(last.event).__name__}) "
+                f"diverges from replay: record {record.seq} journals "
+                f"{record.emitted.count} event(s) with digest "
+                f"{record.emitted.sha256}, re-execution emitted "
+                f"{owed.count} with digest {owed.sha256}",
+                sequence=last.seq,
+            )
+        events_verified += owed.count
+        if record.kind == KIND_CLOSE:
+            if not isinstance(last.event, RoundFinalized):
+                raise JournalError(
+                    f"close record {record.seq} does not follow "
+                    f"RoundFinalized",
                     sequence=record.seq,
                 )
-            emitted = expected.pop(0)
-            if emitted != record.event:
-                raise ReplayDivergenceError(
-                    f"record {record.seq} diverges from replay: journal "
-                    f"holds {record.event!r}, re-execution emitted "
-                    f"{emitted!r}",
-                    sequence=record.seq,
-                )
-            events_verified += 1
+            owed = None
+            continue
+        assert record.event is not None
+        before = platform.event_count
+        result = apply_command(platform, record.event)
+        if isinstance(record.event, RoundFinalized):
+            outcome = result  # type: ignore[assignment]
+        owed = EventDigest.of(platform.events_since(before))
+        last = record
+        commands_applied += 1
     return ReplayResult(
         outcome=outcome,
         platform=platform,
         commands_applied=commands_applied,
         events_verified=events_verified,
         records=tuple(records),
+        owed=owed,
     )
 
 
@@ -227,7 +248,9 @@ def resume_round(
     are replayed and prefix-checked against it — a mismatch raises
     :class:`~repro.errors.ReplayDivergenceError`, a differing platform
     configuration raises :class:`~repro.errors.JournalError` — then the
-    remaining commands run through the write-ahead wrapper.
+    remaining commands run through the write-ahead wrapper, whose first
+    append carries the digest the last replayed command still owes.  A
+    journal cut after ``RoundFinalized`` gets its close record.
     """
     records = journal.records
     if not records:
@@ -271,11 +294,16 @@ def resume_round(
             f"journal holds {len(journaled)} commands but the "
             f"regenerated round has only {len(commands)}"
         )
-    platform = JournaledPlatform.from_recovery(journal, replay.platform)
+    platform = JournaledPlatform.from_recovery(
+        journal, replay.platform, replay.owed
+    )
     remaining = list(commands[len(journaled):])
     outcome = replay.outcome
     if remaining:
         outcome = execute_commands(platform, remaining)
+    elif replay.owed is not None:
+        # Cut after RoundFinalized, before the close record.
+        platform.close_round()
     assert outcome is not None
     obs.counter("journal.resumed_rounds")
     return ResumeResult(

@@ -116,12 +116,13 @@ class JournalError(ReproError):
     """A write-ahead journal is corrupt, inconsistent, or misused.
 
     Examples: a mid-log record whose checksum or hash chain does not
-    verify (:attr:`sequence` names the offending record), an append to
-    a journal that already observed a simulated crash, or a journal
-    whose header records a different round configuration than the one
-    being resumed.  A *torn tail* — an invalid final record, the
-    signature of a crash mid-write — is not an error: recovery
-    truncates it silently.
+    verify (:attr:`sequence` names the offending record), a journal of
+    another format version, an append to a journal that already
+    observed a simulated crash, or a journal whose header records a
+    different round configuration than the one being resumed.  A *torn
+    tail* — an invalid final record, the signature of a crash
+    mid-write — is not an error: recovery cuts it, keeping its bytes in
+    ``<segment>.corrupt``.
     """
 
     def __init__(self, message: str, sequence: "Optional[int]" = None) -> None:
@@ -133,8 +134,9 @@ class JournalError(ReproError):
 class ReplayDivergenceError(JournalError):
     """Replaying a journal did not reproduce the journaled history.
 
-    Raised when a journaled derived event disagrees with the event the
-    platform emits while re-executing the journaled commands, or when a
+    Raised when the events the platform emits while re-executing a
+    journaled command do not match the count and digest the journal
+    recorded for them (:attr:`sequence` names that command), or when a
     resumed round's regenerated command stream does not prefix-match
     the journaled one.  Either means the journal and the code that
     wrote it disagree — replay refuses to silently diverge.

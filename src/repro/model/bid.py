@@ -12,10 +12,47 @@ Fig. 4 where Smartphone 2 is active in slots 1 through 4).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict
 
 from repro.errors import ValidationError
 from repro.utils.validation import check_non_negative, check_positive, check_type
+
+
+def check_phone_fields(
+    phone_id: Any, arrival: Any, departure: Any, cost: Any
+) -> None:
+    """Validate a phone's ``(phone_id, arrival, departure, cost)`` fields.
+
+    One fused test passes plain valid values: ``int`` id and slots with
+    ``0 <= phone_id`` and ``1 <= arrival <= departure``, and an ``int``
+    or ``float`` cost with ``0 <= cost < inf``.  Anything else (a bool,
+    a subclass, NaN, a bad range) runs the per-field checks, which
+    raise :class:`ValidationError` naming the first bad field.
+    """
+    if (
+        type(phone_id) is int
+        and type(arrival) is int
+        and type(departure) is int
+        and (type(cost) is float or type(cost) is int)
+        and 0 <= phone_id
+        and 0 < arrival <= departure
+        and 0.0 <= cost < math.inf
+    ):
+        return
+    check_type("phone_id", phone_id, int)
+    check_type("arrival", arrival, int)
+    check_type("departure", departure, int)
+    if phone_id < 0:
+        raise ValidationError(f"phone_id must be >= 0, got {phone_id}")
+    check_positive("arrival", arrival)
+    check_positive("departure", departure)
+    if departure < arrival:
+        raise ValidationError(
+            f"departure ({departure}) must be >= arrival "
+            f"({arrival}) for phone {phone_id}"
+        )
+    check_non_negative("cost", cost)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -45,22 +82,12 @@ class Bid:
     cost: float
 
     def __post_init__(self) -> None:
-        check_type("phone_id", self.phone_id, int)
-        check_type("arrival", self.arrival, int)
-        check_type("departure", self.departure, int)
-        if self.phone_id < 0:
-            raise ValidationError(f"phone_id must be >= 0, got {self.phone_id}")
-        check_positive("arrival", self.arrival)
-        check_positive("departure", self.departure)
-        if self.departure < self.arrival:
-            raise ValidationError(
-                f"departure ({self.departure}) must be >= arrival "
-                f"({self.arrival}) for phone {self.phone_id}"
-            )
-        check_non_negative("cost", self.cost)
+        cost = self.cost
+        check_phone_fields(self.phone_id, self.arrival, self.departure, cost)
         # Normalise the cost to float so equality is value-based regardless
         # of whether the caller passed an int.
-        object.__setattr__(self, "cost", float(self.cost))
+        if type(cost) is not float:
+            object.__setattr__(self, "cost", float(cost))
 
     def is_active(self, slot: int) -> bool:
         """Whether the bid claims activity in ``slot`` (1-based)."""

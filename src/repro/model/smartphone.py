@@ -14,8 +14,7 @@ import dataclasses
 from typing import Any, Dict
 
 from repro.errors import BidConstraintError, ValidationError
-from repro.model.bid import Bid
-from repro.utils.validation import check_non_negative, check_positive, check_type
+from repro.model.bid import Bid, check_phone_fields
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -40,20 +39,10 @@ class SmartphoneProfile:
     cost: float
 
     def __post_init__(self) -> None:
-        check_type("phone_id", self.phone_id, int)
-        check_type("arrival", self.arrival, int)
-        check_type("departure", self.departure, int)
-        if self.phone_id < 0:
-            raise ValidationError(f"phone_id must be >= 0, got {self.phone_id}")
-        check_positive("arrival", self.arrival)
-        check_positive("departure", self.departure)
-        if self.departure < self.arrival:
-            raise ValidationError(
-                f"departure ({self.departure}) must be >= arrival "
-                f"({self.arrival}) for phone {self.phone_id}"
-            )
-        check_non_negative("cost", self.cost)
-        object.__setattr__(self, "cost", float(self.cost))
+        cost = self.cost
+        check_phone_fields(self.phone_id, self.arrival, self.departure, cost)
+        if type(cost) is not float:
+            object.__setattr__(self, "cost", float(cost))
 
     def is_active(self, slot: int) -> bool:
         """Whether the phone is really active in ``slot``."""

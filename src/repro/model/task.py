@@ -11,6 +11,7 @@ paper's model) so the library also supports heterogeneous task values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import (
     Any,
     Dict,
@@ -48,6 +49,21 @@ class SensingTask:
     value: float
 
     def __post_init__(self) -> None:
+        value = self.value
+        if (
+            type(self.task_id) is int
+            and type(self.slot) is int
+            and type(self.index) is int
+            and (type(value) is float or type(value) is int)
+            and 0 <= self.task_id
+            and 0 < self.slot
+            and 0 < self.index
+            and 0.0 <= value < math.inf
+        ):
+            # The fast path: plain valid values, checked in one pass.
+            if type(value) is not float:
+                object.__setattr__(self, "value", float(value))
+            return
         check_type("task_id", self.task_id, int)
         check_type("slot", self.slot, int)
         check_type("index", self.index, int)

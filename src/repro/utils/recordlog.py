@@ -43,12 +43,29 @@ class RecordError(ValueError):
     """A line is not a well-formed sealed record."""
 
 
-#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
-#: the encoder built once instead of per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+# ``JSONEncoder.encode`` builds its C encoder afresh on every call;
+# without the circular-reference check that encoder holds no state, so
+# one instance serves every call.
+_c_make_encoder = getattr(json.encoder, "c_make_encoder", None)
+_iterencode: Callable[[Any, int], Any] = (
+    _c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",",
+        True, False, True,
+    )
+    if _c_make_encoder is not None
+    else lambda value, _level: _ENCODER.iterencode(value, _one_shot=True)
+)
 
 
-def canonical_json(payload: Mapping[str, Any]) -> str:
+def _encode(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+    return "".join(_iterencode(value, 0))
+
+
+def canonical_json(payload: Any) -> str:
     """Canonical JSON (sorted keys, no whitespace): what checksums cover."""
     return _encode(payload)
 
@@ -160,12 +177,6 @@ def read_log(
     return scan_lines(data, decode)
 
 
-def truncate(path: "os.PathLike[str]", size: int) -> None:
-    """Cut a record-log file back to its first ``size`` bytes."""
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
-
-
 def cut_log(path: "os.PathLike[str]", size: int) -> None:
     """Cut a record log back to ``size`` bytes, keeping what was cut.
 
@@ -184,7 +195,8 @@ class RecordWriter:
     """Append lines to one record-log file.
 
     Opening creates missing parent directories and cuts any bytes after
-    the last newline (a torn line, even one that lost only its newline).
+    the last newline (a torn line, even one that lost only its newline)
+    with :func:`cut_log`, so they are kept in ``<path>.corrupt``.
     :meth:`append` reports when :data:`FSYNC_EVERY` records await an
     fsync; the owner then calls :meth:`sync` from its own ``sync``,
     where it is timed.  :meth:`close` fsyncs what is still pending.
@@ -208,7 +220,7 @@ class RecordWriter:
                 if self._handle.read(1) != b"\n":
                     self._handle.seek(0)
                     self.size = self._handle.read().rfind(b"\n") + 1
-                    self._handle.truncate(self.size)
+                    cut_log(path, self.size)
         except OSError:
             self._handle.close()
             raise

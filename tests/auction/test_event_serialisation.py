@@ -137,17 +137,28 @@ class TestShallowToDict:
         assert list(payload.items()) == list(expected.items())
 
     def test_sealed_journal_lines_are_unchanged(self, tmp_path):
-        from repro.durability import KIND_EVENT, Journal, segment_paths
+        from repro.durability import (
+            JOURNAL_VERSION,
+            KIND_COMMAND,
+            EventDigest,
+            Journal,
+            segment_paths,
+        )
         from repro.utils.recordlog import seal
 
         events = [_typed_sample(cls) for cls in EVENT_TYPES.values()]
+        emitted = EventDigest.of(events)
         with Journal(tmp_path / "journal") as journal:
             for event in events:
-                journal.append(KIND_EVENT, event)
+                journal.append(KIND_COMMAND, event, emitted)
             records = journal.records
         expected = b"".join(
             seal(
                 {
+                    "emitted": {
+                        "count": len(events),
+                        "sha256": emitted.sha256,
+                    },
                     "event": {
                         "event": type(record.event).__name__,
                         **dataclasses.asdict(record.event),
@@ -155,6 +166,11 @@ class TestShallowToDict:
                     "kind": record.kind,
                     "prev": record.prev,
                     "seq": record.seq,
+                    **(
+                        {"version": JOURNAL_VERSION}
+                        if record.seq == 1
+                        else {}
+                    ),
                 },
                 "hash",
             )[0]

@@ -240,3 +240,59 @@ class TestFaultReportGuards:
             platform.report_dropout(1)
         with pytest.raises(MechanismError, match="finished"):
             platform.report_task_failure(1)
+
+
+def _pool_walk(platform):
+    """``pool_size`` as the platform once computed it: a walk over the
+    whole heap at every call."""
+    return sum(
+        1
+        for _, bid in platform._pool
+        if bid.departure >= platform.current_slot
+        and bid.phone_id not in platform._dropped
+        and bid.phone_id not in platform._failed
+    )
+
+
+class TestPoolSize:
+    """The incremental pool count equals the heap walk after every
+    command of seeded faulty rounds (dropouts, failures, reassignment
+    chains, with and without a reserve price)."""
+
+    @pytest.mark.parametrize("reserve_price", [False, True])
+    def test_matches_the_heap_walk_over_faulty_rounds(self, reserve_price):
+        from repro.auction.round_driver import apply_command, round_commands
+        from repro.faults import FaultConfig, FaultInjector
+        from repro.faults.recovery import apply_bid_faults
+        from repro.simulation import WorkloadConfig
+
+        workload = WorkloadConfig(
+            num_slots=8,
+            phone_rate=3.0,
+            task_rate=1.5,
+            mean_cost=10.0,
+            mean_active_length=3,
+            task_value=14.0,
+        )
+        faults = FaultConfig(
+            dropout_prob=0.3, task_failure_prob=0.3, bid_delay_prob=0.1
+        )
+        seen = set()
+        for seed in range(25):
+            scenario = workload.generate(seed=seed)
+            plan = FaultInjector(faults).plan(scenario, seed=seed)
+            bids, _, _ = apply_bid_faults(
+                list(scenario.truthful_bids()), plan
+            )
+            platform = CrowdsourcingPlatform(
+                num_slots=scenario.num_slots,
+                reserve_price=reserve_price,
+                max_reassignments=plan.config.max_reassignments,
+            )
+            for command in round_commands(bids, scenario, plan):
+                apply_command(platform, command)
+                assert platform.pool_size == _pool_walk(platform), (
+                    f"seed {seed}: pool size after {command!r}"
+                )
+            seen.update(type(event).__name__ for event in platform.events)
+        assert {"PhoneDropped", "TaskFailed", "TaskReassigned"} <= seen

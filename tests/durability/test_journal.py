@@ -9,15 +9,17 @@ import pytest
 from repro.auction.events import PhoneDropped, SlotClosed
 from repro.durability import (
     GENESIS_HASH,
+    JOURNAL_VERSION,
+    KIND_CLOSE,
     KIND_COMMAND,
-    KIND_EVENT,
+    EventDigest,
     Journal,
     decode_line,
-    record_hash,
     scan_journal,
     segment_paths,
 )
 from repro.errors import JournalError
+from repro.utils.recordlog import canonical_json, checksum_text
 
 
 def _fill(journal, count, kind=KIND_COMMAND):
@@ -40,19 +42,40 @@ class TestRecordFormat:
             )
         assert record.seq == 1
         assert record.prev == GENESIS_HASH
-        assert record.hash == record_hash(
-            1, GENESIS_HASH, KIND_COMMAND, record.event.to_dict()
+        assert record.version == JOURNAL_VERSION
+        assert record.hash == checksum_text(
+            canonical_json(
+                {
+                    "event": record.event.to_dict(),
+                    "kind": KIND_COMMAND,
+                    "prev": GENESIS_HASH,
+                    "seq": 1,
+                    "version": JOURNAL_VERSION,
+                }
+            )
         )
 
     def test_lines_are_canonical_json(self, tmp_path):
+        digest = EventDigest.of([SlotClosed(slot=1, pool_size=4)])
         with Journal(tmp_path) as journal:
-            journal.append(KIND_EVENT, SlotClosed(slot=1, pool_size=4))
-        line = _segment(tmp_path).read_text().strip()
-        document = json.loads(line)
-        assert sorted(document) == ["event", "hash", "kind", "prev", "seq"]
-        assert line == json.dumps(
-            document, sort_keys=True, separators=(",", ":")
-        )
+            journal.append(KIND_COMMAND, PhoneDropped(slot=1, phone_id=2))
+            journal.append(KIND_CLOSE, None, digest)
+        header, close = _segment(tmp_path).read_text().splitlines()
+        for line, keys in (
+            (header, ["event", "hash", "kind", "prev", "seq", "version"]),
+            (close, ["emitted", "hash", "kind", "prev", "seq"]),
+        ):
+            document = json.loads(line)
+            assert sorted(document) == keys
+            assert line == json.dumps(
+                document, sort_keys=True, separators=(",", ":")
+            )
+        assert json.loads(close)["emitted"] == {
+            "count": 1,
+            "sha256": checksum_text(
+                canonical_json([SlotClosed(slot=1, pool_size=4).to_dict()])
+            ),
+        }
 
     def test_decode_line_round_trips(self, tmp_path):
         with Journal(tmp_path) as journal:
@@ -134,7 +157,7 @@ class TestAppendAndScan:
                 with Journal(directory) as reopened:
                     assert reopened.last_seq == 9
                     assert reopened.append(
-                        KIND_EVENT, SlotClosed(slot=1, pool_size=9)
+                        KIND_COMMAND, SlotClosed(slot=1, pool_size=9)
                     ).prev == record.hash
         finally:
             journal.close()

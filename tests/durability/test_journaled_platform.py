@@ -12,10 +12,16 @@ import pytest
 from repro.auction.events import (
     BidSubmitted,
     RoundStarted,
+    SlotAdvanced,
     SlotClosed,
 )
 from repro.auction.platform import CrowdsourcingPlatform
-from repro.durability import KIND_COMMAND, Journal, JournaledPlatform
+from repro.durability import (
+    KIND_COMMAND,
+    EventDigest,
+    Journal,
+    JournaledPlatform,
+)
 from repro.errors import JournalError, MechanismError
 from repro.model.bid import Bid
 
@@ -52,17 +58,32 @@ class TestJournaledPlatform:
             Bid(phone_id=1, arrival=1, departure=2, cost=4.0)
         )
         kinds = [(r.kind, type(r.event).__name__) for r in journal.records]
-        assert kinds[1] == (KIND_COMMAND, "BidSubmitted")
-        assert ("event", "BidSubmitted") in kinds[2:]
+        # Only the command is written; its events are owed to the next
+        # record.
+        assert kinds == [
+            (KIND_COMMAND, "RoundStarted"),
+            (KIND_COMMAND, "BidSubmitted"),
+        ]
+        emitted = platform.inner.events
+        platform.close_slot()
+        record = journal.records[-1]
+        assert isinstance(record.event, SlotAdvanced)
+        assert [type(e).__name__ for e in emitted] == ["BidSubmitted"]
+        assert record.emitted == EventDigest.of(emitted)
 
     def test_close_slot_journals_derived_slot_closed(
         self, platform, journal
     ):
         platform.close_slot()
-        derived = [
-            r.event for r in journal.records if r.kind != KIND_COMMAND
-        ]
-        assert any(isinstance(e, SlotClosed) for e in derived)
+        before = len(platform.inner.events)
+        platform.close_slot()
+        closed = platform.inner.events_since(before - 1)
+        assert isinstance(closed[-1], SlotClosed)
+        # The record of the second close carries the first one's events.
+        assert journal.records[-1].emitted == EventDigest.of(
+            platform.inner.events[:before]
+        )
+        assert journal.records[1].emitted == EventDigest.of(())
 
     def test_empty_task_submission_is_not_journaled(self, platform, journal):
         before = journal.last_seq
@@ -207,3 +228,18 @@ class TestBareEventsAreNotCommands:
             ),
         )
         assert platform.pool_size == 1
+
+    def test_nan_cost_command_raises_the_bid_validation_error(self):
+        from repro.durability import execute_commands
+        from repro.errors import ValidationError
+
+        platform = CrowdsourcingPlatform(num_slots=3)
+        command = BidSubmitted(
+            slot=1, phone_id=3, arrival=1, departure=2, cost=float("nan")
+        )
+        with pytest.raises(ValidationError) as exc:
+            execute_commands(platform, [command])
+        assert str(exc.value) == "cost must be finite, got nan"
+        assert type(exc.value) is ValidationError
+        assert platform.pool_size == 0
+        assert platform.event_count == 0

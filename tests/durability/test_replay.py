@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
+import struct
 
 import pytest
 
 from repro.analysis import check_replay_fidelity
+from repro.auction.events import PaymentSettled, RoundFinalized
+from repro.auction.platform import CrowdsourcingPlatform
 from repro.durability import (
+    GENESIS_HASH,
+    KIND_CLOSE,
     KIND_COMMAND,
+    EventDigest,
     Journal,
     JournaledPlatform,
+    apply_command,
     execute_commands,
     replay_journal,
     replay_records,
@@ -20,6 +28,7 @@ from repro.durability import (
     scan_journal,
     segment_paths,
 )
+from repro.durability.journal import make_record
 from repro.durability.replay import start_round
 from repro.errors import (
     JournalError,
@@ -88,11 +97,13 @@ class TestReplayFidelity:
         _, commands, _ = _journaled_round(tmp_path)
         replayed = replay_journal(tmp_path / "journal")
         assert replayed.commands_applied == len(commands)
-        # Header + commands + derived events account for every record.
-        assert (
-            1 + replayed.commands_applied + replayed.events_verified
-            == len(replayed.records)
-        )
+        # Header + commands + the close record account for every record,
+        # and the digests cover every event re-execution emitted.
+        assert len(replayed.records) == 1 + len(commands) + 1
+        assert replayed.records[-1].kind == KIND_CLOSE
+        assert replayed.events_verified == replayed.platform.event_count
+        assert replayed.events_verified > 0
+        assert replayed.owed is None
 
     def test_unfinalized_journal_replays_to_partial_state(self, tmp_path):
         scenario, commands, _ = _journaled_round(tmp_path, seed=5)
@@ -127,56 +138,98 @@ class TestReplayFidelity:
         )
 
 
+def _reseal(directory, records):
+    """Rewrite a one-segment journal from ``records``, chaining each
+    record to the one before it (a valid chain, different content)."""
+    out, prev = [], GENESIS_HASH
+    for record in records:
+        rebuilt = make_record(
+            record.seq, prev, record.kind, record.event, record.emitted
+        )
+        out.append(rebuilt.to_line())
+        prev = rebuilt.hash
+    (segment,) = segment_paths(directory)
+    segment.write_text("\n".join(out) + "\n")
+
+
+def _events_per_command(records):
+    """Each command record with the events re-executing it emits."""
+    header = records[0].event
+    platform = CrowdsourcingPlatform(
+        num_slots=header.num_slots,
+        reserve_price=header.reserve_price,
+        payment_rule=header.payment_rule,
+        max_reassignments=header.max_reassignments,
+    )
+    emitted = []
+    for record in records[1:]:
+        if record.kind != KIND_COMMAND:
+            continue
+        before = platform.event_count
+        apply_command(platform, record.event)
+        emitted.append((record, platform.events_since(before)))
+    return emitted
+
+
+def _flip_last_bit(amount):
+    (bits,) = struct.unpack("<q", struct.pack("<d", amount))
+    return struct.unpack("<d", struct.pack("<q", bits ^ 1))[0]
+
+
 class TestDivergenceDetection:
-    def _tamper_record(self, directory, predicate, mutate):
-        """Re-sign a record in place (valid chain, different payload)."""
-        from repro.durability import decode_line
-        from repro.durability.journal import make_record
-
-        (segment,) = segment_paths(directory)
-        lines = segment.read_text().splitlines()
-        records = [decode_line(line) for line in lines]
-        out, prev = [], None
-        changed = False
-        for record in records:
-            payload = record.event.to_dict()
-            if not changed and predicate(record):
-                payload = mutate(dict(payload))
-                changed = True
-            from repro.auction.events import event_from_dict
-
-            rebuilt = make_record(
-                record.seq,
-                prev if prev is not None else record.prev,
-                record.kind,
-                event_from_dict(payload),
-            )
-            out.append(rebuilt.to_line())
-            prev = rebuilt.hash
-        assert changed, "predicate matched no record"
-        segment.write_text("\n".join(out) + "\n")
+    def _forge_payment(self, directory, change):
+        """Give the first command that settles a payment the digest of
+        its events with that payment changed; returns its record."""
+        records = list(scan_journal(directory).records)
+        for command, events in _events_per_command(records):
+            payments = [
+                i
+                for i, event in enumerate(events)
+                if isinstance(event, PaymentSettled)
+            ]
+            if payments:
+                break
+        else:
+            raise AssertionError("no command settles a payment")
+        forged = list(events)
+        paid = forged[payments[0]]
+        forged[payments[0]] = dataclasses.replace(
+            paid, amount=change(paid.amount)
+        )
+        after = command.seq  # the next record carries the digest
+        records[after] = dataclasses.replace(
+            records[after], emitted=EventDigest.of(forged)
+        )
+        _reseal(directory, records)
+        return command
 
     def test_tampered_event_record_raises_divergence(self, tmp_path):
         _journaled_round(tmp_path)
-
-        def is_derived_payment(record):
-            return (
-                record.kind != KIND_COMMAND
-                and type(record.event).__name__ == "PaymentSettled"
-            )
-
-        def inflate(payload):
-            payload["amount"] = payload["amount"] + 1.0
-            return payload
-
-        self._tamper_record(
-            tmp_path / "journal", is_derived_payment, inflate
+        command = self._forge_payment(
+            tmp_path / "journal", lambda amount: amount + 1.0
         )
         with pytest.raises(
             ReplayDivergenceError, match="diverges from replay"
         ) as exc:
             replay_journal(tmp_path / "journal")
-        assert exc.value.sequence is not None
+        assert exc.value.sequence == command.seq
+
+    def test_one_bit_of_one_payment_names_its_command(self, tmp_path):
+        _journaled_round(tmp_path)
+        command = self._forge_payment(tmp_path / "journal", _flip_last_bit)
+        # The forged journal is a valid chain: only replay can tell.
+        assert not scan_journal(tmp_path / "journal").torn
+        with pytest.raises(ReplayDivergenceError) as exc:
+            replay_journal(tmp_path / "journal")
+        assert exc.value.sequence == command.seq
+        assert f"command {command.seq} (SlotAdvanced)" in str(exc.value)
+
+    def test_resealed_journal_still_replays(self, tmp_path):
+        _, _, live = _journaled_round(tmp_path)
+        directory = tmp_path / "journal"
+        _reseal(directory, scan_journal(directory).records)
+        replayed = replay_journal(directory)
+        assert pickle.dumps(replayed.outcome) == pickle.dumps(live)
 
     def test_missing_header_raises(self, tmp_path):
         (segment,) = segment_paths(
@@ -249,7 +302,8 @@ class TestEventLogIsNotCopied:
             journal.close()
         replayed = replay_records(records)
         assert spied_events == []
-        assert replayed.events_verified == len(records) - len(commands) - 1
+        assert len(records) == len(commands) + 2
+        assert replayed.events_verified == live.platform.inner.event_count
         assert pickle.dumps(replayed.outcome) == pickle.dumps(live.outcome)
 
 
@@ -388,3 +442,145 @@ class TestVerifyLogSurface:
             }
         )
         assert json.loads(document)["torn"] is False
+
+
+def _segment_bytes(directory):
+    return b"".join(path.read_bytes() for path in segment_paths(directory))
+
+
+class TestResumeCarriesTheOwedDigest:
+    """A resumed journal is the uncrashed one, byte for byte: the first
+    live append carries the digest the last replayed command owes."""
+
+    @pytest.fixture
+    def round_9(self):
+        scenario = WORKLOAD.generate(seed=9)
+        plan = FaultInjector(FAULTS).plan(scenario, seed=9)
+        bids, _, _ = apply_bid_faults(list(scenario.truthful_bids()), plan)
+        commands = round_commands(bids, scenario, plan)
+        config = dict(
+            num_slots=scenario.num_slots,
+            max_reassignments=plan.config.max_reassignments,
+        )
+        return commands, config
+
+    @pytest.fixture
+    def baseline(self, tmp_path, round_9):
+        commands, config = round_9
+        with Journal(tmp_path / "baseline") as journal:
+            live = start_round(journal, commands, **config)
+        return live.outcome, _segment_bytes(tmp_path / "baseline")
+
+    def _crash(self, directory, round_9, after_writes, mode):
+        from repro.faults import CrashController, CrashPlan, SimulatedCrash
+
+        commands, config = round_9
+        journal = Journal(
+            directory,
+            crash_hook=CrashController(
+                CrashPlan(after_writes=after_writes, mode=mode)
+            ),
+        )
+        with pytest.raises(SimulatedCrash):
+            try:
+                start_round(journal, commands, **config)
+            finally:
+                journal.close()
+
+    def _resume(self, directory, round_9):
+        commands, config = round_9
+        with Journal(directory) as journal:
+            return resume_round(journal, commands, **config)
+
+    def test_crash_before_the_close_record_resumes_byte_identically(
+        self, tmp_path, round_9, baseline
+    ):
+        outcome, journal_bytes = baseline
+        # The last write but one is the RoundFinalized command: the
+        # close record never lands.
+        self._crash(
+            tmp_path / "cut",
+            round_9,
+            after_writes=journal_bytes.count(b"\n") - 1,
+            mode="clean",
+        )
+        cut = replay_journal(tmp_path / "cut")
+        resumed = self._resume(tmp_path / "cut", round_9)
+        assert cut.finalized
+        assert isinstance(cut.records[-1].event, RoundFinalized)
+        assert cut.owed is not None
+        assert pickle.dumps(cut.outcome) == pickle.dumps(outcome)
+        assert resumed.executed_commands == 0
+        assert pickle.dumps(resumed.outcome) == pickle.dumps(outcome)
+        assert _segment_bytes(tmp_path / "cut") == journal_bytes
+        assert replay_journal(tmp_path / "cut").owed is None
+
+    @pytest.mark.parametrize("mode", ["clean", "torn", "duplicate", "flip"])
+    def test_resumed_journal_bytes_match_at_every_write(
+        self, tmp_path, round_9, baseline, mode
+    ):
+        outcome, journal_bytes = baseline
+        total = journal_bytes.count(b"\n")
+        for index in range(1, total + 1):
+            directory = tmp_path / f"{mode}-{index}"
+            self._crash(directory, round_9, after_writes=index, mode=mode)
+            resumed = self._resume(directory, round_9)
+            assert pickle.dumps(resumed.outcome) == pickle.dumps(outcome)
+            assert _segment_bytes(directory) == journal_bytes, (
+                f"{mode} crash at write {index}/{total}"
+            )
+
+
+class TestVersionOneJournals:
+    """A v1 journal (every derived event written out, no version on the
+    header) is refused with a JournalError naming its version, and left
+    as it is."""
+
+    def _v1_journal(self, directory):
+        from repro.auction.events import BidSubmitted, RoundStarted
+        from repro.utils.recordlog import seal
+
+        directory.mkdir()
+        body = [
+            ("command", RoundStarted(
+                slot=0, num_slots=2, reserve_price=False,
+                payment_rule="paper", max_reassignments=3,
+            )),
+            ("command", BidSubmitted(
+                slot=1, phone_id=0, arrival=1, departure=2, cost=1.0
+            )),
+            ("event", BidSubmitted(
+                slot=1, phone_id=0, arrival=1, departure=2, cost=1.0
+            )),
+        ]
+        lines, prev = [], GENESIS_HASH
+        for seq, (kind, event) in enumerate(body, start=1):
+            line, prev = seal(
+                {
+                    "event": event.to_dict(),
+                    "kind": kind,
+                    "prev": prev,
+                    "seq": seq,
+                },
+                "hash",
+            )
+            lines.append(line)
+        segment = directory / "segment-00000001.jsonl"
+        segment.write_bytes(b"".join(lines))
+        return segment
+
+    @pytest.mark.parametrize(
+        "read", [scan_journal, replay_journal, Journal],
+        ids=["scan", "replay", "open"],
+    )
+    def test_v1_journal_is_refused_by_version(self, tmp_path, read):
+        segment = self._v1_journal(tmp_path / "v1")
+        data = segment.read_bytes()
+        with pytest.raises(JournalError, match="format version 1") as exc:
+            read(tmp_path / "v1")
+        assert not isinstance(exc.value, ReplayDivergenceError)
+        assert exc.value.sequence == 1
+        assert segment.read_bytes() == data
+        assert [p.name for p in (tmp_path / "v1").iterdir()] == [
+            segment.name
+        ]

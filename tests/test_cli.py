@@ -803,6 +803,13 @@ class TestSharedRunFlags:
             ("figures", "fig6", "--workers", "0"),
             ("campaign", "--workers", "0"),
             ("audit", "--max-phones", "-1"),
+            ("campaign", "--rounds", "1", "--slots", "4",
+             "--max-reassign", "-1"),
+            ("chaos", "--max-reassign", "-1"),
+            ("campaign", "--rounds", "1", "--slots", "4",
+             "--heartbeat-every", "-1"),
+            ("campaign", "--rounds", "1", "--slots", "4",
+             "--heartbeat-every", "0"),
         ],
         ids=" ".join,
     )

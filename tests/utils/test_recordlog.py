@@ -10,7 +10,7 @@ import pytest
 
 import repro.utils.recordlog as recordlog
 from repro.auction.events import EVENT_TYPES
-from repro.durability.journal import KIND_EVENT, decode_line
+from repro.durability.journal import KIND_COMMAND, EventDigest, decode_line
 from repro.errors import JournalError
 from repro.experiments.sharding import encode_checkpoint_record
 from repro.faults.crash import (
@@ -29,7 +29,6 @@ from repro.utils.recordlog import (
     read_log,
     scan_lines,
     seal,
-    truncate,
     unseal,
 )
 
@@ -111,16 +110,20 @@ class TestSealEncodesOnce:
     )
     def test_journal_lines_match_the_two_encode_seal(self, cls, text):
         event = _sample_event(cls, text)
+        emitted = EventDigest.of([event, event])
         body = {
+            "emitted": emitted.to_dict(),
             "event": event.to_dict(),
-            "kind": KIND_EVENT,
+            "kind": KIND_COMMAND,
             "prev": "ab" * 32,
             "seq": 7,
         }
         line, digest = seal(body, "hash")
         assert (line, digest) == _two_encode_seal(body, "hash")
         record = decode_line(line)
-        assert (record.event, record.hash, record.seq) == (event, digest, 7)
+        assert (record.event, record.emitted, record.hash, record.seq) == (
+            event, emitted, digest, 7
+        )
         assert record.to_line().encode("utf-8") + b"\n" == line
 
     @pytest.mark.parametrize(
@@ -253,11 +256,20 @@ class TestWriter:
         RecordWriter(path).close()
         assert path.read_bytes() == _line(0)
 
-    def test_truncate(self, tmp_path):
+    def test_open_keeps_the_torn_tail_as_evidence(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        path.write_bytes(_line(0) + _line(1))
-        truncate(path, len(_line(0)))
-        assert path.read_bytes() == _line(0)
+        path.write_bytes(b'{"a":1}\n{"torn')
+        with RecordWriter(path) as log:
+            log.append(b'{"b":2}\n')
+        assert path.read_bytes() == b'{"a":1}\n{"b":2}\n'
+        evidence = tmp_path / "log.jsonl.corrupt"
+        assert evidence.read_bytes() == b'{"torn'
+
+    def test_open_of_a_whole_file_leaves_no_evidence(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_line(0))
+        RecordWriter(path).close()
+        assert not (tmp_path / "log.jsonl.corrupt").exists()
 
     def test_cut_log_keeps_the_cut_bytes(self, tmp_path):
         path = tmp_path / "log.jsonl"
