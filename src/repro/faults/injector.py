@@ -83,13 +83,12 @@ class FaultInjector:
             delay = int(delay_len_rng.integers(1, cfg.max_bid_delay + 1))
             lost = loss_rng.random() < cfg.bid_loss_prob
 
-            record = PhoneFaults(
-                phone_id=profile.phone_id,
-                dropout_slot=drop_slot if drops else None,
-                fails_task=fails,
-                bid_delay=delay if delayed else 0,
-                bid_lost=lost,
-            )
-            if record.is_faulty:
-                faults[profile.phone_id] = record
+            if drops or fails or delayed or lost:
+                faults[profile.phone_id] = PhoneFaults(
+                    phone_id=profile.phone_id,
+                    dropout_slot=drop_slot if drops else None,
+                    fails_task=fails,
+                    bid_delay=delay if delayed else 0,
+                    bid_lost=lost,
+                )
         return FaultPlan(faults=faults, config=cfg, seed=streams.seed)

@@ -7,16 +7,14 @@ bipartite matching (Section IV-B of the paper).  This package provides:
   bipartite graph from bids and a task schedule, and solving it on the
   engine the instance calls for (dense or CSR),
 * :mod:`repro.matching.solver` — the vectorised dense assignment solver
-  with warm-started sensitivity queries, and
+  with its warm-started column-removal repair, and
   :func:`~repro.matching.solver.max_weight_matching`, the entry point for
   dense weight matrices,
 * :mod:`repro.matching.sparse` — the CSR heap-Dijkstra assignment solver
-  for large sparse (interval-structured) instances, same warm-start API,
+  for large sparse (interval-structured) instances, same repair query,
 * :mod:`repro.matching.hungarian` — a from-scratch ``O(n^3)`` Hungarian
   algorithm (potentials + slack arrays), the reference the solvers are
   audited against,
-* :mod:`repro.matching.maxcard` — Hopcroft-Karp maximum-cardinality
-  matching (feasibility analysis: how many tasks are serviceable at all),
 * :mod:`repro.matching.bruteforce` — exponential exact matcher used to
   cross-check the Hungarian implementation on small instances,
 * :mod:`repro.matching.validate` — structural validity checks.
@@ -25,7 +23,6 @@ bipartite matching (Section IV-B of the paper).  This package provides:
 from repro.matching.bruteforce import brute_force_max_weight_matching
 from repro.matching.graph import TaskAssignmentGraph
 from repro.matching.hungarian import MatchingResult, solve_assignment_min
-from repro.matching.maxcard import hopcroft_karp
 from repro.matching.solver import AssignmentSolver, max_weight_matching
 from repro.matching.sparse import SparseAssignmentSolver
 from repro.matching.validate import check_matching
@@ -37,7 +34,6 @@ __all__ = [
     "MatchingResult",
     "max_weight_matching",
     "solve_assignment_min",
-    "hopcroft_karp",
     "brute_force_max_weight_matching",
     "check_matching",
 ]

@@ -271,17 +271,16 @@ class TaskAssignmentGraph:
         return self._num_positive_edges
 
     @property
-    def num_active_pairs(self) -> int:
-        """Interval-active (task, bid) pairs, profitable or not."""
-        return int(self._edge_cols.shape[0])
-
-    @property
     def edge_density(self) -> float:
-        """Active pairs as a fraction of the dense ``tasks x bids`` grid."""
+        """Active pairs as a fraction of the dense ``tasks x bids`` grid.
+
+        A pair is active when the bid's window covers the task's slot,
+        profitable or not.
+        """
         cells = len(self._tasks) * len(self._bids)
         if not cells:
             return 0.0
-        return self.num_active_pairs / cells
+        return self._edge_cols.size / cells
 
     def weight(self, task_id: int, phone_id: int) -> float:
         """Edge weight between a task and a phone, by their ids."""

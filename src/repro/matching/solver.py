@@ -37,31 +37,17 @@ winner costs ``O(n^4)`` overall; this solver instead:
     closed`` (``+inf`` on retired columns, ``-0.0`` on open ones, and
     ``x + -0.0 == x`` bit for bit), then ``minimum(slack, shortest)``,
     which keeps its second operand on ties as a strict ``<`` would.
-* answers "total cost without column ``j``" by *repairing* the cached
+* answers "the optimum without column ``j``" by *repairing* the cached
   optimum: the cached dual potentials remain feasible on the reduced
   column set, so one Dijkstra pass from the displaced row — with ``j``
-  forbidden — prices the repair exactly.  The query is distance-only:
-  no potentials are copied or updated and no matching is flipped,
-  because the reduced optimum's *cost* is ``total - cost[r][j] + dist +
-  u[r] + v[f]`` where ``dist`` is the shortest reduced distance from the
-  displaced row ``r`` to the free column ``f`` that ends the path (the
-  ``u``/``v`` terms restore the true-cost scale of the alternating
-  path).  Each repair is ``O(cols^2)`` instead of a full solve.
-* answers row-removal queries with a single shortest-path pass:
-  deleting a row frees its column, and the optimum of the reduced
-  problem is the remaining matching plus the cheapest *reassignment
-  chain* into that freed column (a row moves onto it, freeing its own
-  column for the next row, and so on; the symmetric-difference argument
-  shows one chain suffices because any cycle or chain avoiding the
-  freed column was already available — and therefore non-improving —
-  in the full problem).  The chain search is one Dijkstra over reduced
-  costs with the freed column as source, pricing a move of row ``r``
-  into hole ``h`` at ``cost[r][h] - u[r] - v[h]`` and crediting a chain
-  that ends by freeing column ``c`` with ``-v[c]``.
-  :meth:`total_cost_without_row`, :meth:`resolve_without_row` and the
-  mutating :meth:`delete_row` all use it.
+  forbidden — finds the cheapest alternating path to a free column, and
+  flipping it (on a copy) gives the reduced optimal matching.  No
+  potentials are copied or updated.  Each repair is ``O(cols^2)``
+  instead of a full solve; :meth:`matching_without_column` is the one
+  repair query, and callers price the returned matching from their own
+  weights.
 
-Correctness of the repairs is cross-checked against full re-solves by
+Correctness of the repair is cross-checked against full re-solves by
 the property tests in ``tests/matching/`` and
 ``tests/properties/test_warm_start_properties.py``.
 """
@@ -106,8 +92,7 @@ class AssignmentSolver:
 
     Every row is matched to a distinct column (callers model optional
     rows by adding dummy columns).  The matrix is copied; apart from
-    lazy solving and explicit :meth:`delete_row` calls the solver is
-    immutable after construction.
+    lazy solving the solver is immutable after construction.
     """
 
     def __init__(self, cost: np.ndarray) -> None:
@@ -131,14 +116,11 @@ class AssignmentSolver:
         # Rows of one class share one row of ``cost - v`` (dual updates
         # subtract from whole columns, so they stay identical).
         self._row_class = self._cost_classes(self._cost)
-        self._class_array = np.asarray(self._row_class, dtype=np.int64)
-        self._class_first_row = np.unique(
-            self._class_array, return_index=True
-        )[1]
+        class_first_row = np.unique(self._row_class, return_index=True)[1]
         # ``cost - v`` per class, maintained incrementally: the Dijkstra
         # hot loop reads one row of it per pivot instead of recombining
         # ``cost``/``v`` arrays every time.
-        self._cost_minus_v = self._cost[self._class_first_row]
+        self._cost_minus_v = self._cost[class_first_row]
         self._class_rows = list(self._cost_minus_v)
         # Row potentials and the matching are Python lists: the hot loop
         # reads them one scalar at a time.
@@ -146,12 +128,9 @@ class AssignmentSolver:
         self._v = np.zeros(num_cols)
         # match_of_col[j] = row matched to column j, -1 when free.
         self._match_of_col: List[int] = [-1] * num_cols
-        self._row_deleted = np.zeros(num_rows, dtype=bool)
-        self._num_active_rows = num_rows
-        # Set by delete_row when a reassignment chain left matched
-        # edges non-tight; dual-based repairs re-solve lazily first.
-        self._duals_stale = False
-        self._total: Optional[float] = None
+        # The solved optimum, filled in once by solve().
+        self._row_to_col = np.full(num_rows, -1, dtype=np.int64)
+        self._total = 0.0
         # Scratch buffers reused by every Dijkstra pass.
         self._shortest = np.empty(num_cols)
         self._closed = np.empty(num_cols)
@@ -168,16 +147,6 @@ class AssignmentSolver:
             class_of.setdefault(cost_row.tobytes(), len(class_of))
             for cost_row in cost
         ]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """``(rows, cols)`` of the cost matrix."""
-        return self._num_rows, self._num_cols
-
-    @property
-    def num_active_rows(self) -> int:
-        """Rows still present (total rows minus :meth:`delete_row` calls)."""
-        return self._num_active_rows
 
     # ------------------------------------------------------------------
     # Core shortest-augmenting-path search
@@ -342,105 +311,41 @@ class AssignmentSolver:
                 # of the matrix alone — mechanisms rely on that.
                 pivots = 0
                 for row in range(self._num_rows):
-                    if not self._row_deleted[row]:
-                        pivots += self._augment(row)
+                    pivots += self._augment(row)
                 self._solved = True
                 match_of_col = np.asarray(self._match_of_col)
                 cols = np.nonzero(match_of_col >= 0)[0]
                 rows = match_of_col[cols]
                 self._total = float(self._cost[rows, cols].sum())
+                self._row_to_col[rows] = cols
                 sp.set_attribute("pivots", pivots)
-                obs.counter(
-                    "matching.augmentations", self._num_active_rows
-                )
+                obs.counter("matching.augmentations", self._num_rows)
                 obs.counter("matching.pivots", pivots)
-        return self.row_to_col(), self.total_cost()
-
-    def row_to_col(self) -> np.ndarray:
-        """The cached assignment as ``row -> col`` (solves if needed).
-
-        Deleted rows map to ``-1``.
-        """
-        if not self._solved:
-            self.solve()
-        row_to_col = np.full(self._num_rows, -1, dtype=np.int64)
-        match_of_col = np.asarray(self._match_of_col)
-        matched = match_of_col >= 0
-        row_to_col[match_of_col[matched]] = np.nonzero(matched)[0]
-        return row_to_col
-
-    def total_cost(self) -> float:
-        """Total cost of the cached optimum (solves if needed)."""
-        if not self._solved:
-            self.solve()
-        assert self._total is not None
-        return self._total
-
-    def total_cost_without_column(self, column: int) -> float:
-        """Optimal total cost when ``column`` is removed.
-
-        Uses the distance-only warm-started repair described in the
-        module docstring; the solver's own state is untouched.
-        """
-        if not (0 <= column < self._num_cols):
-            raise MatchingError(
-                f"column {column} outside [0, {self._num_cols})"
-            )
-        if self._num_active_rows >= self._num_cols:
-            raise MatchingError(
-                "cannot remove a column: every column is needed to match "
-                "all rows (add dummy columns)"
-            )
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-
-        displaced_row = self._match_of_col[column]
-        if displaced_row == -1:
-            return self.total_cost()
-
-        with obs.span("matching.solver.repair", column=column) as sp:
-            search = self._dijkstra(displaced_row, column)
-            pivots = search.pivots
-            sp.set_attribute("pivots", pivots)
-            obs.counter("matching.pivots", pivots)
-            obs.counter("matching.warm_resolves")
-            return float(
-                self.total_cost()
-                - self._cost[displaced_row, column]
-                + search.distance
-                + self._u[displaced_row]
-                + self._v[search.free_col]
-            )
+        return self._row_to_col.copy(), self._total
 
     def matching_without_column(self, column: int) -> np.ndarray:
         """``row_to_col`` of the optimum with ``column`` removed.
 
-        Same one-Dijkstra repair as :meth:`total_cost_without_column`
-        but parent-tracked, so the repaired matching itself is returned
-        (non-mutating; the removed column appears in no row's image).
-        The payment path uses this to recompute reduced welfare from
-        raw edge weights instead of from dual arithmetic.
+        One warm-started Dijkstra from the row displaced from
+        ``column`` (see the module docstring); its augmenting path is
+        flipped on a copy, so the solver's own state is untouched and
+        the removed column appears in no row's image.  The payment path
+        prices the repaired matching from raw edge weights.
         """
         if not (0 <= column < self._num_cols):
             raise MatchingError(
                 f"column {column} outside [0, {self._num_cols})"
             )
-        if self._num_active_rows >= self._num_cols:
+        if self._num_rows >= self._num_cols:
             raise MatchingError(
                 "cannot remove a column: every column is needed to match "
                 "all rows (add dummy columns)"
             )
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-        assignment = self.row_to_col()
+        assignment, _ = self.solve()
         displaced_row = self._match_of_col[column]
         if displaced_row == -1:
             return assignment
-        with obs.span(
-            "matching.solver.repair", column=column, matching=True
-        ) as sp:
+        with obs.span("matching.solver.repair", column=column) as sp:
             search = self._dijkstra(displaced_row, column)
             path = self._path(search)
             pivots = search.pivots
@@ -451,195 +356,6 @@ class AssignmentSolver:
             assignment[self._match_of_col[prev]] = col
         assignment[displaced_row] = path[-1]
         return assignment
-
-    # ------------------------------------------------------------------
-    # Row-removal sensitivity
-    # ------------------------------------------------------------------
-    def _check_row(self, row: int) -> None:
-        if not (0 <= row < self._num_rows):
-            raise MatchingError(f"row {row} outside [0, {self._num_rows})")
-        if self._row_deleted[row]:
-            raise MatchingError(f"row {row} was already deleted")
-
-    def _refresh_duals(self) -> None:
-        """Re-solve from scratch when :meth:`delete_row` left duals stale.
-
-        A reassignment chain keeps the matching and total exact but its
-        new matched edges are generally not tight under the old
-        potentials, so the *next* dual-based repair must start from
-        fresh ones.  The re-solve covers active rows only.
-        """
-        if not self._duals_stale:
-            return
-        self._u = [0.0] * self._num_rows
-        self._v.fill(0.0)
-        np.copyto(self._cost_minus_v, self._cost[self._class_first_row])
-        self._match_of_col = [-1] * self._num_cols
-        self._total = None
-        self._solved = False
-        self._duals_stale = False
-        self.solve()
-
-    def _row_removal_search(
-        self, row: int, column: int
-    ) -> Tuple[float, int, np.ndarray, np.ndarray, int]:
-        """Cheapest reassignment chain into the column freed by ``row``.
-
-        Dijkstra over *hole* positions: dropping ``row`` leaves a hole
-        at ``column``; moving a matched row ``r`` into a hole ``h``
-        costs the reduced amount ``cost[r][h] - u[r] - v[h] >= 0`` and
-        shifts the hole to ``r``'s old column.  A chain may stop at any
-        hole ``h``, leaving it unmatched; since an unmatched column's
-        potential must be zero at an optimum, stopping at ``h`` carries
-        a terminal credit of ``-v[h] >= 0``.  The true welfare change of
-        the best chain telescopes to ``v[column] + min_h (dist[h] -
-        v[h]) <= 0`` (the empty chain gives exactly zero).
-
-        Returns ``(improvement, end_col, parent_row, parent_hole,
-        pivots)``; the chain is recovered by walking ``parent_*`` from
-        ``end_col`` back to ``column``.
-        """
-        v = self._v
-        match_of_col = np.asarray(self._match_of_col)
-
-        matched_cols = np.nonzero(match_of_col >= 0)[0]
-        move_rows = match_of_col[matched_cols]
-        movable = move_rows != row
-        move_rows = move_rows[movable]
-        move_cols = matched_cols[movable]
-        move_classes = self._class_array[move_rows]
-        move_u = np.asarray(self._u)[move_rows]
-        cost_minus_v = self._cost_minus_v
-
-        dist = np.full(self._num_cols, _INF)
-        dist[column] = 0.0
-        visited = np.zeros(self._num_cols, dtype=bool)
-        parent_row = np.full(self._num_cols, -1, dtype=np.int64)
-        parent_hole = np.full(self._num_cols, -1, dtype=np.int64)
-
-        best = _INF
-        best_col = column
-        pivots = 0
-        while True:
-            frontier = np.where(visited, _INF, dist)
-            hole = int(frontier.argmin())
-            hole_dist = float(frontier[hole])
-            # Unexplored chains cost at least ``hole_dist`` and end with
-            # a credit ``-v >= 0``, so none can beat ``best`` any more.
-            if not np.isfinite(hole_dist) or hole_dist >= best:
-                break
-            pivots += 1
-            visited[hole] = True
-            ending_here = hole_dist - float(v[hole])
-            if ending_here < best:
-                best = ending_here
-                best_col = hole
-            if move_rows.size:
-                candidate = (
-                    hole_dist + cost_minus_v[move_classes, hole] - move_u
-                )
-                better = (candidate < dist[move_cols]) & ~visited[move_cols]
-                targets = move_cols[better]
-                dist[targets] = candidate[better]
-                parent_row[targets] = move_rows[better]
-                parent_hole[targets] = hole
-        improvement = min(float(v[column]) + best, 0.0)
-        return improvement, best_col, parent_row, parent_hole, pivots
-
-    def _removal_plan(
-        self, row: int
-    ) -> Tuple[int, float, int, np.ndarray, np.ndarray]:
-        """Shared front half of the row-removal queries.
-
-        Solves (and refreshes stale duals) first, then returns
-        ``(column, improvement, end_col, parent_row, parent_hole)`` for
-        ``row``'s matched column; ``column`` is ``-1`` for an unmatched
-        row, in which case removal changes nothing.
-        """
-        self._check_row(row)
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-        column = int(self.row_to_col()[row])
-        if column < 0:
-            empty = np.empty(0, dtype=np.int64)
-            return column, 0.0, column, empty, empty
-        with obs.span("matching.solver.row_removal", row=row) as sp:
-            improvement, end_col, parent_row, parent_hole, pivots = (
-                self._row_removal_search(row, column)
-            )
-            sp.set_attribute("pivots", pivots)
-            obs.counter("matching.pivots", pivots)
-            obs.counter("matching.warm_resolves")
-        return column, improvement, end_col, parent_row, parent_hole
-
-    def total_cost_without_row(self, row: int) -> float:
-        """Optimal total cost when ``row`` is removed.
-
-        One chain search (see :meth:`_row_removal_search`); the solver's
-        own state is untouched.
-        """
-        column, improvement, _, _, _ = self._removal_plan(row)
-        if column < 0:
-            return self.total_cost()
-        return float(
-            self.total_cost() - self._cost[row, column] + improvement
-        )
-
-    def resolve_without_row(self, row: int) -> Tuple[np.ndarray, float]:
-        """``(row_to_col, total)`` of the optimum without ``row``.
-
-        Non-mutating companion of :meth:`delete_row`; the removed row
-        maps to ``-1`` in the returned assignment, and rows on the
-        repair chain appear at their reassigned columns.
-        """
-        column, improvement, end_col, parent_row, parent_hole = (
-            self._removal_plan(row)
-        )
-        assignment = self.row_to_col().copy()
-        total = self.total_cost()
-        assignment[row] = -1
-        if column >= 0:
-            total = total - float(self._cost[row, column]) + improvement
-            current = end_col
-            while current != column:
-                mover = int(parent_row[current])
-                assignment[mover] = int(parent_hole[current])
-                current = int(parent_hole[current])
-        return assignment, total
-
-    def delete_row(self, row: int) -> float:
-        """Remove ``row`` permanently; returns the new optimal total.
-
-        Applies the repair chain to the stored matching, so the cached
-        assignment and total stay exact.  The chain's new edges are not
-        tight under the old potentials, so the next dual-based repair
-        (:meth:`total_cost_without_column` or another removal) triggers
-        one fresh solve over the remaining rows first.
-        """
-        column, improvement, end_col, parent_row, parent_hole = (
-            self._removal_plan(row)
-        )
-        if column >= 0:
-            assert self._total is not None
-            self._total = float(
-                self._total - self._cost[row, column] + improvement
-            )
-            # The chain's last column ends up free; every earlier hole
-            # (including ``column`` itself) receives the row that moved
-            # into it.  Write the free slot first — the walk then fills
-            # holes strictly behind itself.
-            self._match_of_col[end_col] = -1
-            current = end_col
-            while current != column:
-                mover = int(parent_row[current])
-                self._match_of_col[int(parent_hole[current])] = mover
-                current = int(parent_hole[current])
-            if end_col != column or self._v[column] != 0.0:
-                self._duals_stale = True
-        self._row_deleted[row] = True
-        self._num_active_rows -= 1
-        return self.total_cost()
 
 
 def padded_cost(weights: np.ndarray) -> np.ndarray:

@@ -14,12 +14,10 @@ slots, tens of thousands of bids) the reachable neighbourhood is tiny
 because augmenting paths cannot leave a time-window cluster, so
 augmentations are effectively local.
 
-The public API mirrors :class:`AssignmentSolver` — ``solve``,
-``row_to_col``, ``total_cost``, the warm-started repair queries
-``total_cost_without_column`` / ``matching_without_column``, and the
-row-removal family ``total_cost_without_row`` / ``resolve_without_row``
-/ ``delete_row`` — so :class:`~repro.matching.graph.TaskAssignmentGraph`
-runs its payment paths unchanged on whichever engine it picked.
+The public API is the dense solver's: ``solve`` and the one
+warm-started repair query ``matching_without_column`` — so
+:class:`~repro.matching.graph.TaskAssignmentGraph` runs its payment
+paths unchanged on whichever engine it picked.
 
 Optional rows are modelled natively: when ``dummy_cost`` is given,
 every row ``r`` owns a private *implicit* dummy column ``num_cols + r``
@@ -159,41 +157,15 @@ class SparseAssignmentSolver:
         self._v: List[float] = [0.0] * total_cols
         # match_of_col[j] = row matched to column j, -1 when free.
         self._match_of_col: List[int] = [-1] * total_cols
-        self._row_deleted = np.zeros(num_rows, dtype=bool)
-        self._num_active_rows = num_rows
-        self._duals_stale = False
         self._solved = False
-        self._total: Optional[float] = None
-        self._row_to_col_cache: Optional[np.ndarray] = None
-        # Column-major view, built lazily for row-removal chain searches.
-        self._csc_indptr_list: Optional[List[int]] = None
-        self._csc_rows_list: Optional[List[int]] = None
-        self._csc_data_list: Optional[List[float]] = None
+        # The solved optimum, filled in once by solve().
+        self._row_to_col = np.full(num_rows, -1, dtype=np.int64)
+        self._total = 0.0
 
     # ------------------------------------------------------------------
-    # Structure accessors
+    # Edge lookup
     # ------------------------------------------------------------------
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """``(rows, cols)`` counting the implicit dummy columns."""
-        return self._num_rows, self._total_cols
-
-    @property
-    def num_real_cols(self) -> int:
-        """Real columns (excluding the implicit per-row dummies)."""
-        return self._num_cols
-
-    @property
-    def num_edges(self) -> int:
-        """Stored edges (dummies excluded)."""
-        return int(self._indices.shape[0])
-
-    @property
-    def num_active_rows(self) -> int:
-        """Rows still present (total rows minus :meth:`delete_row` calls)."""
-        return self._num_active_rows
-
-    def edge_cost(self, row: int, column: int) -> float:
+    def _edge_cost(self, row: int, column: int) -> float:
         """Cost of edge ``(row, column)``; dummies included.
 
         Raises :class:`MatchingError` when the pair is not an edge.
@@ -335,129 +307,59 @@ class SparseAssignmentSolver:
     def solve(self) -> Tuple[np.ndarray, float]:
         """The optimal assignment: ``(row_to_col, total_cost)``.
 
-        Cached after the first call.  Rows map to real columns, their
-        implicit dummy, or ``-1`` when deleted.
+        Cached after the first call.  Rows map to real columns or to
+        their implicit dummy ``num_cols + row``.
         """
         if not self._solved:
             with obs.span(
                 "matching.sparse.solve",
                 rows=self._num_rows,
                 cols=self._total_cols,
-                edges=self.num_edges,
+                edges=int(self._indices.shape[0]),
             ) as sp:
                 pivots = 0
                 for row in range(self._num_rows):
-                    if not self._row_deleted[row]:
-                        pivots += self._augment(row)
+                    pivots += self._augment(row)
                 self._solved = True
-                self._total = self._matched_cost()
+                costs: List[float] = []
+                for col, row in enumerate(self._match_of_col):
+                    if row >= 0:
+                        self._row_to_col[row] = col
+                        costs.append(self._edge_cost(row, col))
+                if costs:
+                    self._total = float(np.asarray(costs).sum())
                 sp.set_attribute("pivots", pivots)
-                obs.counter(
-                    "matching.augmentations", self._num_active_rows
-                )
+                obs.counter("matching.augmentations", self._num_rows)
                 obs.counter("matching.pivots", pivots)
-        return self.row_to_col(), self.total_cost()
-
-    def _matched_cost(self) -> float:
-        """Total cost of the stored matching, recomputed from the edges."""
-        costs = [
-            self.edge_cost(row, col)
-            for col, row in enumerate(self._match_of_col)
-            if row >= 0
-        ]
-        if not costs:
-            return 0.0
-        return float(np.asarray(costs).sum())
-
-    def row_to_col(self) -> np.ndarray:
-        """The cached assignment as ``row -> col`` (solves if needed).
-
-        Deleted rows map to ``-1``; rows parked on their implicit dummy
-        map to ``num_real_cols + row``.
-        """
-        if not self._solved:
-            self.solve()
-        if self._row_to_col_cache is None:
-            row_to_col = np.full(self._num_rows, -1, dtype=np.int64)
-            for col, row in enumerate(self._match_of_col):
-                if row >= 0:
-                    row_to_col[row] = col
-            self._row_to_col_cache = row_to_col
-        return self._row_to_col_cache.copy()
-
-    def total_cost(self) -> float:
-        """Total cost of the cached optimum (solves if needed)."""
-        if not self._solved:
-            self.solve()
-        assert self._total is not None
-        return self._total
+        return self._row_to_col.copy(), self._total
 
     # ------------------------------------------------------------------
     # Column-removal sensitivity (the VCG ``ω*(B₋ᵢ)`` query)
     # ------------------------------------------------------------------
-    def _check_column(self, column: int) -> None:
+    def matching_without_column(self, column: int) -> np.ndarray:
+        """``row_to_col`` of the optimum with ``column`` removed.
+
+        Warm-started repair: the cached dual potentials stay feasible on
+        the reduced column set, so one parent-tracked heap Dijkstra from
+        the displaced row finds the augmenting path, which is flipped on
+        a copy (non-mutating; the removed column appears in no row's
+        image).  The payment path prices the repaired matching from raw
+        edge weights.
+        """
         if not (0 <= column < self._total_cols):
             raise MatchingError(
                 f"column {column} outside [0, {self._total_cols})"
             )
-        if self._dummy_cost is None and (
-            self._num_active_rows >= self._num_cols
-        ):
+        if self._dummy_cost is None and self._num_rows >= self._num_cols:
             raise MatchingError(
                 "cannot remove a column: every column is needed to match "
                 "all rows (add dummy columns)"
             )
-
-    def total_cost_without_column(self, column: int) -> float:
-        """Optimal total cost when ``column`` is removed.
-
-        Distance-only warm-started repair: the cached dual potentials
-        stay feasible on the reduced column set, so one heap Dijkstra
-        from the displaced row prices the repair exactly.  The solver's
-        own state is untouched.
-        """
-        self._check_column(column)
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-        displaced_row = int(self._match_of_col[column])
-        if displaced_row == -1:
-            return self.total_cost()
-        with obs.span("matching.sparse.repair", column=column) as sp:
-            distance, free_col, pivots, _, _ = self._dijkstra(
-                displaced_row, column, None
-            )
-            sp.set_attribute("pivots", pivots)
-            obs.counter("matching.pivots", pivots)
-            obs.counter("matching.warm_resolves")
-            return float(
-                self.total_cost()
-                - self.edge_cost(displaced_row, column)
-                + distance
-                + self._u[displaced_row]
-                + self._v[free_col]
-            )
-
-    def matching_without_column(self, column: int) -> np.ndarray:
-        """``row_to_col`` of the optimum with ``column`` removed.
-
-        Same one-Dijkstra repair as :meth:`total_cost_without_column`
-        but parent-tracked, so the repaired matching itself is returned
-        (non-mutating; the removed column appears in no row's image).
-        The payment path uses this to recompute reduced welfare from
-        raw edge weights instead of from dual arithmetic.
-        """
-        self._check_column(column)
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-        assignment = self.row_to_col()
+        assignment, _ = self.solve()
         displaced_row = int(self._match_of_col[column])
         if displaced_row == -1:
             return assignment
-        with obs.span(
-            "matching.sparse.repair", column=column, matching=True
-        ) as sp:
+        with obs.span("matching.sparse.repair", column=column) as sp:
             parent: List[int] = [-2] * self._total_cols
             _, free_col, pivots, _, _ = self._dijkstra(
                 displaced_row, column, parent
@@ -474,203 +376,3 @@ class SparseAssignmentSolver:
             assignment[self._match_of_col[prev]] = col
             col = prev
         return assignment
-
-    # ------------------------------------------------------------------
-    # Row-removal sensitivity
-    # ------------------------------------------------------------------
-    def _check_row(self, row: int) -> None:
-        if not (0 <= row < self._num_rows):
-            raise MatchingError(f"row {row} outside [0, {self._num_rows})")
-        if self._row_deleted[row]:
-            raise MatchingError(f"row {row} was already deleted")
-
-    def _refresh_duals(self) -> None:
-        """Re-solve from scratch when :meth:`delete_row` left duals stale."""
-        if not self._duals_stale:
-            return
-        self._u = [0.0] * self._num_rows
-        self._v = [0.0] * self._total_cols
-        self._match_of_col = [-1] * self._total_cols
-        self._row_to_col_cache = None
-        self._total = None
-        self._solved = False
-        self._duals_stale = False
-        self.solve()
-
-    def _ensure_csc(self) -> None:
-        """Build the column-major edge view (movers-into-a-hole lookups)."""
-        if self._csc_indptr_list is not None:
-            return
-        rows = np.repeat(
-            np.arange(self._num_rows, dtype=np.int64),
-            np.diff(self._indptr),
-        )
-        order = np.lexsort((rows, self._indices))
-        csc_cols = self._indices[order]
-        self._csc_rows_list = rows[order].tolist()
-        self._csc_data_list = self._data[order].tolist()
-        self._csc_indptr_list = (
-            np.searchsorted(csc_cols, np.arange(self._num_cols + 1))
-            .astype(np.int64)
-            .tolist()
-        )
-
-    def _row_removal_search(
-        self, row: int, column: int
-    ) -> Tuple[float, int, List[int], List[int], int]:
-        """Cheapest reassignment chain into the column freed by ``row``.
-
-        The sparse mirror of the dense hole-Dijkstra: from a real hole
-        ``h`` the candidate movers are the rows adjacent to ``h`` in the
-        column-major view; from a dummy hole only its owning row can
-        move in.  Terminal credit and the telescoped improvement are
-        identical to the dense derivation.
-        """
-        self._ensure_csc()
-        csc_indptr = self._csc_indptr_list
-        csc_rows = self._csc_rows_list
-        csc_data = self._csc_data_list
-        assert csc_indptr is not None
-        assert csc_rows is not None
-        assert csc_data is not None
-        u = self._u
-        v = self._v
-        row_to_col: List[int] = self.row_to_col().tolist()
-
-        dist = [_INF] * self._total_cols
-        dist[column] = 0.0
-        visited = [False] * self._total_cols
-        parent_row = [-1] * self._total_cols
-        parent_hole = [-1] * self._total_cols
-
-        heap: List[Tuple[float, int]] = [(0.0, column)]
-        best = _INF
-        best_col = column
-        pivots = 0
-        while heap:
-            hole_dist, hole = heapq.heappop(heap)
-            if visited[hole] or hole_dist > dist[hole]:
-                continue
-            # Unexplored chains cost at least ``hole_dist`` and end with
-            # a credit ``-v >= 0``, so none can beat ``best`` any more.
-            if hole_dist >= best:
-                break
-            pivots += 1
-            visited[hole] = True
-            ending_here = hole_dist - v[hole]
-            if ending_here < best:
-                best = ending_here
-                best_col = hole
-            if hole < self._num_cols:
-                v_hole = v[hole]
-                for position in range(
-                    csc_indptr[hole], csc_indptr[hole + 1]
-                ):
-                    mover = csc_rows[position]
-                    if mover == row:
-                        continue
-                    target = row_to_col[mover]
-                    if target < 0 or visited[target]:
-                        continue
-                    candidate = hole_dist + (
-                        (csc_data[position] - v_hole) - u[mover]
-                    )
-                    if candidate < dist[target]:
-                        dist[target] = candidate
-                        parent_row[target] = mover
-                        parent_hole[target] = hole
-                        heapq.heappush(heap, (candidate, target))
-            else:
-                assert self._dummy_cost is not None
-                mover = hole - self._num_cols
-                if mover == row or self._row_deleted[mover]:
-                    continue
-                target = row_to_col[mover]
-                if target < 0 or target == hole or visited[target]:
-                    continue
-                candidate = hole_dist + (
-                    (self._dummy_cost - v[hole]) - u[mover]
-                )
-                if candidate < dist[target]:
-                    dist[target] = candidate
-                    parent_row[target] = mover
-                    parent_hole[target] = hole
-                    heapq.heappush(heap, (candidate, target))
-        improvement = min(v[column] + best, 0.0)
-        return improvement, best_col, parent_row, parent_hole, pivots
-
-    def _removal_plan(
-        self, row: int
-    ) -> Tuple[int, float, int, List[int], List[int]]:
-        """Shared front half of the row-removal queries."""
-        self._check_row(row)
-        if not self._solved:
-            self.solve()
-        self._refresh_duals()
-        column = int(self.row_to_col()[row])
-        if column < 0:
-            empty: List[int] = []
-            return column, 0.0, column, empty, empty
-        with obs.span("matching.sparse.row_removal", row=row) as sp:
-            improvement, end_col, parent_row, parent_hole, pivots = (
-                self._row_removal_search(row, column)
-            )
-            sp.set_attribute("pivots", pivots)
-            obs.counter("matching.pivots", pivots)
-            obs.counter("matching.warm_resolves")
-        return column, improvement, end_col, parent_row, parent_hole
-
-    def total_cost_without_row(self, row: int) -> float:
-        """Optimal total cost when ``row`` is removed (non-mutating)."""
-        column, improvement, _, _, _ = self._removal_plan(row)
-        if column < 0:
-            return self.total_cost()
-        return float(
-            self.total_cost() - self.edge_cost(row, column) + improvement
-        )
-
-    def resolve_without_row(self, row: int) -> Tuple[np.ndarray, float]:
-        """``(row_to_col, total)`` of the optimum without ``row``."""
-        column, improvement, end_col, parent_row, parent_hole = (
-            self._removal_plan(row)
-        )
-        assignment = self.row_to_col()
-        total = self.total_cost()
-        assignment[row] = -1
-        if column >= 0:
-            total = total - self.edge_cost(row, column) + improvement
-            current = end_col
-            while current != column:
-                mover = int(parent_row[current])
-                assignment[mover] = int(parent_hole[current])
-                current = int(parent_hole[current])
-        return assignment, total
-
-    def delete_row(self, row: int) -> float:
-        """Remove ``row`` permanently; returns the new optimal total.
-
-        Applies the repair chain to the stored matching (same dance as
-        the dense solver); the chain's new edges are generally not
-        tight under the old potentials, so the next dual-based repair
-        triggers one fresh solve over the remaining rows first.
-        """
-        column, improvement, end_col, parent_row, parent_hole = (
-            self._removal_plan(row)
-        )
-        if column >= 0:
-            assert self._total is not None
-            self._total = float(
-                self._total - self.edge_cost(row, column) + improvement
-            )
-            self._match_of_col[end_col] = -1
-            current = end_col
-            while current != column:
-                mover = parent_row[current]
-                self._match_of_col[parent_hole[current]] = mover
-                current = parent_hole[current]
-            self._row_to_col_cache = None
-            if end_col != column or self._v[column] != 0.0:
-                self._duals_stale = True
-        self._row_deleted[row] = True
-        self._num_active_rows -= 1
-        return self.total_cost()

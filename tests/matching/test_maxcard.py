@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MatchingError
-from repro.matching import hopcroft_karp, max_weight_matching
+from repro.matching import max_weight_matching
+from tests.matching.maxcard_oracle import hopcroft_karp
 
 
 class TestHopcroftKarp:

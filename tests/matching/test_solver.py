@@ -77,8 +77,13 @@ class TestSolve:
         assert total == pytest.approx(2.0)
 
 
+def _priced(cost, assignment):
+    """Total cost of ``assignment`` read from the raw matrix."""
+    return float(sum(cost[row, int(col)] for row, col in enumerate(assignment)))
+
+
 class TestRepair:
-    """total_cost_without_column must equal a full re-solve."""
+    """matching_without_column must be a cold re-solve's optimum."""
 
     def test_against_full_resolve_random(self):
         rng = np.random.default_rng(3)
@@ -89,40 +94,44 @@ class TestRepair:
             solver = AssignmentSolver(cost)
             solver.solve()
             for col in range(cols):
-                repaired = solver.total_cost_without_column(col)
+                repaired = solver.matching_without_column(col)
+                assert col not in repaired.tolist()
                 reduced = np.delete(cost, col, axis=1)
                 _, expected = AssignmentSolver(reduced).solve()
-                assert repaired == pytest.approx(expected), (
+                assert _priced(cost, repaired) == pytest.approx(expected), (
                     f"col {col} of\n{cost}"
                 )
 
     def test_unmatched_column_is_free(self):
         cost = np.array([[0.0, 5.0, 9.0]])
         solver = AssignmentSolver(cost)
-        _, total = solver.solve()
+        assignment, total = solver.solve()
         assert total == 0.0
         # Column 2 is unmatched; removing it changes nothing.
-        assert solver.total_cost_without_column(2) == pytest.approx(0.0)
+        assert (
+            solver.matching_without_column(2).tolist() == assignment.tolist()
+        )
 
     def test_repair_does_not_mutate_state(self):
         rng = np.random.default_rng(4)
         cost = _random_cost(rng, 5, 8)
         solver = AssignmentSolver(cost)
-        _, total_before = solver.solve()
-        solver.total_cost_without_column(0)
-        solver.total_cost_without_column(3)
-        _, total_after = solver.solve()
+        assignment_before, total_before = solver.solve()
+        solver.matching_without_column(0)
+        solver.matching_without_column(3)
+        assignment_after, total_after = solver.solve()
+        assert assignment_before.tolist() == assignment_after.tolist()
         assert total_before == total_after
 
     def test_column_out_of_range(self):
         solver = AssignmentSolver(np.zeros((1, 2)))
         with pytest.raises(MatchingError, match="outside"):
-            solver.total_cost_without_column(2)
+            solver.matching_without_column(2)
 
     def test_square_matrix_removal_rejected(self):
         solver = AssignmentSolver(np.zeros((2, 2)))
         with pytest.raises(MatchingError, match="dummy columns"):
-            solver.total_cost_without_column(0)
+            solver.matching_without_column(0)
 
     def test_repair_with_ties(self):
         # Several equal-cost optima; repair must still be exact.
@@ -138,6 +147,6 @@ class TestRepair:
         for col in range(4):
             reduced = np.delete(cost, col, axis=1)
             _, expected = AssignmentSolver(reduced).solve()
-            assert solver.total_cost_without_column(col) == pytest.approx(
-                expected
-            )
+            repaired = solver.matching_without_column(col)
+            assert col not in repaired.tolist()
+            assert _priced(cost, repaired) == pytest.approx(expected)

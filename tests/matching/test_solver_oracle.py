@@ -6,8 +6,8 @@ parents are recovered after each search as the first tree row attaining
 a column's distance.  Both shortcuts only matter when rows repeat and
 slacks tie, so every matrix here has repeated rows.  On small integer
 costs (ties everywhere, exact float totals) the solve must give the
-reference solver's matching, ties included, and every repair must price
-what a cold re-solve prices.  On one-decimal costs, where rounding
+reference solver's matching, ties included, and every repaired matching
+must cost what a cold re-solve costs.  On one-decimal costs, where rounding
 breaks some ties, every query must match the same solver with one class
 per row bit for bit.
 """
@@ -66,12 +66,10 @@ def _cold_total(cost: np.ndarray) -> float:
 
 
 def _assert_assignment(cost: np.ndarray, row_to_col, total: float) -> None:
-    """``row_to_col`` matches every listed row to a distinct column at ``total``."""
-    cols = [int(col) for col in row_to_col if col >= 0]
-    assert len(set(cols)) == len(cols)
-    assert sum(
-        cost[row, int(col)] for row, col in enumerate(row_to_col) if col >= 0
-    ) == total
+    """``row_to_col`` matches every row to a distinct column at ``total``."""
+    cols = row_to_col.tolist()
+    assert min(cols) >= 0 and len(set(cols)) == len(cols)
+    assert sum(cost[row, col] for row, col in enumerate(cols)) == total
 
 
 SEEDS = range(40)
@@ -103,42 +101,9 @@ class TestColumnRemovalAgainstColdResolve:
         for column in range(cost.shape[1]):
             reduced = np.delete(cost, column, axis=1)
             expected = _cold_total(reduced)
-            assert solver.total_cost_without_column(column) == expected
             repaired = solver.matching_without_column(column)
             assert column not in repaired.tolist()
-            assert (repaired >= 0).all()
             _assert_assignment(cost, repaired, expected)
-
-
-class TestRowRemovalAgainstColdResolve:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_row(self, seed):
-        cost = _repeated_rows(seed)
-        solver = AssignmentSolver(cost)
-        for row in range(cost.shape[0]):
-            expected = _cold_total(np.delete(cost, row, axis=0))
-            assert solver.total_cost_without_row(row) == expected
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_delete_row_sequence(self, seed):
-        cost = _repeated_rows(seed)
-        solver = AssignmentSolver(cost)
-        solver.solve()
-        kept = list(range(cost.shape[0]))
-        order = np.random.default_rng(seed).permutation(kept).tolist()
-        for row in order[:-1]:
-            kept.remove(row)
-            remaining = cost[kept]
-            total = solver.delete_row(row)
-            assert total == _cold_total(remaining)
-            row_to_col = solver.row_to_col()
-            assert row_to_col[row] == -1
-            _assert_assignment(cost, row_to_col, total)
-            # Later repairs re-solve from fresh duals after the chain.
-            column = int(row_to_col[kept[0]])
-            assert solver.total_cost_without_column(column) == _cold_total(
-                np.delete(remaining, column, axis=1)
-            )
 
 
 class TestRowClassesChangeNothing:
@@ -158,21 +123,9 @@ class TestRowClassesChangeNothing:
         assert shared_solution[1].hex() == plain_solution[1].hex()
         for column in range(cost.shape[1]):
             assert (
-                shared.total_cost_without_column(column).hex()
-                == plain.total_cost_without_column(column).hex()
-            )
-            assert (
                 shared.matching_without_column(column).tolist()
                 == plain.matching_without_column(column).tolist()
             )
-        for row in range(cost.shape[0]):
-            assert (
-                shared.total_cost_without_row(row).hex()
-                == plain.total_cost_without_row(row).hex()
-            )
-        for row in range(cost.shape[0] - 1):
-            assert shared.delete_row(row).hex() == plain.delete_row(row).hex()
-            assert shared.row_to_col().tolist() == plain.row_to_col().tolist()
 
 
 def _figure_round(name: str, point: int, repetition: int) -> TaskAssignmentGraph:

@@ -1,8 +1,8 @@
 """Unit tests for the CSR sparse assignment solver.
 
-Every query — full solve, column-removal repair, row-removal family —
-is cross-checked against the dense :class:`AssignmentSolver` on the same
-instance and against cold re-solves on reduced instances.
+The full solve is cross-checked against the dense
+:class:`AssignmentSolver` on the same instance, and the column-removal
+repair against cold re-solves of the reduced instance.
 """
 
 import numpy as np
@@ -23,6 +23,18 @@ def _sparse_from(matrix, keep=None, dummy_cost=None):
     rows, cols = np.asarray(matrix).shape
     return SparseAssignmentSolver(
         rows, cols, indptr, indices, data, dummy_cost=dummy_cost
+    )
+
+
+def _priced(matrix, dummy_cost, assignment):
+    """Total cost of ``assignment``: real columns from ``matrix``, row
+    ``r``'s implicit dummy ``cols + r`` at ``dummy_cost``."""
+    cols = matrix.shape[1]
+    return float(
+        sum(
+            matrix[row, col] if col < cols else dummy_cost
+            for row, col in enumerate(assignment.tolist())
+        )
     )
 
 
@@ -127,18 +139,23 @@ class TestConstruction:
         solver = _sparse_from(
             np.array([[1.0, 2.0], [3.0, 4.0]]), dummy_cost=9.0
         )
-        assert solver.edge_cost(0, 1) == 2.0  # repro: noqa-REP002 -- stored costs round-trip exactly
-        assert solver.edge_cost(1, 0) == 3.0  # repro: noqa-REP002 -- stored costs round-trip exactly
-        assert solver.edge_cost(0, 2) == 9.0  # repro: noqa-REP002 -- row 0's implicit dummy, exact
+        assert solver._edge_cost(0, 1) == 2.0  # repro: noqa-REP002 -- stored costs round-trip exactly
+        assert solver._edge_cost(1, 0) == 3.0  # repro: noqa-REP002 -- stored costs round-trip exactly
+        assert solver._edge_cost(0, 2) == 9.0  # repro: noqa-REP002 -- row 0's implicit dummy, exact
         with pytest.raises(MatchingError, match="not an edge"):
-            solver.edge_cost(0, 3)  # row 1's dummy is private to row 1
+            solver._edge_cost(0, 3)  # row 1's dummy is private to row 1
 
     def test_shape_counts_implicit_dummies(self):
-        solver = _sparse_from(np.ones((2, 3)), dummy_cost=1.0)
-        assert solver.shape == (2, 5)
-        assert solver.num_real_cols == 3
+        # Columns 3 and 4 are the rows' implicit dummies.
+        solver = _sparse_from(np.full((2, 3), 2.0), dummy_cost=1.0)
+        assert solver.solve()[0].tolist() == [3, 4]
+        # Without row 1's dummy, row 1 takes a real column.
+        assert solver.matching_without_column(4).tolist() == [3, 0]
+        with pytest.raises(MatchingError, match=r"outside \[0, 5\)"):
+            solver.matching_without_column(5)
         bare = _sparse_from(np.ones((2, 3)))
-        assert bare.shape == (2, 3)
+        with pytest.raises(MatchingError, match=r"outside \[0, 3\)"):
+            bare.matching_without_column(3)
 
 
 class TestSolveEquivalence:
@@ -220,8 +237,10 @@ class TestColumnRemoval:
             cold = _sparse_from(
                 matrix[:, kept], dummy_cost=dummy
             ).solve()[1]
-            warm = solver.total_cost_without_column(column)
-            assert warm == pytest.approx(cold, abs=1e-9)
+            warm = solver.matching_without_column(column)
+            assert _priced(matrix, dummy, warm) == pytest.approx(
+                cold, abs=1e-9
+            )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matching_without_column_is_optimal_and_avoids_it(self, seed):
@@ -231,95 +250,37 @@ class TestColumnRemoval:
         matrix = _random_dense(rng, rows, cols)
         dummy = float(matrix.max()) + 5.0
         solver = _sparse_from(matrix, dummy_cost=dummy)
-        solver.solve()
+        assignment, total = solver.solve()
         for column in range(cols):
             repaired = solver.matching_without_column(column)
             assert column not in repaired.tolist()
-            repaired_cost = sum(
-                solver.edge_cost(row, int(col))
-                for row, col in enumerate(repaired)
+            assert len(set(repaired.tolist())) == rows
+            kept = [c for c in range(cols) if c != column]
+            cold = _sparse_from(
+                matrix[:, kept], dummy_cost=dummy
+            ).solve()[1]
+            assert _priced(matrix, dummy, repaired) == pytest.approx(
+                cold, abs=1e-9
             )
-            expected = solver.total_cost_without_column(column)
-            assert repaired_cost == pytest.approx(expected, abs=1e-9)
             # Non-mutating: the cached optimum is untouched.
-            assert solver.total_cost() == pytest.approx(
-                solver.solve()[1]
-            )
+            after, after_total = solver.solve()
+            assert after.tolist() == assignment.tolist()
+            assert after_total == total  # repro: noqa-REP002 -- the cached total itself, not a recomputation
 
     def test_unmatched_column_removal_is_free(self):
         matrix = np.array([[1.0, 50.0, 60.0]])
         solver = _sparse_from(matrix, dummy_cost=100.0)
-        solver.solve()
-        assert solver.total_cost_without_column(1) == solver.total_cost()  # repro: noqa-REP002 -- unmatched removal changes nothing, exactly
         assert (
             solver.matching_without_column(1).tolist()
-            == solver.row_to_col().tolist()
+            == solver.solve()[0].tolist()
         )
 
     def test_column_out_of_range(self):
         solver = _sparse_from(np.ones((1, 2)), dummy_cost=5.0)
         with pytest.raises(MatchingError, match="outside"):
-            solver.total_cost_without_column(99)
+            solver.matching_without_column(99)
 
     def test_requires_dummies_when_square(self):
         solver = _sparse_from(np.ones((2, 2)))
         with pytest.raises(MatchingError, match="every column is needed"):
-            solver.total_cost_without_column(0)
-
-
-class TestRowRemoval:
-    @pytest.mark.parametrize("seed", range(15))
-    def test_row_removal_family_matches_cold(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        rows = int(rng.integers(2, 7))
-        cols = int(rng.integers(2, 7))
-        matrix = _random_dense(rng, rows, cols)
-        dummy = float(matrix.max()) + 5.0
-        solver = _sparse_from(matrix, dummy_cost=dummy)
-        solver.solve()
-        for row in range(rows):
-            kept = [r for r in range(rows) if r != row]
-            cold = _sparse_from(
-                matrix[kept, :], dummy_cost=dummy
-            ).solve()[1]
-            assert solver.total_cost_without_row(row) == pytest.approx(
-                cold, abs=1e-9
-            )
-            assignment, total = solver.resolve_without_row(row)
-            assert total == pytest.approx(cold, abs=1e-9)
-            assert assignment[row] == -1
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_sequential_delete_row_stays_exact(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        rows, cols = 6, 6
-        matrix = _random_dense(rng, rows, cols)
-        dummy = float(matrix.max()) + 5.0
-        solver = _sparse_from(matrix, dummy_cost=dummy)
-        solver.solve()
-        alive = list(range(rows))
-        order = rng.permutation(rows)[: rows - 1]
-        for row in order:
-            alive.remove(int(row))
-            total = solver.delete_row(int(row))
-            cold = _sparse_from(
-                matrix[alive, :], dummy_cost=dummy
-            ).solve()[1]
-            assert total == pytest.approx(cold, abs=1e-9)
-            # Repairs after a deletion still answer exactly (the stale
-            # duals are refreshed lazily).
-            column = int(rng.integers(cols))
-            kept = [c for c in range(cols) if c != column]
-            cold_col = _sparse_from(
-                matrix[np.ix_(alive, kept)], dummy_cost=dummy
-            ).solve()[1]
-            assert solver.total_cost_without_column(
-                column
-            ) == pytest.approx(cold_col, abs=1e-9)
-
-    def test_delete_row_twice_raises(self):
-        solver = _sparse_from(np.ones((2, 2)), dummy_cost=5.0)
-        solver.delete_row(0)
-        with pytest.raises(MatchingError, match="already deleted"):
-            solver.delete_row(0)
-        assert solver.num_active_rows == 1
+            solver.matching_without_column(0)

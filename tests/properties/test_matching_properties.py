@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.matching import (
     brute_force_max_weight_matching,
     check_matching,
-    hopcroft_karp,
     max_weight_matching,
 )
 from repro.matching.solver import AssignmentSolver
+from tests.matching.maxcard_oracle import hopcroft_karp
 
 weight_matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 5).flatmap(
@@ -77,6 +77,11 @@ class TestMaxWeightMatchingProperties:
         )
 
 
+def _priced(cost, assignment):
+    """Total cost of ``assignment`` read from the raw matrix."""
+    return float(sum(cost[row, int(col)] for row, col in enumerate(assignment)))
+
+
 class TestRepairProperties:
     @given(
         seed=st.integers(0, 10_000),
@@ -90,10 +95,11 @@ class TestRepairProperties:
         solver = AssignmentSolver(cost)
         solver.solve()
         column = int(rng.integers(rows + extra))
-        repaired = solver.total_cost_without_column(column)
+        repaired = solver.matching_without_column(column)
+        assert column not in repaired.tolist()
         reduced = np.delete(cost, column, axis=1)
         _, expected = AssignmentSolver(reduced).solve()
-        assert repaired == pytest.approx(expected)
+        assert _priced(cost, repaired) == pytest.approx(expected)
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -103,9 +109,8 @@ class TestRepairProperties:
         solver = AssignmentSolver(cost)
         _, full = solver.solve()
         for column in range(rows + 3):
-            assert (
-                solver.total_cost_without_column(column) >= full - 1e-9
-            )
+            repaired = solver.matching_without_column(column)
+            assert _priced(cost, repaired) >= full - 1e-9
 
 
 class TestHopcroftKarpProperties:

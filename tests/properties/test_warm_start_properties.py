@@ -1,7 +1,6 @@
 """Warm-started solver repairs vs cold re-solves, across 50 seeds.
 
-The warm paths (:meth:`AssignmentSolver.resolve_without_row`,
-:meth:`AssignmentSolver.total_cost_without_column`,
+The warm paths (:meth:`AssignmentSolver.matching_without_column`,
 :meth:`TaskAssignmentGraph.welfare_without_phone`) must agree with a
 from-scratch solve of the reduced instance — on the optimal value
 always, and on the matching itself whenever the optimum is unique
@@ -32,65 +31,6 @@ def _random_cost(seed: int) -> np.ndarray:
     return rng.random((rows, cols)) * 10.0
 
 
-class TestWarmRowRemoval:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_cold_resolve(self, seed):
-        cost = _random_cost(seed)
-        solver = AssignmentSolver(cost)
-        solver.solve()
-        rng = np.random.default_rng(seed + 1000)
-        row = int(rng.integers(0, cost.shape[0]))
-
-        warm_assignment, warm_total = solver.resolve_without_row(row)
-
-        reduced = np.delete(cost, row, axis=0)
-        cold = AssignmentSolver(reduced)
-        cold.solve()
-        cold_assignment = cold.row_to_col()
-
-        assert warm_total == pytest.approx(cold.total_cost())
-        # Continuous costs: the reduced optimum is unique, so the warm
-        # matching (original minus the dropped row) must be the cold one.
-        assert warm_assignment[row] == -1
-        kept = [r for r in range(cost.shape[0]) if r != row]
-        np.testing.assert_array_equal(
-            warm_assignment[kept], cold_assignment
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_total_cost_without_row_matches_cold(self, seed):
-        cost = _random_cost(seed)
-        solver = AssignmentSolver(cost)
-        solver.solve()
-        for row in range(cost.shape[0]):
-            cold = AssignmentSolver(np.delete(cost, row, axis=0))
-            cold.solve()
-            assert solver.total_cost_without_row(row) == pytest.approx(
-                cold.total_cost()
-            )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_delete_row_keeps_later_repairs_exact(self, seed):
-        cost = _random_cost(seed)
-        solver = AssignmentSolver(cost)
-        solver.solve()
-        rng = np.random.default_rng(seed + 2000)
-        row = int(rng.integers(0, cost.shape[0]))
-        solver.delete_row(row)
-
-        reduced = np.delete(cost, row, axis=0)
-        cold = AssignmentSolver(reduced)
-        cold.solve()
-        assert solver.total_cost() == pytest.approx(cold.total_cost())
-        # Column repairs stay exact after the deletion.
-        column = int(rng.integers(0, cost.shape[1]))
-        cold_reduced = AssignmentSolver(np.delete(reduced, column, axis=1))
-        cold_reduced.solve()
-        assert solver.total_cost_without_column(column) == pytest.approx(
-            cold_reduced.total_cost()
-        )
-
-
 class TestWarmColumnRemoval:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_cold_resolve(self, seed):
@@ -98,25 +38,33 @@ class TestWarmColumnRemoval:
         solver = AssignmentSolver(cost)
         solver.solve()
         for column in range(cost.shape[1]):
-            cold = AssignmentSolver(np.delete(cost, column, axis=1))
-            cold.solve()
-            assert solver.total_cost_without_column(
-                column
-            ) == pytest.approx(cold.total_cost())
+            repaired = solver.matching_without_column(column)
+            cold_assignment, cold_total = AssignmentSolver(
+                np.delete(cost, column, axis=1)
+            ).solve()
+            rows = np.arange(cost.shape[0])
+            assert float(cost[rows, repaired].sum()) == pytest.approx(
+                cold_total
+            )
+            # Continuous costs: the reduced optimum is unique, so the
+            # warm matching is the cold one (in the full column numbering).
+            cold_in_full = np.where(
+                cold_assignment >= column, cold_assignment + 1, cold_assignment
+            )
+            np.testing.assert_array_equal(repaired, cold_in_full)
 
 
 class TestBackendCrossCheck:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_solver_matches_python_reference(self, seed):
         cost = _random_cost(seed)
-        solver = AssignmentSolver(cost)
-        _, total = solver.solve()
+        assignment, total = AssignmentSolver(cost).solve()
         reference_assignment, reference_total = solve_assignment_min(
             cost.tolist()
         )
         assert total == pytest.approx(reference_total)
         np.testing.assert_array_equal(
-            solver.row_to_col(), np.asarray(reference_assignment)
+            assignment, np.asarray(reference_assignment)
         )
 
     @pytest.mark.parametrize("seed", range(10))
