@@ -42,13 +42,21 @@ out at *shard* granularity instead, over the same
   (``workers=1``), crossed the pool pipe, or was loaded from a shard
   checkpoint — so the assembled result's pickle bytes are identical
   across worker counts, shard submission orders, and resume points (the
-  determinism contract ``check_parallel_determinism`` enforces).
+  determinism contract ``check_parallel_determinism`` enforces).  A
+  computed shard's rounds are decoded as soon as the pool returns the
+  shard, overlapping the workers still computing, and its blobs are
+  dropped; resumed rounds are decoded from their checkpoint blobs at
+  assembly.  When a round is decoded cannot change the bytes: rounds
+  decoded from separate streams share no object.
 * Round result graphs are acyclic, so the cyclic garbage collector finds
   nothing in them, yet while a worker builds rounds and the parent
   unpickles them it would run a generation-0 pass every few hundred
-  allocations and older-generation passes over everything alive.  Both
-  loops run with the collector paused (:func:`_cyclic_gc_paused`);
-  refcounting still frees everything, and the collector's prior state
+  allocations and older-generation passes over everything alive.  So
+  the worker's round loop runs with the collector paused
+  (:func:`_cyclic_gc_paused`), and so does the parent from the first
+  shard it submits until the campaign is assembled: re-enabled between
+  shards, the collector would walk every shard decoded so far again.
+  Refcounting still frees everything, and the collector's prior state
   is restored on every exit path.
 
 Determinism
@@ -69,6 +77,7 @@ import base64
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import os
 import pathlib
 import pickle
@@ -78,7 +87,7 @@ import secrets
 import threading
 import traceback
 from multiprocessing import shared_memory
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.multi_round import CampaignResult, aggregate_rounds
@@ -98,9 +107,9 @@ from repro.utils.pool import Envelope, WorkerPool
 from repro.utils.recordlog import (
     RecordError,
     RecordWriter,
+    canonical_json,
     cut_log,
     read_log,
-    seal,
     unseal,
 )
 from repro.utils.rng import RngStreams
@@ -191,8 +200,10 @@ class ShardOutcome:
     ``rounds`` holds ``(round_index, pickled SimulationResult)`` pairs —
     blobs, not objects, so the parent rebuilds every round from its own
     pickle stream regardless of which execution path produced it (see
-    the module docstring's determinism note).  ``round_seconds`` is each
-    computed round's wall time, for the parent's worker-beat records.
+    the module docstring's determinism note).  The parent decodes them
+    as soon as it has collected the outcome, then drops the outcome.
+    ``round_seconds`` is each computed round's wall time, for the
+    parent's worker-beat records.
     """
 
     shard_id: int
@@ -400,22 +411,39 @@ class ShardCheckpointWriter:
                 self._error = exc
 
 
+#: The canonical JSON of a record after its payload's characters.
+_RECORD_TAIL = b'","round":%d,"schema":' + canonical_json(
+    SHARD_CHECKPOINT_SCHEMA
+).encode("ascii") + b"}"
+
+
 def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
     """One shard checkpoint record as a sealed JSONL line.
 
     The ``checksum`` field covers the canonical JSON of the rest of the
     record, so torn or corrupted lines are detected on load and treated
-    as end-of-log.
+    as end-of-log.  The line is ``seal({"schema": ..., "round": ...,
+    "payload": base64(blob)}, "checksum")`` byte for byte, but it is
+    built from the bytes ``base64.b64encode`` returns: the base64
+    alphabet needs no JSON escaping and is ASCII, so the payload (about
+    1.3 MB for a city round) is neither escaped nor decoded to ``str``
+    and encoded back.
     """
-    line, _ = seal(
-        {
-            "schema": SHARD_CHECKPOINT_SCHEMA,
-            "round": round_index,
-            "payload": base64.b64encode(blob).decode("ascii"),
-        },
-        "checksum",
+    payload = base64.b64encode(blob)
+    tail = _RECORD_TAIL % round_index
+    digest = hashlib.sha256(b'{"payload":"')
+    digest.update(payload)
+    digest.update(tail)
+    return b"".join(
+        (
+            b'{"checksum":"',
+            digest.hexdigest().encode("ascii"),
+            b'","payload":"',
+            payload,
+            tail,
+            b"\n",
+        )
     )
-    return line
 
 
 def load_shard_checkpoint(
@@ -638,7 +666,7 @@ def run_sharded_campaign(
 
     segments: Dict[int, shared_memory.SharedMemory] = {}
     resumed: Dict[int, Dict[int, bytes]] = {}
-    outcomes: Dict[int, ShardOutcome] = {}
+    computed: Dict[int, Dict[int, SimulationResult]] = {}
     beats: List[Dict[str, Any]] = []
     # A generator, so a workers=1 pool encodes each shard's segment only
     # after the previous shard was collected (and its segment released).
@@ -656,37 +684,46 @@ def run_sharded_campaign(
         )
         for shard_id in order
     )
-    with obs.span(
-        "campaign.sharded",
-        cities=len(cities_by_index),
-        shards=len(plans),
-        workers=workers,
-    ):
-        try:
-            with WorkerPool(workers) as pool:
-                for envelope in pool.run(_run_shard, units):
-                    outcome = envelope.result
-                    _collect_shard(envelope, plans, segments, pulse)
-                    outcomes[outcome.shard_id] = outcome
-                    beats.extend(
-                        {
-                            "unit_index": round_index,
-                            "shard": outcome.shard_id,
-                            "elapsed_seconds": seconds,
-                            "worker_pid": envelope.worker_pid,
-                        }
-                        for (round_index, _), seconds in zip(
-                            outcome.rounds, outcome.round_seconds
+    # The parent's decoded rounds are acyclic (see the module docstring):
+    # with the collector paused from here, no pass walks them until the
+    # campaign is assembled.  Pool workers forked here inherit the pause.
+    with _cyclic_gc_paused():
+        with obs.span(
+            "campaign.sharded",
+            cities=len(cities_by_index),
+            shards=len(plans),
+            workers=workers,
+        ):
+            try:
+                with WorkerPool(workers) as pool:
+                    for envelope in pool.run(_run_shard, units):
+                        outcome = envelope.result
+                        _collect_shard(envelope, plans, segments, pulse)
+                        beats.extend(
+                            {
+                                "unit_index": round_index,
+                                "shard": outcome.shard_id,
+                                "elapsed_seconds": seconds,
+                                "worker_pid": envelope.worker_pid,
+                            }
+                            for (round_index, _), seconds in zip(
+                                outcome.rounds, outcome.round_seconds
+                            )
                         )
-                    )
-        finally:
-            for segment in segments.values():
-                _release_segment(segment, unlink=True)
-            segments.clear()
-            if heartbeat is not None and heartbeat.path is not None:
-                append_worker_beats(heartbeat.path, "round", beats)
+                        # Decoded now, while the pool computes later
+                        # shards; the blobs die with the envelope.
+                        computed[outcome.shard_id] = _decode_rounds(
+                            outcome.rounds
+                        )
+                        del envelope, outcome
+            finally:
+                for segment in segments.values():
+                    _release_segment(segment, unlink=True)
+                segments.clear()
+                if heartbeat is not None and heartbeat.path is not None:
+                    append_worker_beats(heartbeat.path, "round", beats)
 
-    return _assemble(cities_by_index, plans, outcomes, resumed)
+        return _assemble(cities_by_index, plans, computed, resumed)
 
 
 def _validated_order(
@@ -783,25 +820,36 @@ def _collect_shard(
         )
 
 
+def _decode_rounds(
+    blobs: Iterable[Tuple[int, bytes]],
+) -> Dict[int, SimulationResult]:
+    """Unpickle each round from its own blob."""
+    return {round_index: pickle.loads(blob) for round_index, blob in blobs}
+
+
 def _assemble(
     cities: Sequence[CityConfig],
     plans: Sequence[ShardPlan],
-    outcomes: Dict[int, ShardOutcome],
+    computed: Dict[int, Dict[int, SimulationResult]],
     resumed: Dict[int, Dict[int, bytes]],
 ) -> ShardedCampaignResult:
-    """Fold shard outcomes (and resumed rounds) into per-city results."""
-    blobs_by_city: Dict[int, Dict[int, bytes]] = {
+    """Fold decoded shard rounds (and resumed rounds) into city results.
+
+    ``computed`` maps each collected shard to its decoded rounds;
+    ``resumed`` holds the checkpoint blobs of the rounds each shard
+    skipped, decoded here, each from its own blob.
+    """
+    rounds_by_city: Dict[int, Dict[int, SimulationResult]] = {
         index: {} for index in range(len(cities))
     }
     for plan in plans:
-        outcome = outcomes.get(plan.shard_id)
-        if outcome is None:
+        rounds = computed.get(plan.shard_id)
+        if rounds is None:
             raise ShardingError(
                 f"shard {plan.shard_id} produced no outcome"
             )
-        merged = dict(resumed.get(plan.shard_id, {}))
-        for round_index, blob in outcome.rounds:
-            merged[round_index] = blob
+        merged = _decode_rounds(resumed.get(plan.shard_id, {}).items())
+        merged.update(rounds)
         missing = set(plan.round_indices) - set(merged)
         if missing:
             raise CheckpointError(
@@ -809,17 +857,17 @@ def _assemble(
                 f"{plan.round_start}..{plan.round_stop}) is missing "
                 f"rounds {sorted(missing)}"
             )
-        blobs_by_city[plan.city_index].update(merged)
+        rounds_by_city[plan.city_index].update(merged)
 
     city_results: List[Tuple[str, CampaignResult]] = []
-    with _cyclic_gc_paused():
-        for city_index, city in enumerate(cities):
-            blobs = blobs_by_city[city_index]
-            results: List[SimulationResult] = [
-                pickle.loads(blobs[round_index])
-                for round_index in range(city.num_rounds)
-            ]
-            city_results.append((city.name, aggregate_rounds(results)))
+    for city_index, city in enumerate(cities):
+        rounds = rounds_by_city[city_index]
+        city_results.append(
+            (
+                city.name,
+                aggregate_rounds([rounds[k] for k in range(city.num_rounds)]),
+            )
+        )
     return ShardedCampaignResult(
         cities=tuple(city_results),
         total_welfare=sum(

@@ -157,11 +157,3 @@ class MatchingResult:
 
     pairs: Tuple[Tuple[int, int], ...]
     total_weight: float
-
-    def row_to_col(self) -> dict:
-        """The matching as a ``{row: col}`` dict."""
-        return {row: col for row, col in self.pairs}
-
-    def col_to_row(self) -> dict:
-        """The matching as a ``{col: row}`` dict."""
-        return {col: row for row, col in self.pairs}

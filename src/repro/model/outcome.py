@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import MechanismError
+from repro.errors import MechanismError, ValidationError
 from repro.model.bid import Bid
 from repro.model.task import SensingTask, TaskSchedule
 
@@ -49,13 +49,17 @@ class AuctionOutcome:
         payments: Mapping[int, float],
         payment_slots: Optional[Mapping[int, int]] = None,
     ) -> None:
-        self._bids_by_phone: Dict[int, Bid] = {}
-        for bid in bids:
-            if bid.phone_id in self._bids_by_phone:
-                raise MechanismError(
-                    f"duplicate bid for phone {bid.phone_id} in outcome"
-                )
-            self._bids_by_phone[bid.phone_id] = bid
+        self._bids_by_phone: Dict[int, Bid] = {
+            bid.phone_id: bid for bid in bids
+        }
+        if len(self._bids_by_phone) != len(bids):
+            seen = set()
+            for bid in bids:
+                if bid.phone_id in seen:
+                    raise MechanismError(
+                        f"duplicate bid for phone {bid.phone_id} in outcome"
+                    )
+                seen.add(bid.phone_id)
         self._schedule = schedule
         self._allocation: Dict[int, int] = dict(allocation)
         self._payments: Dict[int, float] = {
@@ -63,11 +67,46 @@ class AuctionOutcome:
         }
         self._payment_slots: Dict[int, int] = dict(payment_slots or {})
         self._validate()
-        self._phone_to_task: Dict[int, int] = {}
-        for task_id, phone_id in self._allocation.items():
-            self._phone_to_task[phone_id] = task_id
+        self._phone_to_task: Dict[int, int] = {
+            phone_id: task_id
+            for task_id, phone_id in self._allocation.items()
+        }
 
     def _validate(self) -> None:
+        """Raise :class:`MechanismError` at the first inconsistent entry.
+
+        One fused test passes a consistent outcome: distinct winners,
+        known tasks and phones, each winner active at its task's slot,
+        and payments and payment slots only for known phones, inside the
+        horizon.  Anything else runs :meth:`_check_each_entry`, which
+        raises the error for the first bad entry in the order the checks
+        are written there.
+        """
+        bids = self._bids_by_phone
+        task_of = self._schedule.task
+        num_slots = self._schedule.num_slots
+        try:
+            consistent = (
+                len(set(self._allocation.values())) == len(self._allocation)
+                and all(
+                    bids[phone_id].arrival
+                    <= task_of(task_id).slot
+                    <= bids[phone_id].departure
+                    for task_id, phone_id in self._allocation.items()
+                )
+                and self._payments.keys() <= bids.keys()
+                and self._payment_slots.keys() <= bids.keys()
+                and all(
+                    1 <= slot <= num_slots
+                    for slot in self._payment_slots.values()
+                )
+            )
+        except (KeyError, TypeError, ValidationError):
+            consistent = False
+        if not consistent:
+            self._check_each_entry()
+
+    def _check_each_entry(self) -> None:
         assigned_phones = set()
         for task_id, phone_id in self._allocation.items():
             if task_id not in self._schedule:

@@ -93,5 +93,7 @@ class WorkerPool:
         futures = [
             self._executor.submit(_timed, worker, unit) for unit in units
         ]
-        for future in futures:
-            yield future.result()
+        # Popped, so each result dies once the caller drops its envelope.
+        futures.reverse()
+        while futures:
+            yield futures.pop().result()

@@ -14,6 +14,7 @@ The acceptance contract under test:
 
 from __future__ import annotations
 
+import base64
 import gc
 import glob
 import pickle
@@ -32,8 +33,10 @@ from repro.errors import (
 )
 from repro.experiments.config import MechanismSpec
 from repro.experiments.sharding import (
+    SHARD_CHECKPOINT_SCHEMA,
     CityConfig,
     ShardCheckpointWriter,
+    encode_checkpoint_record,
     load_shard_checkpoint,
     plan_shards,
     run_sharded_campaign,
@@ -49,6 +52,7 @@ from repro.faults.crash import (
 )
 from repro.obs import ManualClock, Tracer
 from repro.simulation.workload import WorkloadConfig
+from repro.utils.recordlog import seal
 from repro.utils.rng import RngStreams
 
 SPEC = MechanismSpec.of("online-greedy")
@@ -364,6 +368,44 @@ class TestCheckpointing:
         assert counters["campaign.shard.checkpoint.appends"] == 24
 
 
+class TestCheckpointRecordEncoding:
+    """``encode_checkpoint_record`` is the generic ``seal`` byte for byte."""
+
+    @staticmethod
+    def sealed(round_index, blob):
+        line, _ = seal(
+            {
+                "schema": SHARD_CHECKPOINT_SCHEMA,
+                "round": round_index,
+                "payload": base64.b64encode(blob).decode("ascii"),
+            },
+            "checksum",
+        )
+        return line
+
+    @pytest.mark.parametrize("round_index", [0, 1, 1_000_003, 2**40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_seal(self, round_index, seed):
+        draw = np.random.default_rng(seed)
+        for size in (0, 1, 2, 3, int(draw.integers(4, 4096))):
+            blob = draw.bytes(size)
+            assert encode_checkpoint_record(
+                round_index, blob
+            ) == self.sealed(round_index, blob)
+
+    def test_round_trips_through_load(self, tmp_path):
+        draw = np.random.default_rng(7)
+        records = {0: b"", 1: draw.bytes(999), 1_000_003: b"\n\x00{"}
+        target = tmp_path / "r.ckpt.jsonl"
+        target.write_bytes(
+            b"".join(
+                encode_checkpoint_record(index, blob)
+                for index, blob in records.items()
+            )
+        )
+        assert load_shard_checkpoint(target) == records
+
+
 class TestCrashInjection:
     """Crash the checkpoint writer at every append, in every crash mode.
 
@@ -477,14 +519,17 @@ class TestValidation:
             )
 
     def test_missing_rounds_detected_at_assembly(self, tmp_path):
-        """A checkpoint claiming rounds outside its shard is ignored and
-        the gap recomputed; a genuinely missing round raises."""
+        """Assembly takes each collected shard's decoded rounds plus the
+        checkpoint blobs of its resumed rounds; a shard that was never
+        collected, or a round neither holds, raises."""
         from repro.experiments.sharding import _assemble, plan_shards
 
         cities = [CityConfig("solo", tiny_workload(), num_rounds=2)]
         plans = plan_shards(cities, seed=0)
         with pytest.raises(ShardingError, match="no outcome"):
-            _assemble(cities, plans, {}, {})
+            _assemble(cities, plans, computed={}, resumed={})
+        with pytest.raises(CheckpointError, match=r"missing rounds \[0, 1\]"):
+            _assemble(cities, plans, computed={0: {}}, resumed={0: {}})
 
 
 class SegmentNameSpy:
@@ -652,8 +697,15 @@ class TestCyclicGcPause:
         gc.enable()
         run_sharded_campaign(SPEC, two_cities(), seed=3, workers=1)
         assert gc.isenabled()
-        assert sorted(set(seen)) == [("loads", False), ("round", False)]
-        assert len(seen) == 10  # five rounds computed, five unpickled
+        # east's three rounds form shard 0, west's two shard 1: each
+        # shard is unpickled as soon as it is collected, before the next
+        # shard's first round runs.
+        assert seen == (
+            [("round", False)] * 3
+            + [("loads", False)] * 3
+            + [("round", False)] * 2
+            + [("loads", False)] * 2
+        )
 
     def test_restored_after_a_worker_exception(self):
         bad = MechanismSpec.of("online-greedy", engine="no-such-engine")

@@ -118,11 +118,10 @@ class TestMaxWeightMatching:
         )
         assert result.total_weight == 12.0
 
-    def test_row_and_col_views(self):
-        weights = [[1.0, 0.0], [0.0, 2.0]]
+    def test_pairs_sorted_by_row(self):
+        weights = [[0.0, 1.0], [2.0, 0.0]]
         result = max_weight_matching(weights)
-        assert result.row_to_col() == {0: 0, 1: 1}
-        assert result.col_to_row() == {0: 0, 1: 1}
+        assert result.pairs == ((0, 1), (1, 0))
 
     def test_greedy_trap(self):
         # Greedy would take (0,0)=10 then leave row 1 with 0;

@@ -2,10 +2,41 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import io
+import pickle
+
 import pytest
 
 from repro.errors import ValidationError
 from repro.model import Bid
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class TaggedBid(Bid):
+    """A subclass, to check that the reduce value names the real type."""
+
+    tag: str = ""
+
+
+def default_pickle(value, protocol):
+    """``value`` pickled with ``object.__reduce_ex__`` for every bid."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=protocol)
+    pickler.dispatch_table = {
+        cls: lambda bid, protocol=protocol: object.__reduce_ex__(bid, protocol)
+        for cls in (Bid, TaggedBid)
+    }
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+BIDS = [
+    Bid(phone_id=3, arrival=2, departure=5, cost=7.5),
+    Bid(phone_id=0, arrival=1, departure=1, cost=4),
+    TaggedBid(phone_id=9, arrival=1, departure=4, cost=0.25, tag="x"),
+]
 
 
 class TestBidConstruction:
@@ -133,3 +164,33 @@ class TestBidSerialisation:
         ):
             with pytest.raises(ValidationError, match=message):
                 Bid.from_dict({**valid, key: bad})
+
+
+class TestReduce:
+    """``Bid.__reduce_ex__`` is ``object.__reduce_ex__``, built directly."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_bytes_equal_the_default(self, protocol):
+        shared = BIDS + [BIDS[0]]  # a repeat goes through the memo
+        assert pickle.dumps(shared, protocol=protocol) == default_pickle(
+            shared, protocol
+        )
+        assert pickle.loads(pickle.dumps(shared, protocol=protocol)) == shared
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_reduce_value_equals_the_default(self, protocol):
+        for bid in BIDS:
+            ours = bid.__reduce_ex__(protocol)
+            default = object.__reduce_ex__(bid, protocol)
+            # The default pads protocols >= 2 with two absent iterators.
+            assert ours == default[: len(ours)]
+            assert all(item is None for item in default[len(ours):])
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copies_unchanged(self, copier):
+        for bid in BIDS:
+            copied = copier(bid)
+            assert copied == bid and copied is not bid
+            assert type(copied) is type(bid)
+            assert vars(copied) == vars(bid)
+            assert vars(copied) is not vars(bid)

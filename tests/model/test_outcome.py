@@ -73,6 +73,52 @@ class TestValidation:
                 bids + [bids[0]], schedule, allocation={}, payments={}
             )
 
+    def test_first_duplicate_bid_named(self, bids, schedule):
+        with pytest.raises(MechanismError, match="duplicate bid for phone 2"):
+            AuctionOutcome(
+                bids + [bids[1], bids[0]], schedule, allocation={}, payments={}
+            )
+
+    def test_first_bad_entry_in_check_order_reported(self, bids, schedule):
+        # The allocation is checked before payments, and its entries in
+        # order: the valid first winner passes, the unknown task fails.
+        with pytest.raises(MechanismError, match="unknown task_id 9"):
+            AuctionOutcome(
+                bids,
+                schedule,
+                allocation={0: 1, 9: 2, 2: 7},
+                payments={8: 1.0},
+                payment_slots={1: 99},
+            )
+        with pytest.raises(MechanismError, match="payment recorded for"):
+            AuctionOutcome(
+                bids,
+                schedule,
+                allocation={0: 1},
+                payments={8: 1.0},
+                payment_slots={7: 99},
+            )
+        with pytest.raises(MechanismError, match="payment slot recorded for"):
+            AuctionOutcome(
+                bids,
+                schedule,
+                allocation={0: 1},
+                payments={1: 1.0},
+                payment_slots={7: 1, 1: 99},
+            )
+
+    def test_insertion_orders_follow_the_inputs(self, bids, schedule):
+        """Pickled outcomes keep the callers' orders, not sorted ones."""
+        outcome = AuctionOutcome(
+            bids[::-1],
+            schedule,
+            allocation={1: 3, 0: 1},
+            payments={3: 7.0, 1: 5.0},
+        )
+        state = vars(outcome)
+        assert list(state["_bids_by_phone"]) == [3, 2, 1]
+        assert list(state["_phone_to_task"]) == [3, 1]
+
 
 class TestAccessors:
     def test_winners_sorted(self, outcome):
