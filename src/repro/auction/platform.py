@@ -34,15 +34,18 @@ identical to the fault-free platform.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.auction.events import (
     AuctionEvent,
     BidSubmitted,
+    FailureReported,
     PaymentSettled,
     PaymentWithheld,
     PhoneDropped,
+    RoundFinalized,
+    SlotAdvanced,
     SlotClosed,
     TaskAllocated,
     TaskFailed,
@@ -57,10 +60,16 @@ from repro.mechanisms.critical_payment import (
 )
 from repro.mechanisms.greedy_core import bid_sort_key
 from repro.mechanisms.streaming import StreamingGreedyEngine
-from repro.model.bid import Bid
+from repro.model.bid import Bid, check_phone_fields
 from repro.model.outcome import AuctionOutcome
 from repro.model.task import SensingTask
 from repro.utils.validation import check_positive, check_type
+
+#: The platform's inputs; every other event type is one it emits.
+_COMMAND_TYPES = (
+    BidSubmitted, TasksAnnounced, PhoneDropped,
+    FailureReported, SlotAdvanced, RoundFinalized,
+)
 
 
 class CrowdsourcingPlatform:
@@ -81,10 +90,10 @@ class CrowdsourcingPlatform:
         reassignments a task that fails again is abandoned
         (``TaskUnserved``).
 
-    Usage: per slot, call :meth:`submit_bid` / :meth:`submit_tasks` in
-    any order, then :meth:`close_slot`; after the last slot call
-    :meth:`finalize`.  :meth:`report_dropout` and
-    :meth:`report_task_failure` may be called in any open slot.
+    Usage: :meth:`apply` one command at a time, stamped with the open
+    slot: per slot, bids and task announcements in any order, then the
+    slot close; after the last slot, the finalize.  Dropouts and failure
+    reports may come in any open slot.
     """
 
     def __init__(
@@ -217,13 +226,14 @@ class CrowdsourcingPlatform:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    # Every mutating entry point validates through one of these public
-    # ``validate_*`` methods *before* touching state.  They are public so
-    # a write-ahead wrapper (``repro.durability.JournaledPlatform``) can
-    # run the same checks before appending the command to its journal —
-    # a rejected command must leave the journal unchanged.
+    # Every mutating entry point validates through one of these
+    # ``_validate_*`` methods *before* touching state.  The public
+    # :meth:`validate_command` runs a command's checks without applying
+    # it, so a write-ahead wrapper (``repro.durability.JournaledPlatform``)
+    # can refuse a command before appending it to its journal: a
+    # rejected command must leave the journal unchanged.
 
-    def validate_bid(self, bid: Bid) -> None:
+    def _validate_bid(self, bid: Union[Bid, BidSubmitted]) -> None:
         """Raise :class:`~repro.errors.MechanismError` unless ``bid``
         may be submitted right now (round open, arrival == current slot,
         departure within the horizon, phone not seen before)."""
@@ -244,7 +254,7 @@ class CrowdsourcingPlatform:
                 f"phone {bid.phone_id} already submitted a bid this round"
             )
 
-    def validate_task_submission(self, count: int, value: float) -> None:
+    def _validate_task_submission(self, count: int, value: float) -> None:
         """Raise unless ``count`` tasks of ``value`` may be announced."""
         self._check_open()
         check_type("count", count, int)
@@ -257,7 +267,7 @@ class CrowdsourcingPlatform:
                 task_id=0, slot=self._current_slot, index=1, value=value
             )
 
-    def validate_dropout(self, phone_id: int) -> None:
+    def _validate_dropout(self, phone_id: int) -> None:
         """Raise unless ``phone_id`` may drop out in the current slot."""
         self._check_open()
         bid = self._all_bids.get(phone_id)
@@ -277,7 +287,7 @@ class CrowdsourcingPlatform:
                 f"{self._current_slot}"
             )
 
-    def validate_task_failure(self, phone_id: int) -> None:
+    def _validate_task_failure(self, phone_id: int) -> None:
         """Raise unless ``phone_id`` may be marked a non-deliverer."""
         self._check_open()
         if phone_id not in self._all_bids:
@@ -296,27 +306,7 @@ class CrowdsourcingPlatform:
                 f"failure as well is redundant"
             )
 
-    def validate_close(self) -> None:
-        """Raise unless the current slot may be closed."""
-        self._check_open()
-
-    def validate_advance(self, slot: int) -> None:
-        """Raise unless the round may advance to ``slot``."""
-        self._check_open()
-        check_type("slot", slot, int)
-        if slot < self._current_slot:
-            raise MechanismError(
-                f"cannot advance to slot {slot}: slot "
-                f"{self._current_slot} is already open (slots advance "
-                f"monotonically)"
-            )
-        if slot > self._num_slots:
-            raise MechanismError(
-                f"cannot advance to slot {slot}: the round horizon is "
-                f"{self._num_slots}"
-            )
-
-    def validate_finalize(self) -> None:
+    def _validate_finalize(self) -> None:
         """Raise unless the round may be finalized."""
         if self._finalized:
             raise MechanismError(
@@ -330,6 +320,58 @@ class CrowdsourcingPlatform:
             )
 
     # ------------------------------------------------------------------
+    # Commands
+    # ------------------------------------------------------------------
+    def apply(self, command: AuctionEvent) -> Any:
+        """Apply one command, the platform's one input, through its
+        mutator; returns the mutator's result (for ``RoundFinalized``,
+        the outcome).  A rejected command raises
+        :class:`~repro.errors.MechanismError` (or a bid field's
+        :class:`~repro.errors.ValidationError`) and changes nothing."""
+        return self._dispatch(command, dry_run=False)
+
+    def validate_command(self, command: AuctionEvent) -> None:
+        """Raise as :meth:`apply` would reject ``command``; change nothing."""
+        self._dispatch(command, dry_run=True)
+
+    def _dispatch(self, command: AuctionEvent, dry_run: bool) -> Any:
+        """Run the validator (``dry_run``) or the mutator of ``command``,
+        a command (not an emitted event) stamped with the open slot."""
+        if not isinstance(command, _COMMAND_TYPES):
+            raise MechanismError(
+                f"{type(command).__name__} is not a platform command"
+            )
+        if type(command.slot) is not int or command.slot != self._current_slot:
+            raise MechanismError(
+                f"{command!r} is stamped slot {command.slot!r}, but slot "
+                f"{self._current_slot} is open: a command applies in the "
+                f"slot it names"
+            )
+        if isinstance(command, BidSubmitted):
+            fields = (
+                command.phone_id, command.arrival, command.departure, command.cost
+            )
+            if dry_run:
+                check_phone_fields(*fields)
+                return self._validate_bid(command)
+            return self.submit_bid(Bid(*fields))
+        if isinstance(command, TasksAnnounced):
+            if dry_run:
+                return self._validate_task_submission(command.count, command.value)
+            return self.submit_tasks(command.count, command.value)
+        if isinstance(command, PhoneDropped):
+            if dry_run:
+                return self._validate_dropout(command.phone_id)
+            return self.report_dropout(command.phone_id)
+        if isinstance(command, FailureReported):
+            if dry_run:
+                return self._validate_task_failure(command.phone_id)
+            return self.report_task_failure(command.phone_id)
+        if isinstance(command, SlotAdvanced):
+            return self._check_open() if dry_run else self.close_slot()
+        return self._validate_finalize() if dry_run else self.finalize()
+
+    # ------------------------------------------------------------------
     # Submissions
     # ------------------------------------------------------------------
     def submit_bid(self, bid: Bid) -> None:
@@ -338,7 +380,7 @@ class CrowdsourcingPlatform:
         The online model requires a phone to bid when it becomes active:
         ``bid.arrival`` must equal the current slot.
         """
-        self.validate_bid(bid)
+        self._validate_bid(bid)
         self._all_bids[bid.phone_id] = bid
         self._slot_bids.append(bid)
         heapq.heappush(self._pool, (bid_sort_key(bid), bid))
@@ -356,7 +398,7 @@ class CrowdsourcingPlatform:
 
     def submit_tasks(self, count: int, value: float) -> List[SensingTask]:
         """Announce ``count`` tasks of ``value`` arriving this slot."""
-        self.validate_task_submission(count, value)
+        self._validate_task_submission(count, value)
         created: List[SensingTask] = []
         existing = sum(
             1 for t in self._pending_tasks if t.slot == self._current_slot
@@ -389,7 +431,7 @@ class CrowdsourcingPlatform:
         reported departure slot), the task fails, the payment is
         withheld, and the platform attempts an in-slot reallocation.
         """
-        self.validate_dropout(phone_id)
+        self._validate_dropout(phone_id)
         slot = self._current_slot
         self._dropped[phone_id] = slot
         self._live.discard(phone_id)
@@ -405,7 +447,7 @@ class CrowdsourcingPlatform:
         slot) it hands in nothing — the task fails, the payment is
         withheld, and the platform attempts an in-slot reallocation.
         """
-        self.validate_task_failure(phone_id)
+        self._validate_task_failure(phone_id)
         self._unreliable.add(phone_id)
 
     def _fail_delivery(self, phone_id: int, reason: str) -> None:
@@ -496,7 +538,7 @@ class CrowdsourcingPlatform:
     # ------------------------------------------------------------------
     def close_slot(self) -> None:
         """Allocate this slot's tasks, settle due payments, advance."""
-        self.validate_close()
+        self._check_open()
         slot = self._current_slot
 
         with obs.span(
@@ -645,7 +687,19 @@ class CrowdsourcingPlatform:
         :class:`~repro.errors.MechanismError` on out-of-order advancement
         (a slot already closed) or a slot beyond the round horizon.
         """
-        self.validate_advance(slot)
+        self._check_open()
+        check_type("slot", slot, int)
+        if slot < self._current_slot:
+            raise MechanismError(
+                f"cannot advance to slot {slot}: slot "
+                f"{self._current_slot} is already open (slots advance "
+                f"monotonically)"
+            )
+        if slot > self._num_slots:
+            raise MechanismError(
+                f"cannot advance to slot {slot}: the round horizon is "
+                f"{self._num_slots}"
+            )
         while self._current_slot < slot:
             self.close_slot()
 
@@ -654,7 +708,7 @@ class CrowdsourcingPlatform:
     # ------------------------------------------------------------------
     def finalize(self) -> AuctionOutcome:
         """The round's outcome; requires every slot to be closed."""
-        self.validate_finalize()
+        self._validate_finalize()
         self._finalized = True
         return AuctionOutcome(
             bids=list(self._all_bids.values()),

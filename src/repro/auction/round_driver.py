@@ -3,7 +3,7 @@
 :func:`round_commands` is *the* feeding order of a round (Section V):
 each phone bids in its arrival slot, each slot's tasks are announced in
 that slot, every slot is closed in turn.  :func:`execute_commands`
-applies that command stream to a
+feeds that command stream, one ``apply`` per command, to a
 :class:`~repro.auction.CrowdsourcingPlatform` or a journaling
 :class:`~repro.durability.JournaledPlatform`; every round driver in the
 package (:func:`replay_scenario`, fault runs, journaled campaign
@@ -27,7 +27,7 @@ from repro.auction.events import (
     TasksAnnounced,
 )
 from repro.auction.platform import CrowdsourcingPlatform
-from repro.errors import JournalError, SimulationError
+from repro.errors import SimulationError
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
 from repro.simulation.scenario import Scenario
@@ -104,42 +104,6 @@ def round_commands(
     return commands
 
 
-def apply_command(
-    platform: Union[CrowdsourcingPlatform, JournaledPlatform],
-    command: AuctionEvent,
-) -> object:
-    """Dispatch one command to a platform through its public methods.
-
-    Returns whatever the platform method returns (the outcome, for
-    ``RoundFinalized``).  A derived event is not a command and raises
-    :class:`~repro.errors.JournalError`.
-    """
-    if isinstance(command, BidSubmitted):
-        platform.submit_bid(
-            Bid(
-                phone_id=command.phone_id,
-                arrival=command.arrival,
-                departure=command.departure,
-                cost=command.cost,
-            )
-        )
-    elif isinstance(command, TasksAnnounced):
-        return platform.submit_tasks(command.count, value=command.value)
-    elif isinstance(command, PhoneDropped):
-        platform.report_dropout(command.phone_id)
-    elif isinstance(command, FailureReported):
-        platform.report_task_failure(command.phone_id)
-    elif isinstance(command, SlotAdvanced):
-        platform.close_slot()
-    elif isinstance(command, RoundFinalized):
-        return platform.finalize()
-    else:
-        raise JournalError(
-            f"{type(command).__name__} is not a journal command"
-        )
-    return None
-
-
 def execute_commands(
     platform: Union[CrowdsourcingPlatform, JournaledPlatform],
     commands: Sequence[AuctionEvent],
@@ -150,9 +114,9 @@ def execute_commands(
     """
     outcome: Optional[AuctionOutcome] = None
     for command in commands:
-        result = apply_command(platform, command)
+        result = platform.apply(command)
         if isinstance(command, RoundFinalized):
-            outcome = result  # type: ignore[assignment]
+            outcome = result
     return outcome
 
 

@@ -10,8 +10,9 @@ supplies the three layers:
   a recovery scan that cuts torn tails but refuses mid-log corruption
   with a typed :class:`~repro.errors.JournalError`;
 * :mod:`repro.durability.journaled` — :class:`JournaledPlatform`, the
-  wrapper that journals every command *before* the corresponding
-  :class:`~repro.auction.CrowdsourcingPlatform` mutation, and the
+  wrapper whose one mutator, ``apply(command)``, journals the command
+  it is handed *before* the
+  :class:`~repro.auction.CrowdsourcingPlatform` applies it, and the
   digest of the :class:`~repro.auction.events.AuctionEvent` objects it
   emitted in the next record;
 * :mod:`repro.durability.replay` — deterministic replay of a journal to
@@ -21,15 +22,17 @@ supplies the three layers:
   and a regenerated command stream.
 
 The command stream itself — the platform's feeding order — lives beside
-the platform in :mod:`repro.auction.round_driver`; ``round_commands``,
-``apply_command`` and ``execute_commands`` are re-exported here.
+the platform in :mod:`repro.auction.round_driver`; ``round_commands``
+and ``execute_commands`` are re-exported here.  Live, journaled,
+replayed or resumed, every command reaches the platform through its
+``apply``, which also refuses a command stamped with another slot.
 
 Crash faults that exercise all of this live in
 :mod:`repro.faults.crash`; the replay-fidelity guarantee is enforced at
 runtime by :func:`repro.analysis.sanitizer.check_replay_fidelity`.
 """
 
-from repro.auction.round_driver import apply_command, execute_commands, round_commands
+from repro.auction.round_driver import execute_commands, round_commands
 from repro.durability.journal import (
     GENESIS_HASH,
     JOURNAL_VERSION,
@@ -38,15 +41,12 @@ from repro.durability.journal import (
     EventDigest,
     Journal,
     JournalRecord,
-    ScanResult,
     decode_line,
     scan_journal,
     segment_paths,
 )
 from repro.durability.journaled import JournaledPlatform
 from repro.durability.replay import (
-    ReplayResult,
-    ResumeResult,
     replay_journal,
     replay_records,
     resume_round,
@@ -55,7 +55,6 @@ from repro.durability.replay import (
 __all__ = [
     "Journal",
     "JournalRecord",
-    "ScanResult",
     "scan_journal",
     "segment_paths",
     "decode_line",
@@ -65,9 +64,6 @@ __all__ = [
     "KIND_CLOSE",
     "KIND_COMMAND",
     "JournaledPlatform",
-    "ReplayResult",
-    "ResumeResult",
-    "apply_command",
     "execute_commands",
     "replay_journal",
     "replay_records",

@@ -173,17 +173,6 @@ def _record_body(
     return body
 
 
-def make_record(
-    seq: int,
-    prev: str,
-    kind: str,
-    event: Optional[AuctionEvent],
-    emitted: Optional[EventDigest] = None,
-) -> JournalRecord:
-    """Build (and hash) a record from its parts."""
-    return _sealed_record(seq, prev, kind, event, emitted)[0]
-
-
 def _sealed_record(
     seq: int,
     prev: str,
@@ -447,7 +436,7 @@ class Journal:
             # The cut reaches disk with the next fsync, on close at the
             # latest.
             self._repair_unsynced = scan.torn
-            self._records: List[JournalRecord] = list(scan.records)
+            self._recovered = scan.records
             self._next_seq = scan.last_seq + 1
             self._prev_hash = scan.last_hash
             obs.counter("journal.recovered_records", len(scan.records))
@@ -477,9 +466,13 @@ class Journal:
         return self._directory
 
     @property
-    def records(self) -> Tuple[JournalRecord, ...]:
-        """Every record currently in the journal, in order."""
-        return tuple(self._records)
+    def recovered(self) -> Tuple[JournalRecord, ...]:
+        """The records the journal held when it was opened, in order.
+
+        Records appended since are not kept in memory: read them back
+        with :func:`scan_journal`.
+        """
+        return self._recovered
 
     @property
     def last_seq(self) -> int:
@@ -526,7 +519,6 @@ class Journal:
         if due:
             self.sync()
         obs.counter("journal.appends")
-        self._records.append(record)
         self._next_seq += 1
         self._prev_hash = record.hash
         return record
@@ -569,5 +561,5 @@ class Journal:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Journal({str(self._directory)!r}, records={len(self._records)})"
+            f"Journal({str(self._directory)!r}, last_seq={self.last_seq})"
         )

@@ -1,9 +1,9 @@
 """Write-ahead journaling wrapper around the crowdsourcing platform.
 
-:class:`JournaledPlatform` exposes the same mutating surface as
-:class:`~repro.auction.CrowdsourcingPlatform` and makes the journal the
-source of truth: every mutation is journaled as a **command** record
-*before* the platform state changes.  The
+:class:`JournaledPlatform` takes the platform's one input, the command
+(:mod:`repro.auction.events`), through :meth:`JournaledPlatform.apply`,
+and makes the journal the source of truth: every command is journaled
+as a **command** record *before* the platform state changes.  The
 :class:`~repro.auction.events.AuctionEvent` objects the platform emits
 while applying it are not written out: the next record carries their
 count and digest (:class:`~repro.durability.journal.EventDigest`), and
@@ -13,30 +13,27 @@ replaying the journaled commands through a fresh platform reconstructs
 the exact state, and checks it against the digests
 (:mod:`repro.durability.replay`).
 
-Ordering discipline per mutation:
+Ordering discipline per command:
 
-1. ``validate_*`` on the inner platform — a rejected command raises
-   :class:`~repro.errors.MechanismError` and leaves the journal
+1. ``validate_command`` on the inner platform — a rejected command
+   raises :class:`~repro.errors.MechanismError` (or a bid field's
+   :class:`~repro.errors.ValidationError`) and leaves the journal
    untouched (no partial record);
-2. append the command record (the write-ahead write), carrying the
-   digest the previous command owes;
-3. apply the mutation on the inner platform;
+2. append the command it was handed (the write-ahead write), carrying
+   the digest the previous command owes;
+3. apply the command on the inner platform;
 4. remember the digest of the platform's newly emitted events; the
    next record carries it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.auction.events import (
     AuctionEvent,
-    BidSubmitted,
-    FailureReported,
-    PhoneDropped,
     RoundFinalized,
     RoundStarted,
-    SlotAdvanced,
     TasksAnnounced,
 )
 from repro.auction.platform import CrowdsourcingPlatform
@@ -47,9 +44,24 @@ from repro.durability.journal import (
     Journal,
 )
 from repro.errors import JournalError
-from repro.model.bid import Bid
-from repro.model.outcome import AuctionOutcome
-from repro.model.task import SensingTask
+
+#: The inner platform's names the wrapper delegates: its read-only
+#: state and its command check, none of its mutators.
+_DELEGATED = frozenset(
+    name
+    for name, member in vars(CrowdsourcingPlatform).items()
+    if isinstance(member, property)
+) | {"events_since", "validate_command"}
+
+
+class _Refused:
+    """A mutator name perfbench's layer tracer wraps on the class; read
+    from an instance, it raises like any name the wrapper refuses."""
+
+    def __get__(self, instance: Any, owner: Any = None) -> Any:
+        if instance is None:
+            return self
+        raise AttributeError
 
 
 class JournaledPlatform:
@@ -67,8 +79,10 @@ class JournaledPlatform:
     num_slots / reserve_price / payment_rule / max_reassignments:
         Forwarded to the inner platform.
 
-    Read-only accessors (``current_slot``, ``events``, ``pool_size``,
-    ...) delegate to the inner platform.
+    The one mutator is :meth:`apply`.  Read-only accessors
+    (``current_slot``, ``events``, ...) and ``validate_command``
+    delegate to the inner platform; its mutators raise
+    :class:`AttributeError` here.
     """
 
     def __init__(
@@ -79,10 +93,10 @@ class JournaledPlatform:
         payment_rule: str = "paper",
         max_reassignments: int = 3,
     ) -> None:
-        if journal.records:
+        if journal.last_seq:
             raise JournalError(
                 f"journal {str(journal.directory)!r} already holds "
-                f"{len(journal.records)} record(s); resume it with "
+                f"{journal.last_seq} record(s); resume it with "
                 f"repro.durability.resume_round instead of starting a "
                 f"fresh round over it"
             )
@@ -121,8 +135,8 @@ class JournaledPlatform:
         journal already holds the history that produced ``inner``, so
         no header command is appended.  ``owed`` is the digest of the
         events of the journal's last command when no record covers it
-        yet (:attr:`~repro.durability.ReplayResult.owed`); the first
-        live append carries it.
+        yet (:attr:`~repro.durability.replay.ReplayResult.owed`); the
+        first live append carries it.
         """
         self = cls.__new__(cls)
         self._journal = journal
@@ -144,99 +158,41 @@ class JournaledPlatform:
         return self._inner
 
     def __getattr__(self, name: str) -> Any:
-        # Read-only delegation: properties and validators of the inner
-        # platform (mutators are all overridden above in the class body).
         inner = self.__dict__.get("_inner")
-        if inner is None:
-            raise AttributeError(name)
+        if inner is None or name not in _DELEGATED:
+            raise AttributeError(
+                f"{type(self).__name__} has no attribute {name!r}: it "
+                f"takes commands through apply() and delegates only the "
+                f"platform's read-only names"
+            )
         return getattr(inner, name)
 
-    def _run(self, command: AuctionEvent, apply: Any) -> Any:
-        """Journal ``command``, apply it, remember its events' digest."""
+    # The inner platform's mutators, refused (see :class:`_Refused`).
+    submit_bid = submit_tasks = report_dropout = _Refused()
+    report_task_failure = close_slot = advance_to = finalize = _Refused()
+
+    # ------------------------------------------------------------------
+    # The one mutator
+    # ------------------------------------------------------------------
+    def apply(self, command: AuctionEvent) -> Any:
+        """Journal ``command``, apply it, remember its events' digest.
+
+        Returns what the inner platform's ``apply`` returns (the outcome
+        for ``RoundFinalized``, after which :meth:`close_round` runs).
+        An announcement of zero tasks emits nothing, so there is nothing
+        to redo: it is validated and applied without a record.
+        """
+        inner = self._inner
+        inner.validate_command(command)
+        if isinstance(command, TasksAnnounced) and not command.count:
+            return inner.apply(command)
         self._journal.append(KIND_COMMAND, command, self._owed)
-        before = self._inner.event_count
-        result = apply()
-        self._owed = EventDigest.of(self._inner.events_since(before))
+        before = inner.event_count
+        result = inner.apply(command)
+        self._owed = EventDigest.of(inner.events_since(before))
+        if isinstance(command, RoundFinalized):
+            self.close_round()
         return result
-
-    # ------------------------------------------------------------------
-    # Mutating surface (mirrors CrowdsourcingPlatform)
-    # ------------------------------------------------------------------
-    def submit_bid(self, bid: Bid) -> None:
-        """Journal and submit a bid (see the platform's docstring)."""
-        self._inner.validate_bid(bid)
-        self._run(
-            BidSubmitted(
-                slot=self._inner.current_slot,
-                phone_id=bid.phone_id,
-                arrival=bid.arrival,
-                departure=bid.departure,
-                cost=bid.cost,
-            ),
-            lambda: self._inner.submit_bid(bid),
-        )
-
-    def submit_tasks(self, count: int, value: float) -> List[SensingTask]:
-        """Journal and announce ``count`` tasks of ``value``."""
-        self._inner.validate_task_submission(count, value)
-        if not count:
-            # The platform emits nothing for an empty announcement, so
-            # there is nothing to redo: skip the journal entirely.
-            return self._inner.submit_tasks(count, value)
-        return self._run(
-            TasksAnnounced(
-                slot=self._inner.current_slot,
-                count=count,
-                value=float(value),
-            ),
-            lambda: self._inner.submit_tasks(count, value),
-        )
-
-    def report_dropout(self, phone_id: int) -> None:
-        """Journal and report an early departure."""
-        self._inner.validate_dropout(phone_id)
-        self._run(
-            PhoneDropped(
-                slot=self._inner.current_slot, phone_id=phone_id
-            ),
-            lambda: self._inner.report_dropout(phone_id),
-        )
-
-    def report_task_failure(self, phone_id: int) -> None:
-        """Journal and mark a phone as a non-deliverer."""
-        self._inner.validate_task_failure(phone_id)
-        self._run(
-            FailureReported(
-                slot=self._inner.current_slot, phone_id=phone_id
-            ),
-            lambda: self._inner.report_task_failure(phone_id),
-        )
-
-    def close_slot(self) -> None:
-        """Journal and close the current slot."""
-        self._inner.validate_close()
-        self._run(
-            SlotAdvanced(slot=self._inner.current_slot),
-            lambda: self._inner.close_slot(),
-        )
-
-    def advance_to(self, slot: int) -> None:
-        """Close empty slots until ``slot`` is open, journaling each."""
-        self._inner.validate_advance(slot)
-        while self._inner.current_slot < slot:
-            self.close_slot()
-
-    def finalize(self) -> AuctionOutcome:
-        """Journal the seal, finalize the round and close the journal's
-        round (:meth:`close_round`)."""
-        self._inner.validate_finalize()
-        outcome: Optional[AuctionOutcome] = self._run(
-            RoundFinalized(slot=self._inner.current_slot),
-            lambda: self._inner.finalize(),
-        )
-        self.close_round()
-        assert outcome is not None
-        return outcome
 
     def close_round(self) -> None:
         """Append the close record, which carries the digest of

@@ -1,13 +1,15 @@
 """Deterministic replay and resume of journaled rounds.
 
-The journal is a *redo log of commands*: replaying the command records
-through a fresh :class:`~repro.auction.CrowdsourcingPlatform` — in
-order, nothing else — reconstructs the exact platform state, because
-the platform is deterministic in its inputs.  The events the platform
-emits are not in the journal; they are **verified**: the record after
-each command carries the count and digest of the events that command
-emitted when it was journaled, and the events re-execution emits must
-hash to it.  Any disagreement raises
+The journal is a *redo log of commands*: applying the command records
+to a fresh :class:`~repro.auction.CrowdsourcingPlatform` — in order,
+one ``apply`` each, nothing else — reconstructs the exact platform
+state, because the platform is deterministic in its inputs.  ``apply``
+checks a journaled command as it checks a live one, slot included; a
+command it refuses raises :class:`~repro.errors.JournalError` naming
+the record.  The events the platform emits are not in the journal;
+they are **verified**: the record after each command carries the
+count and digest of the events that command emitted when it was
+journaled, and the events re-execution emits must hash to it.  Any disagreement raises
 :class:`~repro.errors.ReplayDivergenceError` naming the command — the
 journal and the code that wrote it are out of sync, and replay refuses
 to silently diverge.  A *missing* digest for the journal's last command
@@ -37,7 +39,7 @@ from typing import Optional, Sequence, Tuple
 from repro import obs
 from repro.auction.events import AuctionEvent, RoundFinalized, RoundStarted
 from repro.auction.platform import CrowdsourcingPlatform
-from repro.auction.round_driver import apply_command, execute_commands
+from repro.auction.round_driver import execute_commands
 from repro.durability.journal import (
     KIND_CLOSE,
     KIND_COMMAND,
@@ -47,7 +49,12 @@ from repro.durability.journal import (
     scan_journal,
 )
 from repro.durability.journaled import JournaledPlatform
-from repro.errors import JournalError, ReplayDivergenceError
+from repro.errors import (
+    JournalError,
+    MechanismError,
+    ReplayDivergenceError,
+    ValidationError,
+)
 from repro.model.outcome import AuctionOutcome
 
 
@@ -148,9 +155,16 @@ def replay_records(
             continue
         assert record.event is not None
         before = platform.event_count
-        result = apply_command(platform, record.event)
+        try:
+            result = platform.apply(record.event)
+        except (MechanismError, ValidationError) as exc:
+            raise JournalError(
+                f"record {record.seq} holds a command the platform "
+                f"refuses: {exc}",
+                sequence=record.seq,
+            ) from exc
         if isinstance(record.event, RoundFinalized):
-            outcome = result  # type: ignore[assignment]
+            outcome = result
         owed = EventDigest.of(platform.events_since(before))
         last = record
         commands_applied += 1
@@ -252,7 +266,13 @@ def resume_round(
     append carries the digest the last replayed command still owes.  A
     journal cut after ``RoundFinalized`` gets its close record.
     """
-    records = journal.records
+    records = journal.recovered
+    recovered_seq = records[-1].seq if records else 0
+    if journal.last_seq != recovered_seq:
+        raise JournalError(
+            f"journal {str(journal.directory)!r} was appended to since it "
+            f"was opened; resume a round from a freshly opened journal"
+        )
     if not records:
         return start_round(
             journal,
@@ -288,11 +308,6 @@ def resume_round(
             f"journal {str(journal.directory)!r} holds a command "
             f"history that is not a prefix of the regenerated round; "
             f"refusing to resume (seed or scenario mismatch?)"
-        )
-    if len(journaled) > len(commands):
-        raise ReplayDivergenceError(
-            f"journal holds {len(journaled)} commands but the "
-            f"regenerated round has only {len(commands)}"
         )
     platform = JournaledPlatform.from_recovery(
         journal, replay.platform, replay.owed

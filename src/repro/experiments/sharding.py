@@ -20,7 +20,8 @@ out at *shard* granularity instead, over the same
   small picklable :class:`ShardTask` to the pool — no bid list ever
   crosses a pickle boundary on the way in.  With ``workers=1`` the pool
   runs in-process and encodes each shard only after the previous one
-  was collected, so one segment is alive at a time.
+  was collected, so one segment is alive at a time; with more workers
+  at most ``2 * workers`` are.
 * Workers attach by name and run each round from its zero-copy columns
   through :meth:`SimulationEngine.run_columns
   <repro.simulation.engine.SimulationEngine.run_columns>`, the round
@@ -668,8 +669,8 @@ def run_sharded_campaign(
     resumed: Dict[int, Dict[int, bytes]] = {}
     computed: Dict[int, Dict[int, SimulationResult]] = {}
     beats: List[Dict[str, Any]] = []
-    # A generator, so a workers=1 pool encodes each shard's segment only
-    # after the previous shard was collected (and its segment released).
+    # A generator, so the pool encodes a shard's segment only as it
+    # draws the unit: after the previous shard's release with workers=1.
     units = (
         (
             _prepare_shard(

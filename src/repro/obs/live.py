@@ -34,12 +34,13 @@ import dataclasses
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs.clock import perf_seconds
 from repro.obs.console import Console
+from repro.utils.recordlog import RecordWriter
 
 #: Format marker carried on every heartbeat record.
 HEARTBEAT_SCHEMA = "repro-heartbeat/1"
@@ -93,11 +94,17 @@ class HeartbeatConfig:
     console: Optional[Console] = None
 
 
-def _append_jsonl(path: pathlib.Path, record: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _append_jsonl(
+    path: "os.PathLike[str]", records: Sequence[Dict[str, Any]]
+) -> None:
+    """Append ``records`` through one record-log writer, which first
+    cuts a killed run's torn last line (into ``<path>.corrupt``)."""
     try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        with RecordWriter(path) as log:
+            for record in records:
+                log.append(
+                    (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+                )
     except OSError as exc:
         raise HeartbeatError(
             f"cannot append heartbeat to {path}: {exc}"
@@ -174,7 +181,7 @@ class Heartbeat:
             return None
         record = self._build(unit_index, extra)
         if self._config.path is not None:
-            _append_jsonl(self._config.path, record)
+            _append_jsonl(self._config.path, [record])
         if self._config.console is not None:
             self._config.console.note(self._render(record))
         obs.counter("heartbeat.emits")
@@ -253,16 +260,14 @@ def append_worker_beats(
     pid or completion time — so the sequence is identical across worker
     counts and schedules; beats without a ``shard`` key sort as shard 0.
     """
-    for beat in sorted(
-        beats, key=lambda b: (int(b.get("shard", 0)), int(b["unit_index"]))
-    ):
-        record: Dict[str, Any] = {
-            "schema": HEARTBEAT_SCHEMA,
-            "label": label,
-            "seq": 0,
-        }
-        record.update(beat)
-        _append_jsonl(pathlib.Path(path), record)
+    records = [
+        {"schema": HEARTBEAT_SCHEMA, "label": label, "seq": 0, **beat}
+        for beat in sorted(
+            beats, key=lambda b: (int(b.get("shard", 0)), int(b["unit_index"]))
+        )
+    ]
+    if records:
+        _append_jsonl(path, records)
 
 
 def read_heartbeats(

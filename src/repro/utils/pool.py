@@ -11,10 +11,12 @@ submission order, whatever order the units finish in.
   shared-memory segment) therefore holds one at a time, and
   in-process-only hooks (a sleep stub, a crash hook) may ride in the
   arguments.
-* ``workers > 1`` submits every unit up front to a default-context
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  A worker exception
-  re-raises in the caller, and leaving the ``with`` block cancels the
-  units that have not started and joins the pool.
+* ``workers > 1`` keeps at most ``2 * workers`` units submitted to a
+  default-context :class:`~concurrent.futures.ProcessPoolExecutor` and
+  not yet yielded, so what a caller builds per unit (a shard's segment)
+  is bounded by the pool's width.  A worker exception re-raises in the
+  caller, and leaving the ``with`` block cancels the units that have
+  not started and joins the pool.
 
 The envelope is the only timing channel: workers return outcome data,
 and callers turn envelopes into telemetry (histograms, heartbeat
@@ -23,12 +25,14 @@ worker-beat records) in the parent, in unit order.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
+    Deque,
     Generic,
     Iterable,
     Iterator,
@@ -90,10 +94,12 @@ class WorkerPool:
             for unit in units:
                 yield _timed(worker, unit)
             return
-        futures = [
-            self._executor.submit(_timed, worker, unit) for unit in units
-        ]
-        # Popped, so each result dies once the caller drops its envelope.
-        futures.reverse()
-        while futures:
-            yield futures.pop().result()
+        in_flight: Deque[Future[Envelope[T]]] = collections.deque()
+        for unit in units:
+            in_flight.append(self._executor.submit(_timed, worker, unit))
+            if len(in_flight) == 2 * self.workers:
+                # Popped, so each result dies once the caller drops its
+                # envelope.
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()

@@ -142,6 +142,7 @@ class TestShallowToDict:
             KIND_COMMAND,
             EventDigest,
             Journal,
+            scan_journal,
             segment_paths,
         )
         from repro.utils.recordlog import seal
@@ -151,7 +152,7 @@ class TestShallowToDict:
         with Journal(tmp_path / "journal") as journal:
             for event in events:
                 journal.append(KIND_COMMAND, event, emitted)
-            records = journal.records
+        records = scan_journal(tmp_path / "journal").records
         expected = b"".join(
             seal(
                 {

@@ -261,7 +261,7 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("reserve_price", [False, True])
     def test_matches_the_heap_walk_over_faulty_rounds(self, reserve_price):
-        from repro.auction.round_driver import apply_command, round_commands
+        from repro.auction.round_driver import round_commands
         from repro.faults import FaultConfig, FaultInjector
         from repro.faults.recovery import apply_bid_faults
         from repro.simulation import WorkloadConfig
@@ -290,7 +290,7 @@ class TestPoolSize:
                 max_reassignments=plan.config.max_reassignments,
             )
             for command in round_commands(bids, scenario, plan):
-                apply_command(platform, command)
+                platform.apply(command)
                 assert platform.pool_size == _pool_walk(platform), (
                     f"seed {seed}: pool size after {command!r}"
                 )

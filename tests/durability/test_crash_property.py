@@ -101,7 +101,7 @@ def crash_round(request, crash_seed, tmp_path_factory):
         base_dir / "baseline", scenario, plan, commands
     )
     assert baseline is not None
-    return seed, scenario, plan, commands, len(journal.records), baseline
+    return seed, scenario, plan, commands, journal.last_seq, baseline
 
 
 class TestCrashAfterEveryWrite:

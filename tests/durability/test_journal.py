@@ -138,6 +138,17 @@ class TestAppendAndScan:
         assert record.seq == 4
         assert record.prev == first[-1].hash
 
+    def test_only_recovered_records_stay_in_memory(self, tmp_path):
+        with Journal(tmp_path) as journal:
+            written = _fill(journal, 3)
+            assert journal.recovered == ()
+            assert journal.last_seq == 3
+        with Journal(tmp_path) as journal:
+            assert list(journal.recovered) == written
+            _fill(journal, 2)
+            assert list(journal.recovered) == written
+            assert journal.last_seq == 5
+
     @pytest.mark.parametrize("fsync", ["always", "batch", "off"])
     def test_all_fsync_policies_persist(self, tmp_path, fsync):
         # Each id names a former fsync policy; the one remaining rule

@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from repro.analysis import check_replay_fidelity
-from repro.auction.events import PaymentSettled, RoundFinalized
+from repro.auction.events import BidSubmitted, PaymentSettled, RoundFinalized
 from repro.auction.platform import CrowdsourcingPlatform
 from repro.durability import (
     GENESIS_HASH,
@@ -19,7 +19,6 @@ from repro.durability import (
     EventDigest,
     Journal,
     JournaledPlatform,
-    apply_command,
     execute_commands,
     replay_journal,
     replay_records,
@@ -28,7 +27,7 @@ from repro.durability import (
     scan_journal,
     segment_paths,
 )
-from repro.durability.journal import make_record
+from repro.durability.journal import _sealed_record
 from repro.durability.replay import start_round
 from repro.errors import (
     JournalError,
@@ -143,13 +142,13 @@ def _reseal(directory, records):
     record to the one before it (a valid chain, different content)."""
     out, prev = [], GENESIS_HASH
     for record in records:
-        rebuilt = make_record(
+        rebuilt, line = _sealed_record(
             record.seq, prev, record.kind, record.event, record.emitted
         )
-        out.append(rebuilt.to_line())
+        out.append(line)
         prev = rebuilt.hash
     (segment,) = segment_paths(directory)
-    segment.write_text("\n".join(out) + "\n")
+    segment.write_bytes(b"".join(out))
 
 
 def _events_per_command(records):
@@ -166,7 +165,7 @@ def _events_per_command(records):
         if record.kind != KIND_COMMAND:
             continue
         before = platform.event_count
-        apply_command(platform, record.event)
+        platform.apply(record.event)
         emitted.append((record, platform.events_since(before)))
     return emitted
 
@@ -230,6 +229,27 @@ class TestDivergenceDetection:
         _reseal(directory, scan_journal(directory).records)
         replayed = replay_journal(directory)
         assert pickle.dumps(replayed.outcome) == pickle.dumps(live)
+
+    def test_command_stamped_with_another_slot_is_refused(self, tmp_path):
+        """The journaled events of a bid carry the open slot whatever
+        the command says, so only the platform's slot check catches a
+        command moved to another slot."""
+        _journaled_round(tmp_path)
+        directory = tmp_path / "journal"
+        records = list(scan_journal(directory).records)
+        index, record = next(
+            (i, r)
+            for i, r in enumerate(records)
+            if isinstance(r.event, BidSubmitted)
+        )
+        moved = dataclasses.replace(record.event, slot=record.event.slot + 1)
+        records[index] = dataclasses.replace(record, event=moved)
+        _reseal(directory, records)
+        with pytest.raises(JournalError, match="platform refuses") as exc:
+            replay_journal(directory)
+        assert exc.value.sequence == record.seq
+        assert repr(moved) in str(exc.value)
+        assert f"slot {record.event.slot} is open" in str(exc.value)
 
     def test_missing_header_raises(self, tmp_path):
         (segment,) = segment_paths(
@@ -297,9 +317,9 @@ class TestEventLogIsNotCopied:
                 num_slots=scenario.num_slots,
                 max_reassignments=plan.config.max_reassignments,
             )
-            records = journal.records
         finally:
             journal.close()
+        records = scan_journal(tmp_path / "journal").records
         replayed = replay_records(records)
         assert spied_events == []
         assert len(records) == len(commands) + 2
@@ -318,6 +338,27 @@ class TestResume:
         assert result.outcome is not None
         assert result.replayed_commands == 0
         assert result.executed_commands == len(commands)
+
+    def test_resume_refuses_a_journal_appended_since_open(self, tmp_path):
+        """Resume reads the records recovered at open; it refuses an open
+        journal whose later appends it would not see."""
+        scenario = WORKLOAD.generate(seed=6)
+        commands = round_commands(scenario.truthful_bids(), scenario, None)
+        with Journal(tmp_path / "journal") as journal:
+            platform = JournaledPlatform(
+                journal, num_slots=scenario.num_slots
+            )
+            execute_commands(platform, commands[:3])
+            with pytest.raises(JournalError, match="appended to since"):
+                resume_round(
+                    journal, commands, num_slots=scenario.num_slots
+                )
+        with Journal(tmp_path / "journal") as journal:
+            result = resume_round(
+                journal, commands, num_slots=scenario.num_slots
+            )
+        assert result.replayed_commands == 3
+        assert result.executed_commands == len(commands) - 3
 
     def test_resume_config_mismatch_raises(self, tmp_path):
         scenario, commands, _ = _journaled_round(tmp_path, seed=5)

@@ -130,6 +130,34 @@ class TestHeartbeatChannels:
         assert [r["seq"] for r in records] == [0, 1]
         assert all(r["schema"] == HEARTBEAT_SCHEMA for r in records)
 
+    def test_pulse_after_a_torn_tail_reads_back(self, tmp_path, manual_perf):
+        """A killed run's partial last line is cut before the next pulse,
+        not glued to it."""
+        path = tmp_path / "hb.jsonl"
+        Heartbeat(HeartbeatConfig(path=path, every=1), total=1).beat(0)
+        whole = path.read_bytes()
+        torn = whole[: len(whole) // 2]
+        path.write_bytes(whole + torn)
+        Heartbeat(HeartbeatConfig(path=path, every=1), total=1).beat(7)
+        assert [r["unit_index"] for r in read_heartbeats(path)] == [0, 7]
+        assert (tmp_path / "hb.jsonl.corrupt").read_bytes() == torn
+
+    def test_worker_beats_after_a_torn_tail_read_back(self, tmp_path):
+        path = tmp_path / "hb.jsonl"
+        path.write_bytes(b'{"schema": "repro-heart')
+        append_worker_beats(
+            path,
+            "round",
+            [
+                {"unit_index": unit, "elapsed_seconds": 0.1, "worker_pid": 1}
+                for unit in (1, 0)
+            ],
+        )
+        assert [r["unit_index"] for r in read_heartbeats(path)] == [0, 1]
+        assert (tmp_path / "hb.jsonl.corrupt").read_bytes() == (
+            b'{"schema": "repro-heart'
+        )
+
     def test_console_channel_respects_quiet(self, manual_perf):
         loud = io.StringIO()
         quiet = io.StringIO()

@@ -80,6 +80,18 @@ class TestLaziness:
             assert [e.result[0] for e in envelopes] == [1, 2]
 
 
+    def test_process_pool_keeps_twice_its_width_in_flight(self):
+        log = []
+        with WorkerPool(2) as pool:
+            envelopes = pool.run(_finish_after, self._logged_units(log, 10))
+            next(envelopes)
+            assert log == [f"build {index}" for index in range(4)]
+            next(envelopes)
+            assert log == [f"build {index}" for index in range(5)]
+            assert [e.result[0] for e in envelopes] == list(range(2, 10))
+        assert len(log) == 10
+
+
 class TestFailure:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_propagates_and_pool_shuts_down(self, workers):
@@ -141,5 +153,20 @@ class TestShardSegmentLifetime:
         run_sharded_campaign(
             SPEC, two_cities(), seed=1, workers=2, shards_per_city=2
         )
+        assert alive["peak"] == 4
+        assert alive["alive"] == set()
+
+    def test_process_pool_bounds_live_segments_by_its_width(self, alive):
+        """Eight shards on two workers: at most 2 x 2 segments live."""
+        from repro.experiments.sharding import run_sharded_campaign
+
+        run_sharded_campaign(
+            SPEC,
+            two_cities(rounds=(4, 4)),
+            seed=1,
+            workers=2,
+            shards_per_city=4,
+        )
+        assert len(alive["spy"].names) == 8
         assert alive["peak"] == 4
         assert alive["alive"] == set()
